@@ -38,6 +38,8 @@ struct MeasurementOutcome {
 /// clock that keeps advancing even while probes are blocked, so backoffs
 /// always expire; nothing here reads wall-clock time.
 struct ResilienceConfig {
+  /// Off: no failover, backoff or quarantine, and the scheduler treats
+  /// infrastructure failures like uninformative results.
   bool enabled = true;
   /// Total probe attempts per targeted measurement (first try + failovers).
   int max_attempts = 4;

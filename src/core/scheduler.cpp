@@ -378,7 +378,7 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
     ctr_retries_.add(mac::checked_cast<std::uint64_t>(out.attempts - 1));
 
   const std::uint64_t key = entry_key(pick.i, pick.j, ctx_->size());
-  if (out.infra_failure && cfg_.resilient) {
+  if (out.infra_failure && ms_->resilience().enabled) {
     // The infrastructure, not the strategy, failed: requeue the entry with
     // exponential backoff and leave fail_streak / P_m untouched.
     ctr_infra_failures_.add();

@@ -35,11 +35,10 @@ struct SchedulerConfig {
   int row_fail_limit = 6;          // successive uninformative tries per row
   SelectionPolicy policy = SelectionPolicy::kMetascritic;
   std::uint64_t seed = 11;
-  /// Infrastructure failures requeue the entry with exponential backoff and
-  /// never count toward fail_streak / give-up.  When false they are treated
-  /// like uninformative results (the pre-resilience behaviour, kept for the
-  /// e8 ablation).
-  bool resilient = true;
+  /// While the MeasurementSystem's ResilienceConfig is enabled,
+  /// infrastructure failures requeue the entry with this exponential backoff
+  /// and never count toward fail_streak / give-up; with it disabled they are
+  /// treated like uninformative results (the --no-resilience ablation).
   int requeue_backoff_base = 8;    // scheduler ticks (pick slots)
   int requeue_backoff_cap = 1024;
 };

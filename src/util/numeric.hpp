@@ -1,5 +1,6 @@
 // Numeric-safety primitives: the only sanctioned narrowing and
-// float-comparison idioms in src/ (tools/lint.py R12/R14).
+// float-comparison idioms in src/ (tools/lint.py R14; -Wfloat-equal in the
+// numeric-safety lane of tools/run_checks.py).
 //
 // The pipeline's output is a stack of floating-point claims built on
 // integer indices (AS ids, metro ids, matrix coordinates).  A silently

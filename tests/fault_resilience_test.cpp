@@ -155,10 +155,13 @@ TEST(FaultResilienceTest, ResilienceRecoversRowFill) {
     core::SchedulerConfig sc;
     sc.seed = 9;
     sc.batch_size = 80;
-    sc.resilient = resilient;
     core::MeasurementScheduler sched(ctx, *w.ms, pm, sc);
     std::size_t issued = sched.fill_rows_to(target, budget);
     EXPECT_EQ(issued, history_spend(sched));
+    // The world's flag alone must switch the scheduler's requeue path off.
+    if (!resilient) {
+      EXPECT_EQ(sched.degradation().requeues, 0u);
+    }
     return sched.degradation().fill_fraction;
   };
 

@@ -18,9 +18,8 @@ void hits() {
   auto fut = std::async([] {});         // expect-lint: raw-sync
 }
 
-void misses() {
+void misses(metas::util::Mutex& mu) {
   // The sanctioned annotated wrappers are exactly what R9 steers toward.
-  metas::util::Mutex mu;
   metas::util::LockGuard hold(mu);
   // Identifiers merely containing primitive names are clean.
   int thread_count = 0;

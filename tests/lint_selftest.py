@@ -8,7 +8,8 @@ exactly those findings (at that file:line) when the linter runs with
 
   * exit codes: 1 on the violating fixtures, 0 on the clean fixture;
   * --rule selection: a run restricted to R10 reports only unordered-iter,
-    and selection by name (raw-sync) matches selection by number (R9);
+    selection by name (raw-sync) matches selection by number (R9), and a
+    comma-separated list selects the union;
   * the default repo-wide run skips tests/lint_fixtures/ entirely.
 
 Registered in ctest as `lint_selftest` (see tests/CMakeLists.txt).
@@ -109,6 +110,13 @@ def main() -> int:
         failures.append(f"--rule raw-sync vs --rule R9 disagree: "
                         f"{sorted(by_name)} vs {sorted(by_number)}")
 
+    # 4b. A comma-separated --rule list selects exactly the union.
+    listed, _, _ = run_lint("--rule", "R10,raw-sync", "--pretend-dir", "src",
+                            *rels)
+    if listed != r10 | by_name:
+        failures.append(f"--rule R10,raw-sync is not the union of R10 and "
+                        f"raw-sync: {sorted(listed)}")
+
     # 5. The default repo-wide run never descends into the fixtures.
     repo_findings, _, _ = run_lint()
     leaked = {f for f in repo_findings if "lint_fixtures" in f[0]}
@@ -127,11 +135,12 @@ def main() -> int:
     #     their dedicated fixtures -- the guard rail ahead of the
     #     work-stealing parallelism work must demonstrably fire.
     for rule in ("ref-capture", "view-member", "pointer-key",
-                 "raw-file-write", "span-direct"):
+                 "raw-file-write", "span-direct", "unguarded-mutex"):
         if not any(f[2] == rule for f in actual):
             failures.append(f"no {rule} finding on the fixtures")
 
-    # 7. --list-rules exits 0 and mentions every registered rule number.
+    # 7. --list-rules exits 0 and mentions every registered rule number;
+    #    retired R12 stays unused.
     proc = subprocess.run(
         [sys.executable, str(LINT), "--list-rules"],
         capture_output=True, text=True, cwd=REPO,
@@ -139,9 +148,11 @@ def main() -> int:
     if proc.returncode != 0:
         failures.append(f"--list-rules exit code: got {proc.returncode}, want 0")
     listed = set(re.findall(r"\bR\d+\b", proc.stdout))
-    for number in [f"R{i}" for i in range(1, 20)]:
+    for number in [f"R{i}" for i in range(1, 21) if i != 12]:
         if number not in listed:
             failures.append(f"--list-rules omits {number}")
+    if "R12" in listed:
+        failures.append("--list-rules lists retired R12")
 
     # 8. --json emits {rule: [findings]} that round-trips to the same
     #    (file, line, rule) set as the human-readable output, and exits 1.

@@ -34,12 +34,9 @@ Enforces the handful of rules the compiler cannot:
       src/ outside the telemetry registry singleton
       (src/util/telemetry.{hpp,cpp}) -- hidden shared state breaks both
       determinism and the thread-safety story
-  R12 no floating-point ==/!= against a literal in src/ -- exact FP compares
-      must be visibly deliberate: mac::exact_eq/exact_zero for intentional
-      exact semantics, mac::approx_eq/approx_zero for tolerances (both in
-      src/util/numeric.hpp, the one exempt file).  Variable-vs-variable
-      compares are caught by -Wfloat-equal in the numeric-safety preset;
-      this rule is the clang-free textual layer for the literal shapes
+  R12 retired (float-equal): -Wfloat-equal in tools/run_checks.py's
+      numeric-safety lane flags every FP ==/!= the rule caught, and
+      variable-vs-variable compares too; the number stays unused
   R13 no floating-point accumulation inside iteration over an unordered
       container in src/ -- FP addition is not associative, so a reduction
       over an unspecified traversal order is nondeterministic even
@@ -83,22 +80,27 @@ Enforces the handful of rules the compiler cannot:
       MAC_TRACE_INSTANT / MAC_TRACE_COUNTER so the -DMETASCRITIC_TELEMETRY=OFF
       kill switch stays airtight (a direct call would survive it and charge
       disabled builds for instrumentation)
+  R20 no `Mutex` member in src/ that guards nothing -- some member in the
+      same file must carry MAC_GUARDED_BY(<mutex>) / MAC_PT_GUARDED_BY(
+      <mutex>), or some function MAC_REQUIRES / ACQUIRE / RELEASE /
+      EXCLUDES(<mutex>).  A mutex guarding nothing is dead weight, or a sign
+      that the state it was meant to guard is unannotated and so invisible
+      to clang's -Wthread-safety.  src/util/sync.hpp, which defines Mutex,
+      is exempt
 
 Usage:
-  tools/lint.py [--clang-tidy [BUILD_DIR]] [--rule RULE] [--list-rules]
-                [--json] [--pretend-dir DIR] [PATHS...]
+  tools/lint.py [--rule RULE] [--list-rules] [--json] [--pretend-dir DIR]
+                [PATHS...]
 
 With no PATHS, lints src/ tests/ bench/ tools/ examples/ (skipping
 tests/lint_fixtures/, which intentionally contains violations for the lint
-self-test).  --rule restricts checking to one rule, by number (R10) or name
-(unordered-iter) -- handy while burning down findings.  --pretend-dir makes
+self-test).  --rule restricts checking to a comma-separated list of rules,
+by number (R10) or name (unordered-iter) -- handy while burning down
+findings.  --pretend-dir makes
 explicitly-passed files behave as if they lived under the given top-level
 directory (the self-test uses `--pretend-dir src` so fixtures exercise the
-src/-scoped rules).  With --clang-tidy, additionally runs clang-tidy (using
-the checked-in .clang-tidy) over src/**/*.cpp against BUILD_DIR's compile
-commands when the binary is available; if clang-tidy is not installed the
-step is skipped with a notice (the CI image has it, the dev container may
-not).
+src/-scoped rules).  The checked-in .clang-tidy profile runs from
+tools/run_checks.py (`--only tidy`), beside the compiler lanes.
 
 Exits non-zero if any finding is produced.
 
@@ -112,8 +114,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import shutil
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -144,7 +144,6 @@ RULE_NUMBERS = {
     "raw-sync": "R9",
     "unordered-iter": "R10",
     "static-mutable": "R11",
-    "float-equal": "R12",
     "fp-reduction-order": "R13",
     "unchecked-narrowing": "R14",
     "ref-capture": "R15",
@@ -152,6 +151,7 @@ RULE_NUMBERS = {
     "pointer-key": "R17",
     "raw-file-write": "R18",
     "span-direct": "R19",
+    "unguarded-mutex": "R20",
 }
 
 # One-line summaries for --list-rules, keyed like RULE_NUMBERS.
@@ -169,7 +169,6 @@ RULE_DOCS = {
     "raw-sync": "no raw std sync/threading in src/: use util/sync.hpp wrappers",
     "unordered-iter": "no unordered_map/set iteration in src/: traverse sorted keys",
     "static-mutable": "no mutable static state in src/ outside the telemetry registry",
-    "float-equal": "no FP ==/!= vs literal in src/: use mac::exact_eq/approx_eq",
     "fp-reduction-order": "no FP accumulation over unordered traversal in src/",
     "unchecked-narrowing": "no raw narrowing casts in src/: use mac::checked_cast",
     "ref-capture": "no `[&]` on a lambda that escapes its frame in src/",
@@ -177,13 +176,15 @@ RULE_DOCS = {
     "pointer-key": "no pointer-keyed containers or pointer hash/order in src/",
     "raw-file-write": "no direct file writes in src/: use util/checkpoint.hpp atomic helpers",
     "span-direct": "no direct span/trace-recorder calls in src/: use MAC_SPAN / MAC_TRACE_*",
+    "unguarded-mutex": "every Mutex in src/ names what it guards (MAC_GUARDED_BY / MAC_REQUIRES)",
 }
 
 # Rules whose allow() opt-out must carry a justification ("-- reason" or
 # ": reason" after the marker).
-JUSTIFY_RULES = {"unordered-iter", "float-equal", "fp-reduction-order",
+JUSTIFY_RULES = {"unordered-iter", "fp-reduction-order",
                  "unchecked-narrowing", "ref-capture", "view-member",
-                 "pointer-key", "raw-file-write", "span-direct"}
+                 "pointer-key", "raw-file-write", "span-direct",
+                 "unguarded-mutex"}
 
 # (rule-id, regex, message).  Applied per line with comments/strings stripped.
 LINE_RULES = [
@@ -242,14 +243,6 @@ LINE_RULES = [
         "-Wthread-safety can prove the lock protocol",
     ),
 ]
-
-# --- R12 (float-equal) machinery ---------------------------------------------
-# A floating-point literal: 1.0, .5f, 2., 1e-9, 3.25e+2L ...
-_FP_LIT = r"(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)[fFlL]?"
-# ==/!= that is not part of <=, >=, ===, !==, or a compound operator.
-_EQ_OP = r"(?<![<>=!&|+\-*/%^])[=!]=(?!=)"
-FLOAT_EQ_RE = re.compile(
-    rf"(?:{_FP_LIT}\s*{_EQ_OP})|(?:{_EQ_OP}\s*[-+]?{_FP_LIT})")
 
 # --- R14 (unchecked-narrowing) machinery -------------------------------------
 # Integral destination types whose raw casts are banned in src/.  Enum, bool,
@@ -427,13 +420,6 @@ LINE_RULES += [
 
 LINE_RULES += [
     (
-        "float-equal",
-        FLOAT_EQ_RE,
-        "floating-point ==/!= against a literal: use mac::approx_eq/"
-        "approx_zero for tolerances or mac::exact_eq/exact_zero when exact "
-        "semantics is deliberate (util/numeric.hpp)",
-    ),
-    (
         "unchecked-narrowing",
         STATIC_NARROW_RE,
         "raw static_cast to an integral type: use mac::checked_cast "
@@ -460,7 +446,6 @@ RULE_ONLY_DIRS = {
     "raw-sync": {"src"},
     "unordered-iter": {"src"},
     "static-mutable": {"src"},
-    "float-equal": {"src"},
     "fp-reduction-order": {"src"},
     "unchecked-narrowing": {"src"},
     "ref-capture": {"src"},
@@ -468,6 +453,7 @@ RULE_ONLY_DIRS = {
     "pointer-key": {"src"},
     "raw-file-write": {"src"},
     "span-direct": {"src"},
+    "unguarded-mutex": {"src"},
 }
 
 # Per-file carve-outs (paths relative to the repo root).  The telemetry
@@ -479,13 +465,14 @@ RULE_EXEMPT_FILES = {
     "wall-clock": {"src/util/telemetry.hpp", "src/util/telemetry.cpp"},
     "chrono-direct": {"src/util/telemetry.hpp", "src/util/telemetry.cpp"},
     "raw-sync": {"src/util/sync.hpp"},
+    # sync.hpp *defines* Mutex around the one sanctioned std::mutex.
+    "unguarded-mutex": {"src/util/sync.hpp"},
     "static-mutable": {"src/util/telemetry.hpp", "src/util/telemetry.cpp",
                        # The trace recorder singleton + per-thread ring cache
                        # are the event-level half of the telemetry carve-out.
                        "src/util/trace.cpp"},
     # numeric.hpp *implements* the sanctioned cast/compare idioms, so its
-    # internal static_casts and exact FP compares are the carve-out.
-    "float-equal": {"src/util/numeric.hpp"},
+    # internal static_casts are the carve-out.
     "fp-reduction-order": {"src/util/numeric.hpp"},
     "unchecked-narrowing": {"src/util/numeric.hpp"},
     # checkpoint.cpp *implements* the sanctioned atomic write path (POSIX
@@ -518,6 +505,8 @@ FP_ACCUM_RE = re.compile(
 # Local/member declarations of floating-point scalars, for deciding whether
 # an accumulator is FP-typed: `double pos_w = 0.0, neg_w = 0.0;`.
 FP_DECL_RE = re.compile(r"^\s*(?:const\s+)?(?:double|float)\s+(.*)$")
+# A floating-point literal: 1.0, .5f, 2., 1e-9, 3.25e+2L ...
+_FP_LIT = r"(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)[fFlL]?"
 # RHS evidence that the accumulated expression is floating-point even when
 # the accumulator's declaration is out of heuristic reach.
 FP_RHS_RE = re.compile(
@@ -539,6 +528,34 @@ def fp_decl_names_in_text(text: str) -> set[str]:
             if nm is not None:
                 names.add(nm.group(1))
     return names
+
+
+# --- R20 (unguarded-mutex) machinery -----------------------------------------
+MUTEX_DECL_RE = re.compile(
+    r"^\s*(?:mutable\s+)?(?:(?:metas::)?util::)?Mutex\s+([A-Za-z_]\w*)\s*;",
+    re.M)
+
+
+def unguarded_mutexes(lines: list[str]) -> dict[int, str]:
+    """Line -> name of each `Mutex` declared in `lines` that nothing in the
+    same file names: no MAC_GUARDED_BY / MAC_PT_GUARDED_BY member and no
+    MAC_REQUIRES / ACQUIRE / RELEASE / EXCLUDES function.  Comments are
+    stripped first, so a commented-out annotation does not count."""
+    code = []
+    in_block = False
+    for raw in lines:
+        stripped, in_block = strip_comments_and_strings(raw, in_block)
+        code.append(stripped)
+    text = "\n".join(code)
+    out: dict[int, str] = {}
+    for m in MUTEX_DECL_RE.finditer(text):
+        esc = re.escape(m.group(1))
+        if re.search(r"MAC_(?:PT_)?GUARDED_BY\(\s*" + esc + r"\s*\)", text) \
+                or re.search(r"MAC_(?:REQUIRES|ACQUIRE|RELEASE|EXCLUDES)"
+                             r"\([^)]*\b" + esc + r"\b", text):
+            continue
+        out[text.count("\n", 0, m.start(1)) + 1] = m.group(1)
+    return out
 
 
 def strip_comments_and_strings(line: str, in_block_comment: bool) -> tuple[str, bool]:
@@ -864,6 +881,8 @@ class Linter:
         if applies("view-member"):
             view_members = {lineno: (kind, decl)
                             for lineno, kind, decl in scan_view_members(lines)}
+        unguarded = unguarded_mutexes(lines) \
+            if applies("unguarded-mutex") else {}
 
         # R13 state: brace depth, the stack of active unordered-loop bodies
         # (each records the depth its body must stay at or above, and whether
@@ -908,6 +927,16 @@ class Linter:
                     "(value, std::unique_ptr) or annotate with `// lint: "
                     "allow(view-member) -- <who owns the storage and why it "
                     "outlives this>`",
+                )
+            if lineno in unguarded and "unguarded-mutex" not in allowed:
+                name = unguarded[lineno]
+                self.report(
+                    path, lineno, "unguarded-mutex",
+                    f"Mutex `{name}` guards nothing: no member carries "
+                    f"MAC_GUARDED_BY({name}) and no function carries "
+                    f"MAC_REQUIRES({name}) -- annotate the state it protects "
+                    "so -Wthread-safety can check the lock protocol, or "
+                    "delete the mutex",
                 )
             if run_fpred:
                 delta = code.count("{") - code.count("}")
@@ -972,42 +1001,32 @@ def collect_files(paths: list[str]) -> list[Path]:
 
 
 def resolve_rule(spec: str) -> set[str]:
-    """Rule names selected by `spec`: an Rn number or a rule name."""
-    spec = spec.strip()
-    if re.fullmatch(r"[Rr]\d+", spec):
-        num = spec.upper()
-        names = {name for name, n in RULE_NUMBERS.items() if n == num}
-        if not names:
-            raise SystemExit(f"lint: unknown rule number {spec}")
-        return names
-    if spec in RULE_NUMBERS:
-        return {spec}
-    raise SystemExit(f"lint: unknown rule {spec!r} "
-                     f"(known: {', '.join(sorted(RULE_NUMBERS))})")
-
-
-def run_clang_tidy(build_dir: str) -> int:
-    tidy = shutil.which("clang-tidy")
-    if tidy is None:
-        print("lint: clang-tidy not found on PATH; skipping the clang-tidy pass",
-              file=sys.stderr)
-        return 0
-    sources = sorted((REPO_ROOT / "src").rglob("*.cpp"))
-    cmd = [tidy, "-p", build_dir, "--quiet", *map(str, sources)]
-    print(f"lint: running clang-tidy over {len(sources)} sources", file=sys.stderr)
-    return subprocess.run(cmd, cwd=REPO_ROOT, check=False).returncode
+    """Rule names selected by `spec`: comma-separated Rn numbers or rule
+    names."""
+    names: set[str] = set()
+    for item in spec.split(","):
+        item = item.strip()
+        if re.fullmatch(r"[Rr]\d+", item):
+            num = item.upper()
+            matched = {name for name, n in RULE_NUMBERS.items() if n == num}
+            if not matched:
+                raise SystemExit(f"lint: unknown rule number {item}")
+            names |= matched
+        elif item in RULE_NUMBERS:
+            names.add(item)
+        else:
+            raise SystemExit(f"lint: unknown rule {item!r} "
+                             f"(known: {', '.join(sorted(RULE_NUMBERS))})")
+    return names
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
-    parser.add_argument("--clang-tidy", nargs="?", const="build", default=None,
-                        metavar="BUILD_DIR",
-                        help="also run clang-tidy against BUILD_DIR (default: build)")
     parser.add_argument("--rule", default=None, metavar="RULE",
-                        help="run a single rule, by number (R10) or name "
-                             "(unordered-iter)")
+                        help="run only these rules, comma-separated, by "
+                             "number (R10) or name (unordered-iter)")
     parser.add_argument("--pretend-dir", default=None, metavar="DIR",
                         help="treat the given files as if under this top-level "
                              "directory (lint self-test fixture support)")
@@ -1056,10 +1075,6 @@ def main(argv: list[str]) -> int:
         status = 1
     else:
         print(f"lint: OK ({len(files)} files)", file=sys.stderr)
-
-    if args.clang_tidy is not None:
-        tidy_status = run_clang_tidy(args.clang_tidy)
-        status = status or (1 if tidy_status != 0 else 0)
     return status
 
 
