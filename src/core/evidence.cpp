@@ -49,30 +49,16 @@ std::vector<std::uint64_t> EvidenceStore::sorted_keys() const {
   return keys;
 }
 
-void EvidenceStore::save(util::checkpoint::Encoder& enc) const {
-  const auto keys = sorted_keys();
-  enc.u64(keys.size());
-  for (std::uint64_t key : keys) {
-    const PairEvidence& ev = pairs_.at(key);
-    enc.u64(key);
-    enc.u64(ev.direct.size());
-    for (MetroId m : ev.direct) enc.i32(m);  // std::set iterates sorted
-    enc.u64(ev.transit.size());
-    for (MetroId m : ev.transit) enc.i32(m);
-  }
+template <class Self, class Ar>
+void EvidenceStore::io(Self& s, Ar& ar) {
+  ar(s.pairs_);
 }
 
-void EvidenceStore::load(util::checkpoint::Decoder& dec) {
-  pairs_.clear();
-  const std::uint64_t n = dec.u64();
-  for (std::uint64_t k = 0; k < n; ++k) {
-    PairEvidence& ev = pairs_[dec.u64()];
-    const std::uint64_t nd = dec.u64();
-    for (std::uint64_t d = 0; d < nd; ++d) ev.direct.insert(dec.i32());
-    const std::uint64_t nt = dec.u64();
-    for (std::uint64_t t = 0; t < nt; ++t) ev.transit.insert(dec.i32());
-  }
+void EvidenceStore::save(util::checkpoint::Encoder& enc) const {
+  io(*this, enc);
 }
+
+void EvidenceStore::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
 
 EstimatedMatrix build_estimated_matrix(
     const MetroContext& ctx, const EvidenceStore& evidence,

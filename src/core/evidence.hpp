@@ -28,6 +28,10 @@ namespace metas::core {
 struct PairEvidence {
   std::set<MetroId> direct;    // metros with a witnessed interconnection
   std::set<MetroId> transit;   // metros with a well-positioned transit crossing
+
+  /// Checkpoint field list (util/checkpoint.hpp).
+  template <class Self, class Ar>
+  static void io(Self& ev, Ar& ar) { ar(ev.direct, ev.transit); }
 };
 
 class EvidenceStore {
@@ -61,6 +65,9 @@ class EvidenceStore {
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   std::unordered_map<std::uint64_t, PairEvidence> pairs_;
 };
 

@@ -283,64 +283,18 @@ EstimatedMatrix MeasurementSystem::build_matrix(const MetroContext& ctx) const {
   return build_estimated_matrix(ctx, evidence_, consistency_);
 }
 
+template <class Self, class Ar>
+void MeasurementSystem::io(Self& s, Ar& ar) {
+  ar(s.evidence_, s.consistency_, s.wp_, s.rng_, s.health_clock_,
+     s.vp_stats_, s.vp_health_);
+}
+
 void MeasurementSystem::save(util::checkpoint::Encoder& enc) const {
-  evidence_.save(enc);
-  consistency_.save(enc);
-  wp_.save(enc);
-  enc.str(rng_.save_state());
-  enc.u64(health_clock_);
-
-  std::vector<std::uint64_t> stat_keys;
-  stat_keys.reserve(vp_stats_.size());
-  for (const auto& [key, st] : vp_stats_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    stat_keys.push_back(key);
-  std::sort(stat_keys.begin(), stat_keys.end());
-  enc.u64(stat_keys.size());
-  for (std::uint64_t key : stat_keys) {
-    const auto& st = vp_stats_.at(key);
-    enc.u64(key);
-    enc.i32(st.first);
-    enc.i32(st.second);
-  }
-
-  std::vector<int> health_keys;
-  health_keys.reserve(vp_health_.size());
-  for (const auto& [vp, h] : vp_health_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    health_keys.push_back(vp);
-  std::sort(health_keys.begin(), health_keys.end());
-  enc.u64(health_keys.size());
-  for (int vp : health_keys) {
-    const VpHealth& h = vp_health_.at(vp);
-    enc.i32(vp);
-    enc.i32(h.strikes);
-    enc.u64(h.blocked_until);
-  }
+  io(*this, enc);
 }
 
 void MeasurementSystem::load(util::checkpoint::Decoder& dec) {
-  evidence_.load(dec);
-  consistency_.load(dec);
-  wp_.load(dec);
-  rng_.restore_state(dec.str());
-  health_clock_ = dec.u64();
-
-  vp_stats_.clear();
-  const std::uint64_t ns = dec.u64();
-  for (std::uint64_t k = 0; k < ns; ++k) {
-    const std::uint64_t key = dec.u64();
-    auto& st = vp_stats_[key];
-    st.first = dec.i32();
-    st.second = dec.i32();
-  }
-
-  vp_health_.clear();
-  const std::uint64_t nh = dec.u64();
-  for (std::uint64_t k = 0; k < nh; ++k) {
-    const int vp = dec.i32();
-    VpHealth& h = vp_health_[vp];
-    h.strikes = dec.i32();
-    h.blocked_until = dec.u64();
-  }
+  io(*this, dec);
 }
 
 double MeasurementSystem::vp_score(int vp_id, AsId i) const {

@@ -104,6 +104,9 @@ class MeasurementSystem {
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   void process_trace(const traceroute::TraceResult& trace,
                      traceroute::TraceObservations& obs_out);
 
@@ -138,6 +141,9 @@ class MeasurementSystem {
   struct VpHealth {
     int strikes = 0;
     std::uint64_t blocked_until = 0;
+
+    template <class Self, class Ar>
+    static void io(Self& h, Ar& ar) { ar(h.strikes, h.blocked_until); }
   };
   std::unordered_map<int, VpHealth> vp_health_;
 };

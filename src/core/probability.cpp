@@ -173,61 +173,37 @@ void ProbabilityMatrix::restrict_to_ixp_mapped() {
   }
 }
 
-void StrategyPriors::save(util::checkpoint::Encoder& enc) const {
-  for (double a : alpha) enc.f64(a);
-  for (double b : beta) enc.f64(b);
-  enc.i32(metros_observed);
+template <class Self, class Ar>
+void StrategyPriors::io(Self& s, Ar& ar) {
+  ar(s.alpha, s.beta, s.metros_observed);
 }
 
-void StrategyPriors::load(util::checkpoint::Decoder& dec) {
-  for (double& a : alpha) a = dec.f64();
-  for (double& b : beta) b = dec.f64();
-  metros_observed = dec.i32();
+void StrategyPriors::save(util::checkpoint::Encoder& enc) const {
+  io(*this, enc);
+}
+
+void StrategyPriors::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
+
+template <class Self, class Ar>
+void ProbabilityMatrix::io(Self& s, Ar& ar) {
+  std::size_t n = s.n_;
+  ar(n, s.vp_counts_, s.tgt_counts_, s.alpha_, s.beta_, s.allowed_,
+     s.penalties_);
+  // choose() and record() index the availability rows by every local AS.
+  if constexpr (Ar::kLoading) {
+    if (n != s.n_ || s.vp_counts_.size() != s.n_ ||
+        s.tgt_counts_.size() != s.n_)
+      throw util::checkpoint::CheckpointError(
+          "probability checkpoint does not match the metro size");
+  }
 }
 
 void ProbabilityMatrix::save(util::checkpoint::Encoder& enc) const {
-  enc.u64(n_);
-  enc.u64(vp_counts_.size());
-  for (const auto& row : vp_counts_)
-    for (int c : row) enc.i32(c);
-  enc.u64(tgt_counts_.size());
-  for (const auto& row : tgt_counts_)
-    for (int c : row) enc.i32(c);
-  for (double a : alpha_) enc.f64(a);
-  for (double b : beta_) enc.f64(b);
-  for (bool a : allowed_) enc.b(a);
-
-  std::vector<std::uint64_t> keys;
-  keys.reserve(penalties_.size());
-  for (const auto& [key, p] : penalties_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  enc.u64(keys.size());
-  for (std::uint64_t key : keys) {
-    enc.u64(key);
-    enc.f64(penalties_.at(key));
-  }
+  io(*this, enc);
 }
 
 void ProbabilityMatrix::load(util::checkpoint::Decoder& dec) {
-  const std::uint64_t n = dec.u64();
-  MAC_REQUIRE(n == n_, "checkpoint size ", n, " != matrix size ", n_);
-  vp_counts_.assign(dec.u64(), {});
-  for (auto& row : vp_counts_)
-    for (int& c : row) c = dec.i32();
-  tgt_counts_.assign(dec.u64(), {});
-  for (auto& row : tgt_counts_)
-    for (int& c : row) c = dec.i32();
-  for (double& a : alpha_) a = dec.f64();
-  for (double& b : beta_) b = dec.f64();
-  for (bool& a : allowed_) a = dec.b();
-
-  penalties_.clear();
-  const std::uint64_t np = dec.u64();
-  for (std::uint64_t k = 0; k < np; ++k) {
-    const std::uint64_t key = dec.u64();
-    penalties_[key] = dec.f64();
-  }
+  io(*this, dec);
 }
 
 }  // namespace metas::core

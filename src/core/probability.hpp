@@ -36,6 +36,10 @@ struct StrategyPriors {
   /// part of every CLI snapshot).
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
+
+ private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
 };
 
 /// The chosen way to measure a link.
@@ -85,10 +89,15 @@ class ProbabilityMatrix {
 
   /// Checkpoint serialization of all mutable estimator state (availability
   /// counts, Beta-Bernoulli counters, strategy mask, link penalties).
+  /// load() throws CheckpointError when the saved matrix size or the
+  /// availability rows do not match the metro's size.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   double dir_prob(int near, int far, int* best_vp, int* best_tgt) const;
   std::uint64_t penalty_key(int i, int j, int s) const;
 

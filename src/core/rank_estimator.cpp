@@ -72,41 +72,18 @@ double RankEstimator::holdout_mse(const EstimatedMatrix& e, int rank,
   return s / reps;
 }
 
-void RankLoopState::save(util::checkpoint::Encoder& enc) const {
-  enc.i32(next_rank);
-  enc.f64(best);
-  enc.i32(no_improve);
-  enc.b(finished);
-  enc.str(rng_state);
-  enc.i32(partial.best_rank);
-  enc.f64(partial.best_mse);
-  enc.u64(partial.history.size());
-  for (const auto& [rank, mse] : partial.history) {
-    enc.i32(rank);
-    enc.f64(mse);
-  }
-  enc.u64(partial.traceroutes_used);
-  enc.b(partial.truncated);
+template <class Self, class Ar>
+void RankLoopState::io(Self& s, Ar& ar) {
+  auto& p = s.partial;
+  ar(s.next_rank, s.best, s.no_improve, s.finished, s.rng, p.best_rank,
+     p.best_mse, p.history, p.traceroutes_used, p.truncated);
 }
 
-void RankLoopState::load(util::checkpoint::Decoder& dec) {
-  next_rank = dec.i32();
-  best = dec.f64();
-  no_improve = dec.i32();
-  finished = dec.b();
-  rng_state = dec.str();
-  partial = RankEstimateResult{};
-  partial.best_rank = dec.i32();
-  partial.best_mse = dec.f64();
-  const std::uint64_t nh = dec.u64();
-  partial.history.reserve(nh);
-  for (std::uint64_t k = 0; k < nh; ++k) {
-    const int rank = dec.i32();
-    partial.history.emplace_back(rank, dec.f64());
-  }
-  partial.traceroutes_used = dec.u64();
-  partial.truncated = dec.b();
+void RankLoopState::save(util::checkpoint::Encoder& enc) const {
+  io(*this, enc);
 }
+
+void RankLoopState::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
 
 RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
                                       MeasurementSystem& ms,
@@ -127,7 +104,7 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
     best = opts.resume->best;
     no_improve = opts.resume->no_improve;
     res = opts.resume->partial;
-    rng.restore_state(opts.resume->rng_state);
+    rng = opts.resume->rng;
   }
   if (scheduler != nullptr) scheduler->set_run_control(opts.control);
   for (int r = start_rank; r <= cfg_.max_rank; ++r) {
@@ -167,7 +144,7 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
       st.best = best;
       st.no_improve = no_improve;
       st.finished = stop || r == cfg_.max_rank;
-      st.rng_state = rng.save_state();
+      st.rng = rng;
       st.partial = res;
       opts.on_iteration(st);
     }

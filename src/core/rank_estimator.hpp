@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/als.hpp"
@@ -48,11 +47,15 @@ struct RankLoopState {
   double best = 1e30;      // best holdout MSE so far (1e30 = none yet)
   int no_improve = 0;      // consecutive non-improving iterations
   bool finished = false;   // loop already ended; `partial` is final
-  std::string rng_state;   // holdout RNG stream position
+  util::Rng rng{0};        // holdout RNG stream position
   RankEstimateResult partial;
 
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
+
+ private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
 };
 
 /// Optional controls for a resumable / cancellable estimation run.  The

@@ -407,171 +407,46 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   return spent;
 }
 
-namespace {
-
-void save_u64_set(util::checkpoint::Encoder& enc,
-                  const std::unordered_set<std::uint64_t>& set) {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(set.size());
-  for (std::uint64_t k : set)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  enc.u64(keys.size());
-  for (std::uint64_t k : keys) enc.u64(k);
-}
-
-void load_u64_set(util::checkpoint::Decoder& dec,
-                  std::unordered_set<std::uint64_t>& set) {
-  set.clear();
-  const std::uint64_t n = dec.u64();
-  for (std::uint64_t k = 0; k < n; ++k) set.insert(dec.u64());
-}
-
-}  // namespace
-
-void MeasurementScheduler::save(util::checkpoint::Encoder& enc) const {
-  enc.str(rng_.save_state());
-
-  enc.u64(history_.size());
-  for (const IssuedRecord& r : history_) {
-    enc.i32(r.i);
-    enc.i32(r.j);
-    enc.f64(r.estimated_prob);
-    enc.b(r.ran);
-    enc.b(r.informative);
-    enc.b(r.found_existence);
-    enc.b(r.found_nonexistence);
-    enc.b(r.exploration);
-    enc.b(r.infra_failure);
-    enc.i32(r.attempts);
-    enc.i32(r.launched);
-    enc.i32(r.faulted);
-    enc.i32(r.spent);
-  }
-
-  enc.u64(fail_streak_.size());
-  for (int f : fail_streak_) enc.i32(f);
-  enc.u64(given_up_.size());
-  for (bool g : given_up_) enc.b(g);
-
-  save_u64_set(enc, explored_entries_);
-  enc.u64(greedy_order_.size());
-  for (const auto& [p, key] : greedy_order_) {
-    enc.f64(p);
-    enc.u64(key);
-  }
-  enc.u64(greedy_cursor_);
-  save_u64_set(enc, attempted_);
-  enc.u64(sched_tick_);
-
-  std::vector<std::uint64_t> rq_keys;
-  rq_keys.reserve(requeued_.size());
-  for (const auto& [key, v] : requeued_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    rq_keys.push_back(key);
-  std::sort(rq_keys.begin(), rq_keys.end());
-  enc.u64(rq_keys.size());
-  for (std::uint64_t key : rq_keys) {
-    const auto& [retry_at, fails] = requeued_.at(key);
-    enc.u64(key);
-    enc.u64(retry_at);
-    enc.i32(fails);
+template <class Self, class Ar>
+void MeasurementScheduler::io(Self& s, Ar& ar) {
+  ar(s.rng_, s.history_, s.fail_streak_, s.given_up_, s.explored_entries_,
+     s.greedy_order_, s.greedy_cursor_, s.attempted_, s.sched_tick_,
+     s.requeued_);
+  // fill_rows_to and execute index both vectors by every row of the metro.
+  if constexpr (Ar::kLoading) {
+    if (s.fail_streak_.size() != s.ctx_->size() ||
+        s.given_up_.size() != s.ctx_->size())
+      throw util::checkpoint::CheckpointError(
+          "scheduler checkpoint does not match the metro size");
   }
 
   // Registry counters: persist this scheduler's *deltas*.  On load the
   // baselines become current-value minus delta (mod 2^64), so the
   // value-minus-baseline report stays exact in a fresh process whose
   // counters restart at zero.
-  enc.u64(ctr_probes_launched_.value() - base_probes_launched_);
-  enc.u64(ctr_probes_faulted_.value() - base_probes_faulted_);
-  enc.u64(ctr_retries_.value() - base_retries_);
-  enc.u64(ctr_infra_failures_.value() - base_infra_failures_);
-  enc.u64(ctr_requeues_.value() - base_requeues_);
+  auto delta = [&ar](const util::telemetry::Counter& ctr, auto& base) {
+    std::uint64_t d = ctr.value() - base;
+    ar(d);
+    if constexpr (Ar::kLoading) base = ctr.value() - d;
+  };
+  delta(s.ctr_probes_launched_, s.base_probes_launched_);
+  delta(s.ctr_probes_faulted_, s.base_probes_faulted_);
+  delta(s.ctr_retries_, s.base_retries_);
+  delta(s.ctr_infra_failures_, s.base_infra_failures_);
+  delta(s.ctr_requeues_, s.base_requeues_);
 
-  enc.i32(degradation_.fill_target);
-  enc.u64(degradation_.rows);
-  enc.u64(degradation_.rows_at_target);
-  enc.u64(degradation_.rows_given_up);
-  enc.f64(degradation_.fill_fraction);
-  enc.u64(degradation_.probes_launched);
-  enc.u64(degradation_.probes_faulted);
-  enc.u64(degradation_.retries);
-  enc.u64(degradation_.infra_failures);
-  enc.u64(degradation_.requeues);
-  enc.u64(degradation_.quarantined_vps);
-  enc.u64(degradation_.dead_vps);
+  auto& d = s.degradation_;
+  ar(d.fill_target, d.rows, d.rows_at_target, d.rows_given_up,
+     d.fill_fraction, d.probes_launched, d.probes_faulted, d.retries,
+     d.infra_failures, d.requeues, d.quarantined_vps, d.dead_vps);
+}
+
+void MeasurementScheduler::save(util::checkpoint::Encoder& enc) const {
+  io(*this, enc);
 }
 
 void MeasurementScheduler::load(util::checkpoint::Decoder& dec) {
-  rng_.restore_state(dec.str());
-
-  history_.clear();
-  const std::uint64_t nh = dec.u64();
-  history_.reserve(nh);
-  for (std::uint64_t k = 0; k < nh; ++k) {
-    IssuedRecord r;
-    r.i = dec.i32();
-    r.j = dec.i32();
-    r.estimated_prob = dec.f64();
-    r.ran = dec.b();
-    r.informative = dec.b();
-    r.found_existence = dec.b();
-    r.found_nonexistence = dec.b();
-    r.exploration = dec.b();
-    r.infra_failure = dec.b();
-    r.attempts = dec.i32();
-    r.launched = dec.i32();
-    r.faulted = dec.i32();
-    r.spent = dec.i32();
-    history_.push_back(r);
-  }
-
-  fail_streak_.assign(dec.u64(), 0);
-  for (int& f : fail_streak_) f = dec.i32();
-  given_up_.assign(dec.u64(), false);
-  for (std::size_t k = 0; k < given_up_.size(); ++k) given_up_[k] = dec.b();
-
-  load_u64_set(dec, explored_entries_);
-  greedy_order_.clear();
-  const std::uint64_t ng = dec.u64();
-  greedy_order_.reserve(ng);
-  for (std::uint64_t k = 0; k < ng; ++k) {
-    const double p = dec.f64();
-    greedy_order_.emplace_back(p, dec.u64());
-  }
-  greedy_cursor_ = dec.u64();
-  load_u64_set(dec, attempted_);
-  sched_tick_ = dec.u64();
-
-  requeued_.clear();
-  const std::uint64_t nr = dec.u64();
-  for (std::uint64_t k = 0; k < nr; ++k) {
-    const std::uint64_t key = dec.u64();
-    auto& [retry_at, fails] = requeued_[key];
-    retry_at = dec.u64();
-    fails = dec.i32();
-  }
-
-  // Re-anchor the counter baselines so value() - base reproduces the saved
-  // deltas (unsigned arithmetic keeps this correct even when the fresh
-  // process's counters are below the saved deltas).
-  base_probes_launched_ = ctr_probes_launched_.value() - dec.u64();
-  base_probes_faulted_ = ctr_probes_faulted_.value() - dec.u64();
-  base_retries_ = ctr_retries_.value() - dec.u64();
-  base_infra_failures_ = ctr_infra_failures_.value() - dec.u64();
-  base_requeues_ = ctr_requeues_.value() - dec.u64();
-
-  degradation_.fill_target = dec.i32();
-  degradation_.rows = dec.u64();
-  degradation_.rows_at_target = dec.u64();
-  degradation_.rows_given_up = dec.u64();
-  degradation_.fill_fraction = dec.f64();
-  degradation_.probes_launched = dec.u64();
-  degradation_.probes_faulted = dec.u64();
-  degradation_.retries = dec.u64();
-  degradation_.infra_failures = dec.u64();
-  degradation_.requeues = dec.u64();
-  degradation_.quarantined_vps = dec.u64();
-  degradation_.dead_vps = dec.u64();
+  io(*this, dec);
 }
 
 }  // namespace metas::core

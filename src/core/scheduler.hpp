@@ -57,6 +57,14 @@ struct IssuedRecord {
   int launched = 0;           // attempts that spent measurement budget
   int faulted = 0;            // attempts that hit an injected fault
   int spent = 0;              // budget charged for this pick (audit trail)
+
+  /// Checkpoint field list (util/checkpoint.hpp).
+  template <class Self, class Ar>
+  static void io(Self& r, Ar& ar) {
+    ar(r.i, r.j, r.estimated_prob, r.ran, r.informative, r.found_existence,
+       r.found_nonexistence, r.exploration, r.infra_failure, r.attempts,
+       r.launched, r.faulted, r.spent);
+  }
 };
 
 /// Per-batch accounting: slots that selected a pick vs. probes that actually
@@ -129,10 +137,15 @@ class MeasurementScheduler {
   /// stream, the issued-measurement log, per-row fail/give-up state, the
   /// exploration/greedy/random bookkeeping, the backoff queue and the
   /// degradation counters (as deltas against the construction baselines).
+  /// load() throws CheckpointError when the per-row state does not match
+  /// the metro's size.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   struct Pick { int i = -1, j = -1; bool exploration = false; };
   Pick pick_exploit(const std::vector<std::size_t>& sim_filled,
                     const EstimatedMatrix& e, int target);

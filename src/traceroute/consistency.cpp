@@ -102,92 +102,52 @@ std::vector<bool> ConsistencyTracker::consistent_set(
 }
 
 void WellPositionedTracker::ingest(const TraceResult& trace) {
-  ++issued_[trace.vp_id];
-  auto& seen = traversed_[trace.vp_id];
+  VpRecord& vp = vps_[trace.vp_id];
+  ++vp.issued;
   for (const Hop& h : trace.hops) {
     if (!h.responsive || h.observed_ingress < 0) continue;
-    seen.insert(key(h.as, h.observed_ingress));
+    vp.traversed.insert(key(h.as, h.observed_ingress));
   }
   // The probe's own AS at its own metro counts as traversed.
   if (!trace.hops.empty())
-    seen.insert(key(trace.src_as, trace.src_metro));
+    vp.traversed.insert(key(trace.src_as, trace.src_metro));
 }
 
 bool WellPositionedTracker::well_positioned(int vp_id, AsId i, MetroId m) const {
-  auto it = issued_.find(vp_id);
-  if (it == issued_.end() || it->second == 0) return true;  // never issued
-  auto ts = traversed_.find(vp_id);
-  return ts != traversed_.end() && ts->second.count(key(i, m)) != 0;
+  auto it = vps_.find(vp_id);
+  if (it == vps_.end() || it->second.issued == 0) return true;  // never issued
+  return it->second.traversed.count(key(i, m)) != 0;
 }
 
 std::size_t WellPositionedTracker::issued_by(int vp_id) const {
-  auto it = issued_.find(vp_id);
-  return it == issued_.end() ? 0 : it->second;
+  auto it = vps_.find(vp_id);
+  return it == vps_.end() ? 0 : it->second.issued;
+}
+
+template <class Self, class Ar>
+void ConsistencyTracker::io(Self& s, Ar& ar) {
+  ar(s.pair_data_);
 }
 
 void ConsistencyTracker::save(util::checkpoint::Encoder& enc) const {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pair_data_.size());
-  for (const auto& [key, ev] : pair_data_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  enc.u64(keys.size());
-  for (std::uint64_t key : keys) {
-    const PairEvidence& ev = pair_data_.at(key);
-    enc.u64(key);
-    enc.u64(ev.direct.size());
-    for (MetroId m : ev.direct) enc.i32(m);  // std::set iterates sorted
-    enc.u64(ev.transit.size());
-    for (MetroId m : ev.transit) enc.i32(m);
-  }
+  io(*this, enc);
 }
 
 void ConsistencyTracker::load(util::checkpoint::Decoder& dec) {
-  pair_data_.clear();
-  const std::uint64_t n = dec.u64();
-  for (std::uint64_t k = 0; k < n; ++k) {
-    PairEvidence& ev = pair_data_[dec.u64()];
-    const std::uint64_t nd = dec.u64();
-    for (std::uint64_t d = 0; d < nd; ++d) ev.direct.insert(dec.i32());
-    const std::uint64_t nt = dec.u64();
-    for (std::uint64_t t = 0; t < nt; ++t) ev.transit.insert(dec.i32());
-  }
+  io(*this, dec);
+}
+
+template <class Self, class Ar>
+void WellPositionedTracker::io(Self& s, Ar& ar) {
+  ar(s.vps_);
 }
 
 void WellPositionedTracker::save(util::checkpoint::Encoder& enc) const {
-  std::vector<int> vp_ids;
-  vp_ids.reserve(issued_.size());
-  for (const auto& [vp, count] : issued_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    vp_ids.push_back(vp);
-  std::sort(vp_ids.begin(), vp_ids.end());
-  enc.u64(vp_ids.size());
-  for (int vp : vp_ids) {
-    enc.i32(vp);
-    enc.u64(issued_.at(vp));
-    auto it = traversed_.find(vp);
-    std::vector<std::uint64_t> seen;
-    if (it != traversed_.end()) {
-      seen.reserve(it->second.size());
-      for (std::uint64_t k : it->second)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-        seen.push_back(k);
-      std::sort(seen.begin(), seen.end());
-    }
-    enc.u64(seen.size());
-    for (std::uint64_t k : seen) enc.u64(k);
-  }
+  io(*this, enc);
 }
 
 void WellPositionedTracker::load(util::checkpoint::Decoder& dec) {
-  issued_.clear();
-  traversed_.clear();
-  const std::uint64_t n = dec.u64();
-  for (std::uint64_t k = 0; k < n; ++k) {
-    const int vp = dec.i32();
-    issued_[vp] = dec.u64();
-    auto& seen = traversed_[vp];
-    const std::uint64_t ns = dec.u64();
-    for (std::uint64_t s = 0; s < ns; ++s) seen.insert(dec.u64());
-  }
+  io(*this, dec);
 }
 
 }  // namespace metas::traceroute

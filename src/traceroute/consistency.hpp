@@ -54,7 +54,13 @@ class ConsistencyTracker {
   struct PairEvidence {
     std::set<topology::MetroId> direct;
     std::set<topology::MetroId> transit;
+
+    template <class Self, class Ar>
+    static void io(Self& ev, Ar& ar) { ar(ev.direct, ev.transit); }
   };
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   bool metros_close(topology::MetroId a, topology::MetroId b,
                     topology::GeoScope g) const;
 
@@ -78,12 +84,22 @@ class WellPositionedTracker {
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  // Per VP: measurements issued and the (AS, metro) interfaces traversed.
+  struct VpRecord {
+    std::size_t issued = 0;
+    std::unordered_set<std::uint64_t> traversed;
+
+    template <class Self, class Ar>
+    static void io(Self& r, Ar& ar) { ar(r.issued, r.traversed); }
+  };
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   static std::uint64_t key(topology::AsId as, topology::MetroId m) {
     return (mac::checked_cast<std::uint64_t>(mac::checked_cast<std::uint32_t>(as)) << 16) |
            mac::checked_cast<std::uint16_t>(m);
   }
-  std::unordered_map<int, std::size_t> issued_;
-  std::unordered_map<int, std::unordered_set<std::uint64_t>> traversed_;
+  std::unordered_map<int, VpRecord> vps_;
 };
 
 }  // namespace metas::traceroute

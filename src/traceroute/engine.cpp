@@ -167,14 +167,15 @@ TraceResult TracerouteEngine::trace(const VantagePoint& vp,
   return res;
 }
 
-void TracerouteEngine::save(util::checkpoint::Encoder& enc) const {
-  enc.u64(issued_);
-  enc.u64(faulted_);
+template <class Self, class Ar>
+void TracerouteEngine::io(Self& s, Ar& ar) {
+  ar(s.issued_, s.faulted_);
 }
 
-void TracerouteEngine::load(util::checkpoint::Decoder& dec) {
-  issued_ = dec.u64();
-  faulted_ = dec.u64();
+void TracerouteEngine::save(util::checkpoint::Encoder& enc) const {
+  io(*this, enc);
 }
+
+void TracerouteEngine::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
 
 }  // namespace metas::traceroute

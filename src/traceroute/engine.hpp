@@ -83,6 +83,9 @@ class TracerouteEngine {
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
+
   topology::MetroId choose_link_metro(const topology::LinkInfo& link,
                                       topology::AsId from,
                                       topology::MetroId current,

@@ -209,72 +209,15 @@ bool FaultInjector::dead(int vp_id) const {
   return it != vps_.end() && it->second.dead;
 }
 
+template <class Self, class Ar>
+void FaultInjector::io(Self& s, Ar& ar) {
+  ar(s.tick_, s.faults_, s.dead_, s.loss_rng_, s.vps_, s.metros_);
+}
+
 void FaultInjector::save(util::checkpoint::Encoder& enc) const {
-  enc.u64(tick_);
-  enc.u64(faults_);
-  enc.u64(dead_);
-  enc.str(loss_rng_.save_state());
-
-  std::vector<int> vp_ids;
-  vp_ids.reserve(vps_.size());
-  for (const auto& [id, s] : vps_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    vp_ids.push_back(id);
-  std::sort(vp_ids.begin(), vp_ids.end());
-  enc.u64(vp_ids.size());
-  for (int id : vp_ids) {
-    const VpState& s = vps_.at(id);
-    enc.i32(id);
-    enc.str(s.rng.save_state());
-    enc.u64(s.last_tick);
-    enc.b(s.down);
-    enc.b(s.dead);
-    enc.f64(s.tokens);
-  }
-
-  std::vector<int> metro_ids;
-  metro_ids.reserve(metros_.size());
-  for (const auto& [id, s] : metros_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before anything is emitted
-    metro_ids.push_back(id);
-  std::sort(metro_ids.begin(), metro_ids.end());
-  enc.u64(metro_ids.size());
-  for (int id : metro_ids) {
-    const MetroState& s = metros_.at(id);
-    enc.i32(id);
-    enc.str(s.rng.save_state());
-    enc.u64(s.last_tick);
-    enc.b(s.incident);
-  }
+  io(*this, enc);
 }
 
-void FaultInjector::load(util::checkpoint::Decoder& dec) {
-  tick_ = dec.u64();
-  faults_ = dec.u64();
-  dead_ = dec.u64();
-  loss_rng_.restore_state(dec.str());
-
-  vps_.clear();
-  const std::uint64_t nv = dec.u64();
-  for (std::uint64_t k = 0; k < nv; ++k) {
-    const int id = dec.i32();
-    VpState s(0);  // placeholder seed; the stream position is restored next
-    s.rng.restore_state(dec.str());
-    s.last_tick = dec.u64();
-    s.down = dec.b();
-    s.dead = dec.b();
-    s.tokens = dec.f64();
-    vps_.emplace(id, std::move(s));
-  }
-
-  metros_.clear();
-  const std::uint64_t nm = dec.u64();
-  for (std::uint64_t k = 0; k < nm; ++k) {
-    const int id = dec.i32();
-    MetroState s(0);  // placeholder seed; the stream position is restored next
-    s.rng.restore_state(dec.str());
-    s.last_tick = dec.u64();
-    s.incident = dec.b();
-    metros_.emplace(id, std::move(s));
-  }
-}
+void FaultInjector::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
 
 }  // namespace metas::traceroute

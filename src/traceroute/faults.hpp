@@ -106,20 +106,33 @@ class FaultInjector {
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  // Default-constructible (seed 0) so a checkpoint load can build one
+  // before restoring its stream position.
   struct VpState {
     util::Rng rng;
     std::uint64_t last_tick = 0;
     bool down = false;
     bool dead = false;
     double tokens = 0.0;
-    explicit VpState(std::uint64_t seed) : rng(seed) {}
+    explicit VpState(std::uint64_t seed = 0) : rng(seed) {}
+
+    template <class Self, class Ar>
+    static void io(Self& s, Ar& ar) {
+      ar(s.rng, s.last_tick, s.down, s.dead, s.tokens);
+    }
   };
   struct MetroState {
     util::Rng rng;
     std::uint64_t last_tick = 0;
     bool incident = false;
-    explicit MetroState(std::uint64_t seed) : rng(seed) {}
+    explicit MetroState(std::uint64_t seed = 0) : rng(seed) {}
+
+    template <class Self, class Ar>
+    static void io(Self& s, Ar& ar) { ar(s.rng, s.last_tick, s.incident); }
   };
+
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& ar);
 
   VpState& vp_state(int vp_id);
   MetroState& metro_state(topology::MetroId m);

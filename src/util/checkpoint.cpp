@@ -11,6 +11,7 @@
 
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
+#include "util/rng.hpp"
 
 namespace metas::util::checkpoint {
 namespace {
@@ -203,10 +204,27 @@ std::int64_t Decoder::i64() { return static_cast<std::int64_t>(u64()); }  // lin
 double Decoder::f64() { return std::bit_cast<double>(u64()); }
 
 std::string Decoder::str() {
+  const std::size_t n = count();
+  return std::string(take(n), n);
+}
+
+std::size_t Decoder::count() {
   const std::uint64_t n = u64();
-  if (n > remaining()) throw CheckpointError("checkpoint string truncated");
-  const char* p = take(mac::checked_cast<std::size_t>(n));
-  return std::string(p, mac::checked_cast<std::size_t>(n));
+  if (n > remaining())
+    throw CheckpointError("checkpoint count " + std::to_string(n) +
+                          " exceeds the " + std::to_string(remaining()) +
+                          " payload bytes left");
+  return mac::checked_cast<std::size_t>(n);
+}
+
+void Encoder::put_rng(const Rng& r) { str(r.save_state()); }
+
+void Decoder::get_rng(Rng& r) {
+  try {
+    r.restore_state(str());
+  } catch (const std::invalid_argument&) {
+    throw CheckpointError("checkpoint RNG state does not parse");
+  }
 }
 
 bool write_file(const std::string& path, std::string_view payload,

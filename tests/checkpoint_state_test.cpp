@@ -1,0 +1,313 @@
+// Checkpointed pipeline state (DESIGN.md §12): every library type that a
+// resumable run persists round-trips mid-run state byte for byte, a seeded
+// corpus of corrupted payloads decodes to a clean load or CheckpointError
+// and nothing else, and a phase blob from one metro is refused by another.
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <set>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "eval/world.hpp"
+#include "test_world.hpp"
+#include "util/checkpoint.hpp"
+
+namespace metas {
+namespace {
+
+namespace ck = util::checkpoint;
+using u64 = std::uint64_t;
+
+// The format-1 payload layout, spelled as container shapes apart from the
+// library's own field lists.  A real payload must decode into these shapes
+// exactly; the tests read the captured maps' sizes from them.
+using PriorsShape =
+    std::tuple<std::array<double, traceroute::kNumStrategies>,
+               std::array<double, traceroute::kNumStrategies>, int>;
+using MetroSets = std::pair<std::set<int>, std::set<int>>;
+using PlaneShape = std::tuple<
+    std::unordered_map<u64, MetroSets>,                                // evidence
+    std::unordered_map<u64, MetroSets>,                                // consistency
+    std::unordered_map<int, std::pair<u64, std::unordered_set<u64>>>,  // well-positioned
+    std::string, u64,                                                  // RNG, health clock
+    std::unordered_map<u64, std::pair<int, int>>,                      // VP statistics
+    std::unordered_map<int, std::pair<int, u64>>>;                     // VP health
+using FaultShape = std::tuple<
+    u64, u64, u64, std::string,
+    std::unordered_map<int, std::tuple<std::string, u64, bool, bool, double>>,  // VPs
+    std::unordered_map<int, std::tuple<std::string, u64, bool>>>;              // metros
+using PhaseShape = std::tuple<
+    // Rank loop.
+    std::tuple<int, double, int, bool, std::string, int, double,
+               std::vector<std::pair<int, double>>, u64, bool>,
+    // Scheduler: element 9 is the requeue queue.
+    std::tuple<std::string,
+               std::vector<std::tuple<int, int, double, bool, bool, bool, bool,
+                                      bool, bool, int, int, int, int>>,
+               std::vector<int>, std::vector<bool>, std::unordered_set<u64>,
+               std::vector<std::pair<double, u64>>, u64,
+               std::unordered_set<u64>, u64,
+               std::unordered_map<u64, std::pair<u64, int>>,
+               std::array<u64, 5>,
+               std::tuple<int, u64, u64, u64, double, u64, u64, u64, u64, u64,
+                          u64, u64>>,
+    // Probability matrix: element 6 is the link penalties.
+    std::tuple<u64, std::vector<std::array<int, traceroute::kVpCategories>>,
+               std::vector<std::array<int, traceroute::kTargetCategories>>,
+               std::array<double, traceroute::kNumStrategies>,
+               std::array<double, traceroute::kNumStrategies>,
+               std::array<bool, traceroute::kNumStrategies>,
+               std::unordered_map<u64, double>>>;
+
+template <class Shape>
+Shape decode_shape(const std::string& bytes) {
+  Shape shape;
+  ck::Decoder dec(bytes);
+  dec(shape);
+  EXPECT_TRUE(dec.done()) << dec.remaining() << " bytes left over";
+  return shape;
+}
+
+template <class T>
+std::string encode(const T& x) {
+  ck::Encoder enc;
+  x.save(enc);
+  return enc.take();
+}
+
+/// Loads `bytes` into `fresh` and saves it again.
+template <class T>
+std::string round_trip(const std::string& bytes, T& fresh) {
+  ck::Decoder dec(bytes);
+  fresh.load(dec);
+  EXPECT_TRUE(dec.done()) << dec.remaining() << " bytes left over";
+  return encode(fresh);
+}
+
+eval::WorldConfig flaky_world_config() {
+  auto cfg = eval::small_world_config(77);
+  cfg.public_archive_traces = 3000;
+  // Every VP's fault chain carries a ~6 KB RNG state; fewer VPs keep the
+  // corpus fast under the sanitizers.
+  cfg.vps.coverage_scale = 0.5;
+  cfg.faults = traceroute::FaultProfile::flaky();
+  return cfg;
+}
+
+/// Mid-run state of a small world under flaky faults: the first focus
+/// metro is captured at its first rank boundary where the fault chains,
+/// the VP health map, the requeue queue and the link penalties are all
+/// non-empty, and then cancelled.  The priors are taken after the metro
+/// exported its counts into them.
+struct Capture {
+  Capture();
+
+  eval::World world = eval::build_world(flaky_world_config());
+  topology::MetroId metro = -1;
+  core::StrategyPriors priors;
+  std::string priors_bytes, plane, engine, faults, phase;
+};
+
+Capture::Capture() {
+  eval::World& w = world;
+  metro = w.focus_metros.at(0);
+  const core::MetroContext ctx(w.net, metro);
+  util::CancelToken stop;
+  util::RunControl control;
+  control.token = &stop;
+  core::PipelineRunOptions po;
+  po.control = &control;
+  po.checkpoint = [&](const std::string& blob) {
+    if (stop.cancelled()) return;
+    const std::string ms_bytes = encode(*w.ms);
+    const std::string fault_bytes = encode(*w.faults);
+    const auto p = decode_shape<PlaneShape>(ms_bytes);
+    const auto f = decode_shape<FaultShape>(fault_bytes);
+    const auto ph = decode_shape<PhaseShape>(blob);
+    if (std::get<6>(p).empty() || std::get<4>(f).empty() ||
+        std::get<5>(f).empty() || std::get<9>(std::get<1>(ph)).empty() ||
+        std::get<6>(std::get<2>(ph)).empty())
+      return;
+    plane = ms_bytes;
+    engine = encode(*w.engine);
+    faults = fault_bytes;
+    phase = blob;
+    stop.cancel();
+  };
+  core::MetascriticPipeline(ctx, *w.ms, &priors, {}).run(po);
+  priors_bytes = encode(priors);
+}
+
+const Capture& capture() {
+  static const Capture c;
+  return c;
+}
+
+/// Fresh instances of every checkpointed library type, wired to the
+/// captured world.  load() decodes the library state of a CLI checkpoint
+/// in its order: priors, measurement plane, engine, fault injector, then
+/// the phase blob.
+struct FreshState {
+  explicit FreshState(const Capture& c)
+      : w(c.world),
+        ms(w.net, *w.engine, w.vps, w.targets, 0),
+        engine(w.net),
+        faults(traceroute::FaultProfile::flaky()),
+        ctx(w.net, c.metro),
+        pm(ctx, ms, nullptr),
+        sched(ctx, ms, pm, {}) {}
+
+  void load(std::string_view payload) {
+    ck::Decoder dec(payload);
+    priors.load(dec);
+    ms.load(dec);
+    engine.load(dec);
+    faults.load(dec);
+    const std::string blob = dec.str();
+    ck::Decoder phase(blob);
+    rank_loop.load(phase);
+    sched.load(phase);
+    pm.load(phase);
+  }
+
+  const eval::World& w;
+  core::StrategyPriors priors;
+  core::MeasurementSystem ms;
+  traceroute::TracerouteEngine engine;
+  traceroute::FaultInjector faults;
+  core::MetroContext ctx;
+  core::ProbabilityMatrix pm;
+  core::MeasurementScheduler sched;
+  core::RankLoopState rank_loop;
+};
+
+TEST(CheckpointStateTest, EveryTypeRoundTripsMidRunStateByteIdentically) {
+  const Capture& c = capture();
+  ASSERT_FALSE(c.phase.empty())
+      << "no rank boundary had every captured map non-empty";
+  EXPECT_FALSE(std::get<6>(decode_shape<PlaneShape>(c.plane)).empty())
+      << "VP health map";
+  const auto f = decode_shape<FaultShape>(c.faults);
+  EXPECT_FALSE(std::get<4>(f).empty()) << "fault injector VP chains";
+  EXPECT_FALSE(std::get<5>(f).empty()) << "fault injector metro chains";
+  const auto ph = decode_shape<PhaseShape>(c.phase);
+  EXPECT_FALSE(std::get<9>(std::get<1>(ph)).empty()) << "requeue queue";
+  EXPECT_FALSE(std::get<6>(std::get<2>(ph)).empty()) << "link penalties";
+  EXPECT_GT(std::get<2>(decode_shape<PriorsShape>(c.priors_bytes)), 0)
+      << "metros pooled into the priors";
+
+  FreshState fresh(c);
+  EXPECT_EQ(round_trip(c.priors_bytes, fresh.priors), c.priors_bytes);
+  EXPECT_EQ(round_trip(c.plane, fresh.ms), c.plane);
+  EXPECT_EQ(round_trip(c.engine, fresh.engine), c.engine);
+  EXPECT_EQ(round_trip(c.faults, fresh.faults), c.faults);
+
+  ck::Decoder dec(c.phase);
+  fresh.rank_loop.load(dec);
+  fresh.sched.load(dec);
+  fresh.pm.load(dec);
+  EXPECT_TRUE(dec.done());
+  ck::Encoder enc;
+  fresh.rank_loop.save(enc);
+  fresh.sched.save(enc);
+  fresh.pm.save(enc);
+  EXPECT_EQ(enc.data(), c.phase);
+}
+
+// Bytes read from disk are untrusted input.  Past the envelope checksum,
+// every corruption must surface as CheckpointError -- never as another
+// exception, an abort, or a sanitizer report.
+TEST(CheckpointStateTest, MutationCorpusLoadsCleanlyOrThrowsCheckpointError) {
+  const Capture& c = capture();
+  ASSERT_FALSE(c.phase.empty());
+  ck::Encoder tail;
+  tail.str(c.phase);
+  const std::string payload =
+      c.priors_bytes + c.plane + c.engine + c.faults + tail.data();
+
+  FreshState fresh(c);
+  ASSERT_NO_THROW(fresh.load(payload));
+
+  int clean = 0, rejected = 0;
+  auto decode = [&](const std::string& bytes, const std::string& what) {
+    try {
+      fresh.load(bytes);
+      ++clean;
+    } catch (const ck::CheckpointError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what();
+    }
+  };
+
+  constexpr std::size_t kTruncations = 48;
+  for (std::size_t k = 0; k < kTruncations; ++k) {
+    const std::size_t len = payload.size() * k / kTruncations;
+    const int before = rejected;
+    decode(payload.substr(0, len), "truncated to " + std::to_string(len));
+    EXPECT_EQ(rejected, before + 1) << "truncation to " << len << " loaded";
+  }
+
+  constexpr std::size_t kWords = 64;
+  const std::size_t stride = (payload.size() / 8 / kWords) * 8;
+  for (std::size_t at = 0; at + 8 <= payload.size(); at += stride) {
+    for (u64 v : {u64{0}, u64{1} << 32, ~u64{0}}) {
+      std::string bytes = payload;
+      std::memcpy(bytes.data() + at, &v, sizeof v);
+      decode(bytes, "word at " + std::to_string(at) + " = " +
+                        std::to_string(v));
+    }
+  }
+
+  util::Rng rng(4242);
+  constexpr int kBitFlips = 128;
+  for (int k = 0; k < kBitFlips; ++k) {
+    const std::size_t bit = rng.index(payload.size() * 8);
+    std::string bytes = payload;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    decode(bytes, "bit " + std::to_string(bit) + " flipped");
+  }
+
+  EXPECT_GT(clean, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(CheckpointStateTest, PhaseBlobFromAnotherMetroIsRejected) {
+  eval::World& w = testing::shared_world();
+  const core::MetroContext from(w.net, w.focus_metros.at(0));
+  std::size_t other = 1;
+  while (other < w.focus_metros.size() &&
+         core::MetroContext(w.net, w.focus_metros[other]).size() ==
+             from.size())
+    ++other;
+  ASSERT_LT(other, w.focus_metros.size()) << "focus metros all one size";
+  const core::MetroContext to(w.net, w.focus_metros[other]);
+
+  std::string blob;
+  util::CancelToken stop;
+  util::RunControl control;
+  control.token = &stop;
+  core::PipelineRunOptions po;
+  po.control = &control;
+  po.checkpoint = [&](const std::string& phase) {
+    blob = phase;
+    stop.cancel();
+  };
+  core::MetascriticPipeline(from, *w.ms, nullptr, {}).run(po);
+  ASSERT_FALSE(blob.empty());
+
+  core::PipelineRunOptions resume;
+  resume.resume_blob = &blob;
+  core::MetascriticPipeline pipeline(to, *w.ms, nullptr, {});
+  EXPECT_THROW(pipeline.run(resume), ck::CheckpointError);
+}
+
+}  // namespace
+}  // namespace metas

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,7 +63,10 @@ TEST_F(CheckpointTest, EncoderDecoderRoundtrip) {
   enc.str("hello checkpoint");
   enc.str("");
   std::vector<int> xs = {3, 1, 4, 1, 5};
-  enc.vec(xs, [](ck::Encoder& e, int v) { e.i32(v); });
+  enc(xs);
+  // Unordered containers go out as a count plus entries in key order.
+  const std::unordered_map<std::uint64_t, int> m = {{9, -1}, {2, 5}, {7, 0}};
+  enc(m);
 
   ck::Decoder dec(enc.data());
   EXPECT_EQ(dec.u8(), 7);
@@ -76,8 +80,14 @@ TEST_F(CheckpointTest, EncoderDecoderRoundtrip) {
   EXPECT_TRUE(std::signbit(dec.f64()));
   EXPECT_EQ(dec.str(), "hello checkpoint");
   EXPECT_EQ(dec.str(), "");
-  auto ys = dec.vec<int>([](ck::Decoder& d) { return d.i32(); });
+  std::vector<int> ys;
+  dec(ys);
   EXPECT_EQ(ys, xs);
+  EXPECT_EQ(dec.u64(), 3u);
+  for (std::uint64_t key : {2u, 7u, 9u}) {
+    EXPECT_EQ(dec.u64(), key);
+    EXPECT_EQ(dec.i32(), m.at(key));
+  }
   EXPECT_TRUE(dec.done());
   EXPECT_EQ(dec.remaining(), 0u);
 }
@@ -95,6 +105,10 @@ TEST_F(CheckpointTest, DecoderThrowsOnLyingStringLength) {
   enc.u64(1000);  // claims 1000 bytes follow; none do
   ck::Decoder dec(enc.data());
   EXPECT_THROW(dec.str(), ck::CheckpointError);
+  // Container counts share the bound: no allocation is sized by a lie.
+  ck::Decoder counted(enc.data());
+  std::vector<bool> flags;
+  EXPECT_THROW(counted(flags), ck::CheckpointError);
 }
 
 TEST_F(CheckpointTest, WriteLoadRoundtrip) {
@@ -233,6 +247,11 @@ TEST_F(CheckpointTest, RngStateRoundtripContinuesStream) {
 
   util::Rng c(0);
   EXPECT_THROW(c.restore_state("not an engine state"), std::invalid_argument);
+  // Read from a payload, the same state is a CheckpointError.
+  ck::Encoder enc;
+  enc.str("not an engine state");
+  ck::Decoder dec(enc.data());
+  EXPECT_THROW(dec(c), ck::CheckpointError);
 }
 
 TEST_F(CheckpointTest, TelemetrySnapshotUnwritableDirReturnsFalse) {

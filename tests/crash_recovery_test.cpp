@@ -2,8 +2,9 @@
 // binary, kills it with SIGKILL at seeded checkpoint boundaries via the
 // --crash-after-checkpoints hook, resumes from the snapshot, and asserts the
 // exported CSVs are byte-identical to an uninterrupted run with the same
-// flags.  Also covers fingerprint rejection and corrupted-checkpoint
-// fallback through the CLI surface.
+// flags.  Also covers fingerprint rejection, corrupted-checkpoint fallback,
+// and checkpoints whose envelope is valid but whose payload is not, through
+// the CLI surface.
 //
 // The CLI path is injected by CMake as METAS_CLI_PATH (see
 // tests/CMakeLists.txt); every child runs via fork/exec with stdout/stderr
@@ -12,13 +13,17 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/checkpoint.hpp"
 
 namespace {
 
@@ -105,6 +110,49 @@ class CrashRecoveryTest : public ::testing::Test {
                             " '" + dump + "' > /dev/null 2>&1";
     EXPECT_EQ(std::system(cmd.c_str()), 0)
         << "trace_diff.py rejected " << dump;
+  }
+
+  /// Crashes a seed-42 --all-metros run at checkpoint #3 (mid first metro,
+  /// so the payload ends in a phase blob), lets `patch` edit the newest
+  /// payload, re-publishes it under a valid checksum, and resumes.
+  template <class Patch>
+  RunResult resume_patched(Patch&& patch) {
+    auto crash_args = base_args("out");
+    crash_args.insert(crash_args.end(),
+                      {"--all-metros", "--checkpoint", path("ck/snap"),
+                       "--crash-after-checkpoints", "3"});
+    EXPECT_EQ(run_cli(crash_args).term_signal, SIGKILL);
+    auto payload = metas::util::checkpoint::load_file(path("ck/snap"));
+    if (!payload) {
+      ADD_FAILURE() << "no checkpoint to patch";
+      return {};
+    }
+    patch(*payload);
+    EXPECT_TRUE(metas::util::checkpoint::write_file(path("ck/snap"), *payload));
+    auto resume_args = base_args("out");
+    resume_args.insert(resume_args.end(),
+                       {"--all-metros", "--resume", path("ck/snap")});
+    return run_cli(resume_args);
+  }
+
+  static std::uint64_t get_u64(const std::string& bytes, std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof v);  // checkpoints are little-endian, host-local
+    return v;
+  }
+  static void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
+    std::memcpy(bytes.data() + at, &v, sizeof v);
+  }
+
+  /// Offset of the phase blob: the payload's trailing string, after the
+  /// has-phase flag and the u64 length.  Its rank-loop RNG state string
+  /// starts 17 bytes in (next rank, best MSE, patience count, finished).
+  static std::size_t phase_blob_at(const std::string& payload) {
+    for (std::size_t len = 1; len + 9 <= payload.size(); ++len) {
+      const std::size_t at = payload.size() - len;
+      if (get_u64(payload, at - 8) == len && payload[at - 9] == 1) return at;
+    }
+    return 0;
   }
 
   fs::path dir_;
@@ -229,6 +277,42 @@ TEST_F(CrashRecoveryTest, AllGenerationsCorruptIsACleanError) {
   const RunResult r = run_cli(resume_args);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.log.find("no usable checkpoint"), std::string::npos) << r.log;
+}
+
+// Checkpoints that pass the envelope checksum but decode to impossible
+// state: each must be refused with exit 1, never abort the CLI.
+TEST_F(CrashRecoveryTest, ImpossibleMetroCountIsACleanError) {
+  const RunResult r = resume_patched([](std::string& payload) {
+    // The completed-metro count follows the 103-byte fingerprint.
+    ASSERT_EQ(get_u64(payload, 103), 0u);
+    put_u64(payload, 103, std::uint64_t{1} << 60);
+  });
+  EXPECT_EQ(r.exit_code, 1) << r.log;
+  EXPECT_NE(r.log.find("corrupt checkpoint payload"), std::string::npos)
+      << r.log;
+}
+
+TEST_F(CrashRecoveryTest, UnparseableRankRngStateIsACleanError) {
+  const RunResult r = resume_patched([](std::string& payload) {
+    const std::size_t rng_text = phase_blob_at(payload) + 17 + 8;
+    ASSERT_GT(rng_text, 25u);
+    ASSERT_TRUE(payload[rng_text] >= '0' && payload[rng_text] <= '9');
+    payload[rng_text] = 'x';
+  });
+  EXPECT_EQ(r.exit_code, 1) << r.log;
+  EXPECT_NE(r.log.find("corrupt checkpoint payload"), std::string::npos)
+      << r.log;
+}
+
+TEST_F(CrashRecoveryTest, OverlongPhaseStringIsACleanError) {
+  const RunResult r = resume_patched([](std::string& payload) {
+    const std::size_t blob = phase_blob_at(payload);
+    ASSERT_GT(blob, 0u);
+    put_u64(payload, blob + 17, payload.size() - blob);  // past the blob end
+  });
+  EXPECT_EQ(r.exit_code, 1) << r.log;
+  EXPECT_NE(r.log.find("corrupt checkpoint payload"), std::string::npos)
+      << r.log;
 }
 
 TEST_F(CrashRecoveryTest, SigkillWithTracingLeavesFlightDump) {

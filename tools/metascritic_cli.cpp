@@ -38,6 +38,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "eval/export.hpp"
 #include "eval/metrics.hpp"
@@ -107,33 +108,10 @@ struct MetroSummary {
   std::size_t quarantined = 0;
   std::size_t dead = 0;
 
-  void save(metas::util::checkpoint::Encoder& enc) const {
-    enc.str(name);
-    enc.u64(ases);
-    enc.i32(rank);
-    enc.u64(traces);
-    enc.f64(lambda);
-    enc.u64(links);
-    enc.f64(fill_fraction);
-    enc.u64(probes_faulted);
-    enc.u64(retries);
-    enc.u64(requeues);
-    enc.u64(quarantined);
-    enc.u64(dead);
-  }
-  void load(metas::util::checkpoint::Decoder& dec) {
-    name = dec.str();
-    ases = dec.u64();
-    rank = dec.i32();
-    traces = dec.u64();
-    lambda = dec.f64();
-    links = dec.u64();
-    fill_fraction = dec.f64();
-    probes_faulted = dec.u64();
-    retries = dec.u64();
-    requeues = dec.u64();
-    quarantined = dec.u64();
-    dead = dec.u64();
+  template <class Self, class Ar>
+  static void io(Self& m, Ar& ar) {
+    ar(m.name, m.ases, m.rank, m.traces, m.lambda, m.links, m.fill_fraction,
+       m.probes_faulted, m.retries, m.requeues, m.quarantined, m.dead);
   }
 };
 
@@ -242,38 +220,12 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
 
 /// Everything that pins the deterministic trajectory of a run.  A resume
 /// with a different fingerprint would silently diverge, so it is rejected.
-void save_fingerprint(metas::util::checkpoint::Encoder& enc,
-                      const CliOptions& opt) {
-  enc.u64(opt.seed);
-  enc.str(opt.scale);
-  enc.b(opt.all_metros);
-  enc.str(opt.metro);
-  enc.b(opt.resilience);
+auto fingerprint(const CliOptions& opt) {
   const metas::traceroute::FaultProfile& f = opt.faults;
-  enc.f64(f.outage_start);
-  enc.f64(f.outage_end);
-  enc.f64(f.death);
-  enc.f64(f.loss);
-  enc.f64(f.bucket_capacity);
-  enc.f64(f.bucket_refill);
-  enc.f64(f.incident_start);
-  enc.f64(f.incident_end);
-  enc.u64(f.seed);
-}
-
-bool fingerprint_matches(metas::util::checkpoint::Decoder& dec,
-                         const CliOptions& opt) {
-  metas::util::checkpoint::Encoder expect;
-  save_fingerprint(expect, opt);
-  metas::util::checkpoint::Encoder got;
-  got.u64(dec.u64());
-  got.str(dec.str());
-  got.b(dec.b());
-  got.str(dec.str());
-  got.b(dec.b());
-  for (int k = 0; k < 8; ++k) got.f64(dec.f64());
-  got.u64(dec.u64());
-  return got.data() == expect.data();
+  return std::tuple(opt.seed, opt.scale, opt.all_metros, opt.metro,
+                    opt.resilience, f.outage_start, f.outage_end, f.death,
+                    f.loss, f.bucket_capacity, f.bucket_refill,
+                    f.incident_start, f.incident_end, f.seed);
 }
 
 /// Mutable run state that crosses metro boundaries and must survive a
@@ -284,48 +236,37 @@ struct RunState {
   metas::core::StrategyPriors priors;
   std::size_t next_metro = 0;
   std::string phase_blob;  // in-progress pipeline state; empty = none
+
+  /// The checkpoint payload: the run's fingerprint, this state and the
+  /// shared measurement plane of `world`.  Loading throws CheckpointError
+  /// on a malformed payload, and returns false with `*error` set when the
+  /// checkpoint belongs to a different run.
+  template <class Self, class W, class Ar>
+  static bool io(Self& rs, W& world, Ar& ar, const CliOptions& opt,
+                 std::string* error) {
+    auto fp = fingerprint(opt);
+    ar(fp);
+    if constexpr (Ar::kLoading) {
+      if (fp != fingerprint(opt)) {
+        *error = "checkpoint was produced by a run with different "
+                 "seed/scale/metro/fault/resilience flags";
+        return false;
+      }
+    }
+    ar(rs.completed, rs.priors, rs.next_metro, *world.ms, *world.engine);
+    bool has_faults = world.faults != nullptr;
+    ar(has_faults);
+    if (has_faults != (world.faults != nullptr)) {
+      *error = "checkpoint fault-injector presence does not match the profile";
+      return false;
+    }
+    if (has_faults) ar(*world.faults);
+    bool has_phase = !rs.phase_blob.empty();
+    ar(has_phase);
+    if (has_phase) ar(rs.phase_blob);
+    return true;
+  }
 };
-
-void save_run_state(metas::util::checkpoint::Encoder& enc,
-                    const CliOptions& opt, const RunState& rs,
-                    const metas::eval::World& world) {
-  save_fingerprint(enc, opt);
-  enc.u64(rs.completed.size());
-  for (const MetroSummary& m : rs.completed) m.save(enc);
-  rs.priors.save(enc);
-  enc.u64(rs.next_metro);
-  world.ms->save(enc);
-  world.engine->save(enc);
-  enc.b(world.faults != nullptr);
-  if (world.faults != nullptr) world.faults->save(enc);
-  enc.b(!rs.phase_blob.empty());
-  if (!rs.phase_blob.empty()) enc.str(rs.phase_blob);
-}
-
-bool load_run_state(metas::util::checkpoint::Decoder& dec,
-                    const CliOptions& opt, RunState& rs,
-                    metas::eval::World& world, std::string* error) {
-  if (!fingerprint_matches(dec, opt)) {
-    *error = "checkpoint was produced by a run with different "
-             "seed/scale/metro/fault/resilience flags";
-    return false;
-  }
-  rs.completed.assign(dec.u64(), {});
-  for (MetroSummary& m : rs.completed) m.load(dec);
-  rs.priors.load(dec);
-  rs.next_metro = dec.u64();
-  world.ms->load(dec);
-  world.engine->load(dec);
-  const bool has_faults = dec.b();
-  if (has_faults != (world.faults != nullptr)) {
-    *error = "checkpoint fault-injector presence does not match the profile";
-    return false;
-  }
-  if (has_faults) world.faults->load(dec);
-  rs.phase_blob.clear();
-  if (dec.b()) rs.phase_blob = dec.str();
-  return true;
-}
 
 /// Writes one checkpoint generation; dies by SIGKILL afterwards when the
 /// crash-injection hook says this was the Nth write.
@@ -340,7 +281,7 @@ class CheckpointWriter {
   void write(const RunState& rs) {
     if (!enabled()) return;
     metas::util::checkpoint::Encoder enc;
-    save_run_state(enc, *opt_, rs, *world_);
+    RunState::io(rs, *world_, enc, *opt_, nullptr);
     metas::util::checkpoint::WriteOptions wo;
     wo.keep_last = opt_->keep_checkpoints;
     if (!metas::util::checkpoint::write_file(opt_->checkpoint_path, enc.data(),
@@ -449,7 +390,7 @@ int main(int argc, char** argv) {
     try {
       util::checkpoint::Decoder dec(*payload);
       std::string why;
-      if (!load_run_state(dec, opt, rs, world, &why)) {
+      if (!RunState::io(rs, world, dec, opt, &why)) {
         std::cerr << "error: cannot resume from '" << opt.resume_path << "': "
                   << why << '\n';
         return 1;
@@ -504,7 +445,15 @@ int main(int argc, char** argv) {
         writer.write(rs);
       };
     }
-    core::PipelineResult result = pipeline.run(po);
+    core::PipelineResult result;
+    try {
+      result = pipeline.run(po);
+    } catch (const util::checkpoint::CheckpointError& e) {
+      // Only decoding the resumed phase blob throws this.
+      std::cerr << "error: corrupt checkpoint payload in '" << opt.resume_path
+                << "': " << e.what() << '\n';
+      return 1;
+    }
     last_degradation = result.degradation;
     double lambda = opt.threshold > -1.5 ? opt.threshold : result.threshold;
 
