@@ -40,11 +40,12 @@ bool EvidenceStore::transit_at(AsId a, AsId b, MetroId m) const {
   return ev != nullptr && ev->transit.count(m) != 0;
 }
 
-std::vector<std::uint64_t> EvidenceStore::sorted_keys() const {
+std::vector<std::uint64_t> EvidenceStore::sorted_keys(
+    const MetroContext* within) const {
   std::vector<std::uint64_t> keys;
-  keys.reserve(pairs_.size());
+  if (within == nullptr) keys.reserve(pairs_.size());
   for (const auto& [key, ev] : pairs_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before any consumer sees it
-    keys.push_back(key);
+    if (within == nullptr || within->has_pair(key)) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   return keys;
 }
@@ -68,19 +69,17 @@ EstimatedMatrix build_estimated_matrix(
   EstimatedMatrix e(ctx.size());
 
   // Per-granularity consistent-AS sets, computed once over the universe.
-  std::vector<std::vector<bool>> consistent(topology::kNumGeoScopes);
-  for (int g = 0; g < topology::kNumGeoScopes; ++g)
-    consistent[mac::checked_cast<std::size_t>(g)] =
-        consistency.consistent_set(static_cast<GeoScope>(g), ctx.ases());
+  const auto consistent = consistency.consistent_sets(ctx.ases());
 
-  // Sorted-key traversal (R10): e.set writes are per-pair independent, but
-  // ordered traversal keeps the fill deterministic by construction.
-  for (std::uint64_t key : evidence.sorted_keys()) {
+  // Sorted-key traversal (R10) over the metro's own pairs: e.set writes are
+  // per-pair independent, but ordered traversal keeps the fill
+  // deterministic by construction.
+  for (std::uint64_t key : evidence.sorted_keys(&ctx)) {
     const PairEvidence& ev = evidence.all().at(key);
     AsId a = mac::checked_cast<AsId>(key & 0xffffffffULL);
     AsId b = mac::checked_cast<AsId>(key >> 32);
     int ia = ctx.local(a), ib = ctx.local(b);
-    if (ia < 0 || ib < 0 || ia == ib) continue;
+    if (ia == ib) continue;
 
     // Positive: the geographically closest direct observation wins.
     if (!ev.direct.empty()) {

@@ -57,8 +57,11 @@ class EvidenceStore {
 
   /// Pair keys in ascending order: the sanctioned way to traverse `all()`,
   /// so no consumer depends on unordered iteration order (tools/lint.py
-  /// R10).  O(P log P); cache the result when looping.
-  std::vector<std::uint64_t> sorted_keys() const;
+  /// R10).  With `within`, only pairs with both ends at that metro are kept
+  /// and sorted.  O(P + K log K) for K kept keys; cache the result when
+  /// looping.
+  std::vector<std::uint64_t> sorted_keys(
+      const MetroContext* within = nullptr) const;
 
   /// Checkpoint serialization in sorted-key order (byte-stable across runs).
   void save(util::checkpoint::Encoder& enc) const;

@@ -15,6 +15,14 @@ using traceroute::kNumVpTopo;
 using traceroute::kTargetCategories;
 using traceroute::kVpCategories;
 
+namespace {
+
+// The candidate-pool term of dir_prob saturates once pool + 1 passes 1000,
+// so every pool from kPoolSaturated on shares the last memo entry.
+constexpr std::size_t kPoolSaturated = 1000;
+
+}  // namespace
+
 void StrategyPriors::absorb(
     const std::array<double, kNumStrategies>& a,
     const std::array<double, kNumStrategies>& b) {
@@ -58,24 +66,40 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
         beta_[si] += priors->beta[si] * scale;
       }
     }
+    refresh_success(si);
   }
+  penalized_.assign(n_ * n_, 0);
+  // Larger candidate pools make a strategy more likely to pan out.  The
+  // memo is filled at run time on purpose: a table the compiler folds
+  // may round log10 differently from the C library.
+  pool_factor_.resize(kPoolSaturated + 1);
+  for (std::size_t pool = 0; pool < pool_factor_.size(); ++pool)
+    pool_factor_[pool] =
+        1.0 + 0.08 * std::min(3.0, std::log10(static_cast<double>(pool) + 1.0));
+}
+
+void ProbabilityMatrix::refresh_success(std::size_t s) {
+  success_[s] = alpha_[s] / (alpha_[s] + beta_[s]);
 }
 
 double ProbabilityMatrix::strategy_prob(int strategy) const {
   MAC_REQUIRE(strategy >= 0 && strategy < kNumStrategies,
               "strategy=", strategy);
   auto si = mac::checked_cast<std::size_t>(strategy);
-  double p = alpha_[si] / (alpha_[si] + beta_[si]);
+  double p = success_[si];
   MAC_ENSURE(p >= 0.0 && p <= 1.0, "p=", p, " alpha=", alpha_[si],
              " beta=", beta_[si]);
   return p;
 }
 
+std::size_t ProbabilityMatrix::entry(int near, int far) const {
+  // Ordered (near, far): the orientation matters for the penalty.
+  return mac::checked_cast<std::size_t>(near) * n_ +
+         mac::checked_cast<std::size_t>(far);
+}
+
 std::uint64_t ProbabilityMatrix::penalty_key(int i, int j, int s) const {
-  // Ordered (i, j): the near/far orientation matters for the penalty.
-  return (mac::checked_cast<std::uint64_t>(mac::checked_cast<std::uint32_t>(i)) * n_ +
-          mac::checked_cast<std::uint32_t>(j)) *
-             kNumStrategies +
+  return mac::checked_cast<std::uint64_t>(entry(i, j)) * kNumStrategies +
          mac::checked_cast<std::uint64_t>(s);
 }
 
@@ -83,20 +107,25 @@ double ProbabilityMatrix::dir_prob(int near, int far, int* best_vp,
                                    int* best_tgt) const {
   const auto& vc = vp_counts_[mac::checked_cast<std::size_t>(near)];
   const auto& tc = tgt_counts_[mac::checked_cast<std::size_t>(far)];
+  // Most entries carry no penalty at all; only those probe the hash.
+  const bool penalized = penalized_[entry(near, far)] != 0;
   double best = 0.0;
   for (int v = 0; v < kVpCategories; ++v) {
-    if (vc[mac::checked_cast<std::size_t>(v)] == 0) continue;
+    const auto nv =
+        mac::checked_cast<std::size_t>(vc[mac::checked_cast<std::size_t>(v)]);
+    if (nv == 0) continue;
     for (int t = 0; t < kTargetCategories; ++t) {
-      if (tc[mac::checked_cast<std::size_t>(t)] == 0) continue;
+      const auto nt =
+          mac::checked_cast<std::size_t>(tc[mac::checked_cast<std::size_t>(t)]);
+      if (nt == 0) continue;
       int s = traceroute::strategy_index(v, t);
       if (!allowed_[mac::checked_cast<std::size_t>(s)]) continue;
-      double p = strategy_prob(s);
-      // Larger candidate pools make a strategy more likely to pan out.
-      double pool = static_cast<double>(vc[mac::checked_cast<std::size_t>(v)]) *
-                    static_cast<double>(tc[mac::checked_cast<std::size_t>(t)]);
-      p *= 1.0 + 0.08 * std::min(3.0, std::log10(pool + 1.0));
-      auto pen = penalties_.find(penalty_key(near, far, s));
-      if (pen != penalties_.end()) p *= pen->second;
+      double p = success_[mac::checked_cast<std::size_t>(s)];
+      p *= pool_factor_[std::min(nv * nt, kPoolSaturated)];
+      if (penalized) {
+        auto pen = penalties_.find(penalty_key(near, far, s));
+        if (pen != penalties_.end()) p *= pen->second;
+      }
       if (p > best) {
         best = p;
         if (best_vp != nullptr) *best_vp = v;
@@ -145,7 +174,9 @@ void ProbabilityMatrix::record(int i, int j, const StrategyChoice& choice,
     int far = choice.swapped ? i : j;
     auto [it, inserted] = penalties_.emplace(penalty_key(near, far, s), 1.0);
     it->second *= cfg_.penalty_factor;
+    penalized_[entry(near, far)] = 1;
   }
+  refresh_success(si);
 }
 
 void ProbabilityMatrix::export_priors(StrategyPriors& pool) const {
@@ -189,12 +220,20 @@ void ProbabilityMatrix::io(Self& s, Ar& ar) {
   std::size_t n = s.n_;
   ar(n, s.vp_counts_, s.tgt_counts_, s.alpha_, s.beta_, s.allowed_,
      s.penalties_);
-  // choose() and record() index the availability rows by every local AS.
+  // choose() and record() index the availability rows by every local AS,
+  // and the pool-factor memo by products of their counts.
   if constexpr (Ar::kLoading) {
     if (n != s.n_ || s.vp_counts_.size() != s.n_ ||
         s.tgt_counts_.size() != s.n_)
       throw util::checkpoint::CheckpointError(
           "probability checkpoint does not match the metro size");
+    auto negative = [](const auto& row) {
+      return std::any_of(row.begin(), row.end(), [](int c) { return c < 0; });
+    };
+    if (std::any_of(s.vp_counts_.begin(), s.vp_counts_.end(), negative) ||
+        std::any_of(s.tgt_counts_.begin(), s.tgt_counts_.end(), negative))
+      throw util::checkpoint::CheckpointError(
+          "probability checkpoint has a negative availability count");
   }
 }
 
@@ -204,6 +243,18 @@ void ProbabilityMatrix::save(util::checkpoint::Encoder& enc) const {
 
 void ProbabilityMatrix::load(util::checkpoint::Decoder& dec) {
   io(*this, dec);
+  // Rebuild the derived caches; the penalty flags are indexed by each
+  // key's (near, far) entry, which must lie inside the metro.
+  std::fill(penalized_.begin(), penalized_.end(), 0);
+  for (const auto& [key, factor] : penalties_) {  // lint: allow(unordered-iter) -- rebuilds the derived flag array after load; each key sets its own flag
+    const std::uint64_t at =
+        key / mac::checked_cast<std::uint64_t>(kNumStrategies);
+    if (at >= penalized_.size())
+      throw util::checkpoint::CheckpointError(
+          "probability checkpoint penalizes an entry outside the metro");
+    penalized_[mac::checked_cast<std::size_t>(at)] = 1;
+  }
+  for (std::size_t s = 0; s < success_.size(); ++s) refresh_success(s);
 }
 
 }  // namespace metas::core

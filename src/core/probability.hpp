@@ -90,7 +90,8 @@ class ProbabilityMatrix {
   /// Checkpoint serialization of all mutable estimator state (availability
   /// counts, Beta-Bernoulli counters, strategy mask, link penalties).
   /// load() throws CheckpointError when the saved matrix size or the
-  /// availability rows do not match the metro's size.
+  /// availability rows do not match the metro's size, or when a penalty
+  /// names an entry outside the metro; it then rebuilds the derived caches.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
@@ -99,7 +100,9 @@ class ProbabilityMatrix {
   static void io(Self& s, Ar& ar);
 
   double dir_prob(int near, int far, int* best_vp, int* best_tgt) const;
+  std::size_t entry(int near, int far) const;  // index into penalized_
   std::uint64_t penalty_key(int i, int j, int s) const;
+  void refresh_success(std::size_t s);
 
   const MetroContext* ctx_;  // lint: allow(view-member) -- caller-owned context; the matrix lives inside the metro's pipeline scope
   ProbabilityConfig cfg_;
@@ -110,6 +113,14 @@ class ProbabilityMatrix {
   std::array<double, traceroute::kNumStrategies> alpha_{}, beta_{};
   std::array<bool, traceroute::kNumStrategies> allowed_{};
   std::unordered_map<std::uint64_t, double> penalties_;
+
+  // Derived caches, not serialized (rebuilt on construction and load):
+  // alpha / (alpha + beta) per strategy, the candidate-pool factor per pool
+  // size, and per ordered (near, far) entry whether penalties_ holds any
+  // penalty for it.
+  std::array<double, traceroute::kNumStrategies> success_{};
+  std::vector<double> pool_factor_;
+  std::vector<std::uint8_t> penalized_;
 };
 
 }  // namespace metas::core

@@ -15,12 +15,18 @@ using topology::pair_key;
 void ConsistencyTracker::ingest(const TraceObservations& obs) {
   for (const LinkObs& l : obs.links) {
     if (l.metro < 0) continue;
-    pair_data_[pair_key(l.a, l.b)].direct.insert(l.metro);
+    const std::uint64_t key = pair_key(l.a, l.b);
+    PairEvidence& ev = pair_data_[key];
+    ev.direct.insert(l.metro);
+    if (!ev.transit.empty()) mixed_.insert(key);
   }
   for (const TransitObs& t : obs.transits) {
     MetroId m = t.metro_b_side >= 0 ? t.metro_b_side : t.metro_a_side;
     if (m < 0) continue;
-    pair_data_[pair_key(t.a, t.b)].transit.insert(m);
+    const std::uint64_t key = pair_key(t.a, t.b);
+    PairEvidence& ev = pair_data_[key];
+    ev.transit.insert(m);
+    if (!ev.direct.empty()) mixed_.insert(key);
   }
 }
 
@@ -38,50 +44,24 @@ bool ConsistencyTracker::pair_inconsistent(AsId a, AsId b, GeoScope g) const {
   return false;
 }
 
-std::vector<bool> ConsistencyTracker::consistent_set(
-    GeoScope g, const std::vector<AsId>& universe) const {
-  // Collect inconsistent pairs restricted to the universe.
-  std::unordered_map<AsId, int> pos;
-  for (std::size_t i = 0; i < universe.size(); ++i)
-    pos[universe[i]] = mac::checked_cast<int>(i);
+namespace {
 
-  // Sorted-key traversal (R10): the greedy elimination below breaks count
-  // ties by universe index, so it is order-independent today -- ordered
-  // traversal keeps that property structural rather than incidental.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pair_data_.size());
-  for (const auto& [key, ev] : pair_data_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before any consumer sees it
-    keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+struct BadPair {
+  int a, b;
+};
 
-  struct Pair { int a, b; };
-  std::vector<Pair> bad;
-  for (std::uint64_t key : keys) {
-    const PairEvidence& ev = pair_data_.at(key);
-    AsId a = mac::checked_cast<AsId>(key & 0xffffffffULL);
-    AsId b = mac::checked_cast<AsId>(key >> 32);
-    auto ia = pos.find(a);
-    auto ib = pos.find(b);
-    if (ia == pos.end() || ib == pos.end()) continue;
-    bool inconsistent = false;
-    for (MetroId d : ev.direct) {
-      for (MetroId t : ev.transit)
-        if (metros_close(d, t, g)) { inconsistent = true; break; }
-      if (inconsistent) break;
-    }
-    if (inconsistent) bad.push_back({ia->second, ib->second});
-  }
-
-  std::vector<bool> alive(universe.size(), true);
-  std::vector<int> count(universe.size(), 0);
-  for (const Pair& p : bad) {
+/// Iteratively drops the AS involved in the most live inconsistent pairs
+/// (ties: lowest universe index) until none is left; returns the survivors.
+std::vector<bool> eliminate(const std::vector<BadPair>& bad, std::size_t n) {
+  std::vector<bool> alive(n, true);
+  std::vector<int> count(n, 0);
+  for (const BadPair& p : bad) {
     ++count[mac::checked_cast<std::size_t>(p.a)];
     ++count[mac::checked_cast<std::size_t>(p.b)];
   }
-  // Iteratively drop the AS involved in the most live inconsistent pairs.
   while (true) {
     int worst = -1, worst_count = 0;
-    for (std::size_t i = 0; i < universe.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (!alive[i]) continue;
       if (count[i] > worst_count) {
         worst_count = count[i];
@@ -90,7 +70,7 @@ std::vector<bool> ConsistencyTracker::consistent_set(
     }
     if (worst < 0 || worst_count == 0) break;
     alive[mac::checked_cast<std::size_t>(worst)] = false;
-    for (const Pair& p : bad) {
+    for (const BadPair& p : bad) {
       if (p.a == worst && alive[mac::checked_cast<std::size_t>(p.b)])
         --count[mac::checked_cast<std::size_t>(p.b)];
       if (p.b == worst && alive[mac::checked_cast<std::size_t>(p.a)])
@@ -99,6 +79,51 @@ std::vector<bool> ConsistencyTracker::consistent_set(
     count[mac::checked_cast<std::size_t>(worst)] = 0;
   }
   return alive;
+}
+
+}  // namespace
+
+ConsistencyTracker::ConsistentSets ConsistencyTracker::consistent_sets(
+    const std::vector<AsId>& universe) const {
+  // Universe index per AS id of the world, -1 when absent.  Pair keys are
+  // read unsigned, so an AS outside the world never indexes the table.
+  std::vector<int> pos(net_->num_ases(), -1);
+  for (std::size_t i = 0; i < universe.size(); ++i)
+    if (universe[i] >= 0 &&
+        mac::checked_cast<std::size_t>(universe[i]) < pos.size())
+      pos[mac::checked_cast<std::size_t>(universe[i])] = mac::checked_cast<int>(i);
+  auto position = [&pos](std::uint64_t id) {
+    return id < pos.size() ? pos[mac::checked_cast<std::size_t>(id)] : -1;
+  };
+
+  // A mixed pair is inconsistent at every granularity at least as coarse
+  // as the closest (direct, transit) metro pair it holds.  mixed_ is
+  // ordered, so the pairs come in ascending key order.
+  struct Mixed {
+    BadPair pair;
+    GeoScope finest;
+  };
+  std::vector<Mixed> mixed;
+  for (std::uint64_t key : mixed_) {
+    const int a = position(key & 0xffffffffULL), b = position(key >> 32);
+    if (a < 0 || b < 0) continue;
+    const PairEvidence& ev = pair_data_.at(key);
+    GeoScope finest = GeoScope::kElsewhere;
+    for (MetroId d : ev.direct)
+      for (MetroId t : ev.transit)
+        finest = std::min(finest, net_->metro_scope(d, t));
+    mixed.push_back({{a, b}, finest});
+  }
+
+  ConsistentSets sets;
+  std::vector<BadPair> bad;
+  for (std::size_t g = 0; g < sets.size(); ++g) {
+    bad.clear();
+    for (const Mixed& m : mixed)
+      if (mac::enum_cast<std::size_t>(m.finest) <= g) bad.push_back(m.pair);
+    sets[g] = eliminate(bad, universe.size());
+  }
+  return sets;
 }
 
 void WellPositionedTracker::ingest(const TraceResult& trace) {
@@ -134,7 +159,10 @@ void ConsistencyTracker::save(util::checkpoint::Encoder& enc) const {
 }
 
 void ConsistencyTracker::load(util::checkpoint::Decoder& dec) {
+  mixed_.clear();
   io(*this, dec);
+  for (const auto& [key, ev] : pair_data_)  // lint: allow(unordered-iter) -- rebuilds the derived mixed set after load; std::set orders it
+    if (!ev.direct.empty() && !ev.transit.empty()) mixed_.insert(key);
 }
 
 template <class Self, class Ar>

@@ -9,6 +9,7 @@
 // and geographic transferability.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <unordered_map>
@@ -38,15 +39,23 @@ class ConsistencyTracker {
   bool pair_inconsistent(topology::AsId a, topology::AsId b,
                          topology::GeoScope g) const;
 
-  /// Iteratively eliminates the ASes with the most inconsistent pairs at
-  /// granularity `g`; returns a membership flag per AS id in `universe`
-  /// (true = consistent, usable for transfer / non-existence inference).
-  std::vector<bool> consistent_set(topology::GeoScope g,
-                                   const std::vector<topology::AsId>& universe) const;
+  /// Membership flags per granularity, indexed by GeoScope: flag i says
+  /// whether `universe[i]` routes consistently at that granularity (true =
+  /// usable for transfer / non-existence inference).
+  using ConsistentSets =
+      std::array<std::vector<bool>, topology::kNumGeoScopes>;
+
+  /// For every granularity, iteratively eliminates the universe ASes with
+  /// the most inconsistent pairs at that granularity.  One pass over the
+  /// mixed pairs (direct and transit evidence both present) inside the
+  /// universe finds each pair's finest inconsistent scope.
+  ConsistentSets consistent_sets(
+      const std::vector<topology::AsId>& universe) const;
 
   std::size_t pairs_tracked() const { return pair_data_.size(); }
 
   /// Checkpoint serialization in sorted-key order (byte-stable across runs).
+  /// load() rebuilds the derived mixed-pair set.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
@@ -66,6 +75,9 @@ class ConsistencyTracker {
 
   const topology::Internet* net_;  // lint: allow(view-member) -- the World owns the Internet and every checker scoped inside a run of it
   std::unordered_map<std::uint64_t, PairEvidence> pair_data_;
+  // Derived, not serialized: keys of the pairs holding both direct and
+  // transit evidence -- the only pairs that can be inconsistent.
+  std::set<std::uint64_t> mixed_;
 };
 
 /// Tracks which (AS, metro) interfaces each vantage point has traversed.

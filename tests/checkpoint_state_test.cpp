@@ -1,7 +1,9 @@
 // Checkpointed pipeline state (DESIGN.md §12): every library type that a
 // resumable run persists round-trips mid-run state byte for byte, a seeded
 // corpus of corrupted payloads decodes to a clean load or CheckpointError
-// and nothing else, and a phase blob from one metro is refused by another.
+// and nothing else, a penalty outside the metro is refused, and a phase
+// blob from one metro is refused by another.
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -277,6 +279,32 @@ TEST(CheckpointStateTest, MutationCorpusLoadsCleanlyOrThrowsCheckpointError) {
 
   EXPECT_GT(clean, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// The probability matrix rebuilds a per-entry penalty flag from every
+// penalty key on load, so a key whose (near, far) entry lies outside the
+// metro must be refused rather than index past the flag array.
+TEST(CheckpointStateTest, PenaltyOutsideTheMetroIsRejected) {
+  const Capture& c = capture();
+  ASSERT_FALSE(c.phase.empty());
+  auto ph = decode_shape<PhaseShape>(c.phase);
+  const u64 n = std::get<0>(std::get<2>(ph));
+  auto& penalties = std::get<6>(std::get<2>(ph));
+  ASSERT_FALSE(penalties.empty());
+  const auto first = std::min_element(
+      penalties.begin(), penalties.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  const double factor = first->second;
+  penalties.erase(first);
+  penalties.emplace(n * n * traceroute::kNumStrategies, factor);
+  ck::Encoder enc;
+  enc(ph);
+
+  FreshState fresh(c);
+  ck::Decoder dec(enc.data());
+  fresh.rank_loop.load(dec);
+  fresh.sched.load(dec);
+  EXPECT_THROW(fresh.pm.load(dec), ck::CheckpointError);
 }
 
 TEST(CheckpointStateTest, PhaseBlobFromAnotherMetroIsRejected) {

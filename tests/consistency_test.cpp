@@ -77,7 +77,8 @@ TEST_F(ConsistencyTest, ConsistentSetEliminatesWorstOffenders) {
   t.ingest(direct_obs(7, 9, 0));
   t.ingest(transit_obs(7, 9, 0));
   std::vector<AsId> universe{7, 8, 9, 10};
-  auto alive = t.consistent_set(GeoScope::kSameMetro, universe);
+  auto alive = t.consistent_sets(
+      universe)[mac::enum_cast<std::size_t>(GeoScope::kSameMetro)];
   EXPECT_FALSE(alive[0]);  // 7 eliminated
   EXPECT_TRUE(alive[1]);
   EXPECT_TRUE(alive[2]);
@@ -91,7 +92,8 @@ TEST_F(ConsistencyTest, OnlyDirectOrOnlyTransitStaysConsistent) {
   t.ingest(transit_obs(4, 5, 0));
   t.ingest(transit_obs(4, 5, 1));
   std::vector<AsId> universe{1, 2, 4, 5};
-  auto alive = t.consistent_set(GeoScope::kElsewhere, universe);
+  auto alive = t.consistent_sets(
+      universe)[mac::enum_cast<std::size_t>(GeoScope::kElsewhere)];
   for (bool a : alive) EXPECT_TRUE(a);
 }
 

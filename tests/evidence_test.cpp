@@ -1,11 +1,22 @@
 // EvidenceStore and E_m derivation tests (§3.4 transferability rules).
 #include "core/evidence.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/scheduler.hpp"
+#include "eval/world.hpp"
 #include "topology/generator.hpp"
+#include "util/checkpoint.hpp"
 
 namespace metas::core {
 namespace {
@@ -180,6 +191,239 @@ TEST_F(EvidenceTest, AccessorsWork) {
   EXPECT_EQ(ev.pairs(), 1u);
   EXPECT_NE(ev.find(a, b), nullptr);
   EXPECT_EQ(ev.find(a, a), nullptr);
+}
+
+TEST_F(EvidenceTest, MetroContextLocalRejectsIdsOutsideTheWorld) {
+  MetroContext ctx(*net_, 0);
+  for (std::size_t i = 0; i < ctx.size(); ++i)
+    EXPECT_EQ(ctx.local(ctx.as_at(i)), static_cast<int>(i));
+  const auto n = static_cast<AsId>(net_->num_ases());
+  for (AsId id : {AsId{-1}, AsId{-2}, std::numeric_limits<AsId>::min(), n,
+                  n + 1, std::numeric_limits<AsId>::max()})
+    EXPECT_EQ(ctx.local(id), -1) << "id " << id;
+
+  const auto in = static_cast<std::uint64_t>(ctx.as_at(0));
+  const auto in2 = static_cast<std::uint64_t>(ctx.as_at(1));
+  EXPECT_TRUE(ctx.has_pair(topology::pair_key(ctx.as_at(0), ctx.as_at(1))));
+  EXPECT_FALSE(ctx.has_pair((static_cast<std::uint64_t>(n) << 32) | in));
+  EXPECT_FALSE(ctx.has_pair((0xffffffffULL << 32) | in));
+  EXPECT_FALSE(ctx.has_pair((in2 << 32) | 0xfffffff0ULL));
+}
+
+// Pair keys naming an AS outside the world can only come from a corrupted
+// checkpoint.  Both stores must keep such a pair non-local: E_m ignores it
+// and it eliminates nobody from the consistent sets.
+TEST_F(EvidenceTest, PairsNamingAsesOutsideTheWorldStayNonLocal) {
+  MetroContext ctx(*net_, 0);
+  const auto a = static_cast<std::uint64_t>(ctx.as_at(0));
+  const auto b = static_cast<std::uint64_t>(ctx.as_at(1));
+  const auto n = static_cast<std::uint64_t>(net_->num_ases());
+  using MetroSets = std::pair<std::set<int>, std::set<int>>;
+  // Every pair is mixed at metro 0; only (a, b) lies inside the world.
+  const std::unordered_map<std::uint64_t, MetroSets> pairs{
+      {(b << 32) | a, {{0}, {}}},
+      {(n << 32) | a, {{0}, {0}}},
+      {(0xffffffffULL << 32) | a, {{0}, {0}}},
+      {(b << 32) | 0xfffffff0ULL, {{0}, {0}}},
+      {(a << 32) | 0x80000000ULL, {{0}, {0}}},
+  };
+  util::checkpoint::Encoder enc;
+  enc(pairs);
+  EvidenceStore ev;
+  traceroute::ConsistencyTracker ct(*net_);
+  util::checkpoint::Decoder dec_ev(enc.data()), dec_ct(enc.data());
+  ev.load(dec_ev);
+  ct.load(dec_ct);
+
+  EXPECT_EQ(ev.sorted_keys(&ctx), std::vector<std::uint64_t>{(b << 32) | a});
+  for (const auto& alive : ct.consistent_sets(ctx.ases()))
+    EXPECT_TRUE(std::all_of(alive.begin(), alive.end(), [](bool x) { return x; }));
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EXPECT_EQ(e.total_filled(), 1u);
+  EXPECT_DOUBLE_EQ(e.value(0, 1), 1.0);
+}
+
+// ---- E_m against an independent brute-force reference ------------------
+
+/// Reference consistent sets: for each granularity, repeatedly drop the AS
+/// with the most live inconsistent pairs (ties: lowest index), judging
+/// every pair of the metro with pair_inconsistent().
+std::vector<std::vector<bool>> reference_consistent(
+    const MetroContext& ctx, const traceroute::ConsistencyTracker& ct) {
+  const std::size_t n = ctx.size();
+  std::vector<std::vector<bool>> sets;
+  for (int g = 0; g < topology::kNumGeoScopes; ++g) {
+    std::vector<std::vector<bool>> bad(n, std::vector<bool>(n, false));
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j)
+        bad[i][j] = bad[j][i] = ct.pair_inconsistent(
+            ctx.as_at(i), ctx.as_at(j), static_cast<topology::GeoScope>(g));
+    std::vector<bool> alive(n, true);
+    while (true) {
+      std::size_t worst = n, worst_count = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!alive[i]) continue;
+        std::size_t c = 0;
+        for (std::size_t j = 0; j < n; ++j) c += alive[j] && bad[i][j];
+        if (c > worst_count) {
+          worst = i;
+          worst_count = c;
+        }
+      }
+      if (worst == n) break;
+      alive[worst] = false;
+    }
+    sets.push_back(std::move(alive));
+  }
+  return sets;
+}
+
+struct ReferenceEm {
+  std::vector<double> value;  // row-major n x n
+  std::vector<bool> filled;
+  std::size_t eliminated = 0;  // ASes dropped over all granularities
+};
+
+/// Reference E_m (§3.4): the closest direct observation gives the positive
+/// rating; the finest transit scope at which both ASes are consistent gives
+/// the negative one; the larger magnitude wins, the positive on a tie.
+ReferenceEm reference_em(const MetroContext& ctx, const MeasurementSystem& ms) {
+  const std::size_t n = ctx.size();
+  const auto consistent = reference_consistent(ctx, ms.consistency());
+  ReferenceEm ref{std::vector<double>(n * n, 0.0),
+                  std::vector<bool>(n * n, false), 0};
+  for (const auto& alive : consistent)
+    ref.eliminated += static_cast<std::size_t>(
+        std::count(alive.begin(), alive.end(), false));
+  for (std::uint64_t key : ms.evidence().sorted_keys()) {
+    const int ia = ctx.local(static_cast<AsId>(key & 0xffffffffULL));
+    const int ib = ctx.local(static_cast<AsId>(key >> 32));
+    if (ia < 0 || ib < 0 || ia == ib) continue;
+    const PairEvidence& ev = ms.evidence().all().at(key);
+    bool has = false;
+    double v = 0.0;
+    if (!ev.direct.empty()) {
+      double best = 0.0;
+      for (MetroId dm : ev.direct)
+        best = std::max(best, positive_rating(ctx.net().metro_scope(ctx.metro(), dm)));
+      v = best;
+      has = true;
+    }
+    for (int g = 0; g < topology::kNumGeoScopes; ++g) {
+      const auto scope = static_cast<topology::GeoScope>(g);
+      bool seen = false;
+      for (MetroId tm : ev.transit)
+        seen = seen || ctx.net().metro_scope(ctx.metro(), tm) == scope;
+      if (!seen || !consistent[g][static_cast<std::size_t>(ia)] ||
+          !consistent[g][static_cast<std::size_t>(ib)])
+        continue;
+      const double neg = negative_rating(scope);
+      if (!has || std::abs(neg) > std::abs(v)) v = neg;
+      has = true;
+      break;
+    }
+    if (!has) continue;
+    for (auto [r, c] : {std::pair{ia, ib}, std::pair{ib, ia}}) {
+      const std::size_t at = static_cast<std::size_t>(r) * n + static_cast<std::size_t>(c);
+      ref.value[at] = v;
+      ref.filled[at] = true;
+    }
+  }
+  return ref;
+}
+
+/// build_matrix() equals the reference bit for bit: values, mask and row
+/// counts.  Returns the reference's eliminated-AS count.
+std::size_t expect_matches_reference(const MetroContext& ctx,
+                                     const MeasurementSystem& ms) {
+  const EstimatedMatrix e = ms.build_matrix(ctx);
+  const ReferenceEm ref = reference_em(ctx, ms);
+  const std::size_t n = ctx.size();
+  EXPECT_EQ(e.size(), n);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t row = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t at = i * n + j;
+      row += ref.filled[at];
+      if (e.filled(i, j) != ref.filled[at] ||
+          std::bit_cast<std::uint64_t>(e.value(i, j)) !=
+              std::bit_cast<std::uint64_t>(ref.value[at])) {
+        if (mismatches++ == 0)
+          ADD_FAILURE() << "E_m(" << i << ", " << j << ") = " << e.value(i, j)
+                        << (e.filled(i, j) ? "" : " (empty)") << ", reference "
+                        << ref.value[at] << (ref.filled[at] ? "" : " (empty)");
+      }
+    }
+    EXPECT_EQ(e.row_filled(i), row) << "row " << i;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  return ref.eliminated;
+}
+
+/// Drives a scheduler on the world's first focus metro batch by batch and
+/// checks E_m before every batch.  Returns the ASes the reference
+/// eliminated over all checks, so callers can see the consistency pass
+/// was exercised.
+std::size_t drive_and_check(eval::World& w, MeasurementSystem& ms,
+                            std::uint64_t seed, int batches) {
+  const MetroContext ctx(w.net, w.focus_metros.at(0));
+  ProbabilityMatrix pm(ctx, ms, nullptr);
+  SchedulerConfig sc;
+  sc.batch_size = 40;
+  sc.seed = seed;
+  MeasurementScheduler sched(ctx, ms, pm, sc);
+  std::size_t eliminated = 0;
+  for (int b = 0; b < batches; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    eliminated += expect_matches_reference(ctx, ms);
+    sched.run_batch(ms.build_matrix(ctx), 40);
+  }
+  eliminated += expect_matches_reference(ctx, ms);
+  return eliminated;
+}
+
+eval::WorldConfig reference_world_config(std::uint64_t seed, bool flaky) {
+  auto cfg = eval::small_world_config(seed);
+  cfg.compute_public_view = false;
+  if (flaky) cfg.faults = traceroute::FaultProfile::flaky();
+  return cfg;
+}
+
+TEST(EstimatedMatrixReferenceTest, BuildMatrixMatchesBruteForceEveryBatch) {
+  std::size_t eliminated = 0;
+  for (std::uint64_t seed : {3u, 17u, 42u}) {
+    for (bool flaky : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (flaky ? " flaky" : " none"));
+      eval::World w = eval::build_world(reference_world_config(seed, flaky));
+      eliminated += drive_and_check(w, *w.ms, seed, 6);
+    }
+  }
+  EXPECT_GT(eliminated, 0u) << "no world had an inconsistent AS to eliminate";
+}
+
+TEST(EstimatedMatrixReferenceTest, BuildMatrixMatchesAfterPlaneRoundTrip) {
+  eval::World w = eval::build_world(reference_world_config(5, true));
+  drive_and_check(w, *w.ms, 5, 4);
+  util::checkpoint::Encoder enc;
+  w.ms->save(enc);
+  MeasurementSystem fresh(w.net, *w.engine, w.vps, w.targets, 0);
+  util::checkpoint::Decoder dec(enc.data());
+  fresh.load(dec);
+  ASSERT_TRUE(dec.done());
+
+  const MetroContext ctx(w.net, w.focus_metros.at(0));
+  const EstimatedMatrix before = w.ms->build_matrix(ctx);
+  const EstimatedMatrix after = fresh.build_matrix(ctx);
+  for (std::size_t i = 0; i < ctx.size(); ++i)
+    for (std::size_t j = 0; j < ctx.size(); ++j)
+      ASSERT_TRUE(before.filled(i, j) == after.filled(i, j) &&
+                  std::bit_cast<std::uint64_t>(before.value(i, j)) ==
+                      std::bit_cast<std::uint64_t>(after.value(i, j)))
+          << "(" << i << ", " << j << ")";
+  // The loaded plane keeps measuring: its rebuilt mixed set must keep up.
+  EXPECT_GT(drive_and_check(w, fresh, 6, 4), 0u);
 }
 
 }  // namespace

@@ -2,9 +2,23 @@
 // and hierarchical priors.
 #include "core/probability.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_world.hpp"
+#include "util/checkpoint.hpp"
+#include "util/rng.hpp"
 
 namespace metas::core {
 namespace {
@@ -104,6 +118,202 @@ TEST_F(ProbabilityTest, IxpMappedRestrictionNarrowsChoices) {
         traceroute::strategy_index(c.vp_cat, c.tgt_cat));
     EXPECT_NE(st.vp_topo, traceroute::VpTopo::kOutside);
     EXPECT_NE(st.tgt_topo, traceroute::TargetTopo::kInCone);
+  }
+}
+
+// ---- P_m against an independent reference --------------------------------
+
+/// The P_m formula of §3.3.2 with its own copy of the Beta counters, the
+/// strategy mask and the link penalties; availability counts come from the
+/// measurement plane.
+class ReferencePm {
+ public:
+  using Counts = std::vector<std::vector<int>>;  // per local AS, per category
+
+  ReferencePm(const MetroContext& ctx, const MeasurementSystem& ms) {
+    Counts vp, tgt;
+    for (std::size_t i = 0; i < ctx.size(); ++i) {
+      vp.push_back(ms.vp_category_counts(ctx.as_at(i), ctx.metro()));
+      tgt.push_back(ms.target_category_counts(ctx.as_at(i), ctx.metro()));
+    }
+    *this = ReferencePm(std::move(vp), std::move(tgt));
+  }
+  ReferencePm(Counts vp, Counts tgt) : vp_(std::move(vp)), tgt_(std::move(tgt)) {
+    const ProbabilityConfig cfg;
+    alpha_.fill(cfg.prior_alpha);
+    beta_.fill(cfg.prior_beta);
+    allowed_.fill(true);
+  }
+
+  void record(int i, int j, const StrategyChoice& c, bool informative) {
+    if (c.vp_cat < 0 || c.tgt_cat < 0) return;
+    const int s = traceroute::strategy_index(c.vp_cat, c.tgt_cat);
+    if (informative) {
+      alpha_[static_cast<std::size_t>(s)] += 1.0;
+      return;
+    }
+    beta_[static_cast<std::size_t>(s)] += 1.0;
+    auto key = c.swapped ? std::tuple{j, i, s} : std::tuple{i, j, s};
+    auto [it, inserted] = penalties_.emplace(key, 1.0);
+    it->second *= ProbabilityConfig{}.penalty_factor;
+  }
+
+  void restrict_to_ixp_mapped() {
+    using traceroute::VpTopo;
+    for (int s = 0; s < traceroute::kNumStrategies; ++s) {
+      const auto st = traceroute::strategy_from_index(s);
+      allowed_[static_cast<std::size_t>(s)] =
+          (st.vp_topo == VpTopo::kInAs || st.vp_topo == VpTopo::kInCone) &&
+          (st.vp_geo == topology::GeoScope::kSameMetro ||
+           st.vp_geo == topology::GeoScope::kSameCountry) &&
+          st.tgt_topo != traceroute::TargetTopo::kInCone;
+    }
+  }
+
+  StrategyChoice choose(int i, int j) const {
+    StrategyChoice a = dir(i, j), b = dir(j, i);
+    b.swapped = true;
+    return a.probability >= b.probability ? a : b;
+  }
+
+ private:
+  StrategyChoice dir(int near, int far) const {
+    const auto& vc = vp_[static_cast<std::size_t>(near)];
+    const auto& tc = tgt_[static_cast<std::size_t>(far)];
+    StrategyChoice best;
+    for (int v = 0; v < traceroute::kVpCategories; ++v) {
+      for (int t = 0; t < traceroute::kTargetCategories; ++t) {
+        const int nv = vc[static_cast<std::size_t>(v)];
+        const int nt = tc[static_cast<std::size_t>(t)];
+        const int s = traceroute::strategy_index(v, t);
+        const auto si = static_cast<std::size_t>(s);
+        if (nv == 0 || nt == 0 || !allowed_[si]) continue;
+        double p = alpha_[si] / (alpha_[si] + beta_[si]);
+        double pool = static_cast<double>(nv) * static_cast<double>(nt);
+        p *= 1.0 + 0.08 * std::min(3.0, std::log10(pool + 1.0));
+        auto pen = penalties_.find({near, far, s});
+        if (pen != penalties_.end()) p *= pen->second;
+        if (p > best.probability) {
+          best.probability = p;
+          best.vp_cat = v;
+          best.tgt_cat = t;
+        }
+      }
+    }
+    best.probability = std::min(best.probability, 1.0);
+    return best;
+  }
+
+  Counts vp_, tgt_;
+  std::array<double, traceroute::kNumStrategies> alpha_{}, beta_{};
+  std::array<bool, traceroute::kNumStrategies> allowed_{};
+  std::map<std::tuple<int, int, int>, double> penalties_;
+};
+
+void expect_matches_reference(const ProbabilityMatrix& pm,
+                              const ReferencePm& ref, int n) {
+  int mismatches = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const StrategyChoice got = pm.choose(i, j), want = ref.choose(i, j);
+      if (got.vp_cat == want.vp_cat && got.tgt_cat == want.tgt_cat &&
+          got.swapped == want.swapped &&
+          std::bit_cast<std::uint64_t>(got.probability) ==
+              std::bit_cast<std::uint64_t>(want.probability))
+        continue;
+      if (mismatches++ == 0)
+        ADD_FAILURE() << "choose(" << i << ", " << j << ") = {" << got.vp_cat
+                      << ", " << got.tgt_cat << ", " << got.swapped << ", "
+                      << got.probability << "}, reference {" << want.vp_cat
+                      << ", " << want.tgt_cat << ", " << want.swapped << ", "
+                      << want.probability << "}";
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+/// A seeded run of outcomes: half on the currently best strategy, half on
+/// a random category pair, so penalties pile up on many strategies.
+void record_outcomes(ProbabilityMatrix& pm, ReferencePm& ref, int n,
+                     std::uint64_t seed, int count) {
+  util::Rng rng(seed);
+  for (int k = 0; k < count; ++k) {
+    const int i = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+    int j = static_cast<int>(rng.index(static_cast<std::size_t>(n - 1)));
+    if (j >= i) ++j;
+    StrategyChoice c = pm.choose(i, j);
+    if (rng.bernoulli(0.5)) {
+      c.vp_cat = static_cast<int>(rng.index(traceroute::kVpCategories));
+      c.tgt_cat = static_cast<int>(rng.index(traceroute::kTargetCategories));
+      c.swapped = rng.bernoulli(0.5);
+    }
+    const bool informative = rng.bernoulli(0.3);
+    pm.record(i, j, c, informative);
+    ref.record(i, j, c, informative);
+  }
+}
+
+TEST(ProbabilityReferenceTest, ChooseMatchesReferenceFormulaBitForBit) {
+  const MetroContext ctx = testing::shared_focus_context();
+  const MeasurementSystem& ms = *testing::shared_world().ms;
+  const int n = static_cast<int>(ctx.size());
+  ProbabilityMatrix pm(ctx, ms, nullptr);
+  ReferencePm ref(ctx, ms);
+  expect_matches_reference(pm, ref, n);
+  record_outcomes(pm, ref, n, 7, 4000);
+  expect_matches_reference(pm, ref, n);
+
+  util::checkpoint::Encoder enc;
+  pm.save(enc);
+  ProbabilityMatrix loaded(ctx, ms, nullptr);
+  util::checkpoint::Decoder dec(enc.data());
+  loaded.load(dec);
+  ASSERT_TRUE(dec.done());
+  expect_matches_reference(loaded, ref, n);
+  record_outcomes(loaded, ref, n, 8, 1000);
+  expect_matches_reference(loaded, ref, n);
+
+  loaded.restrict_to_ixp_mapped();
+  ref.restrict_to_ixp_mapped();
+  expect_matches_reference(loaded, ref, n);
+  record_outcomes(loaded, ref, n, 9, 1000);
+  expect_matches_reference(loaded, ref, n);
+}
+
+// The candidate-pool factor is memoized per pool size; every size up to
+// past the point where it saturates must reproduce the formula.  Each AS
+// gets one VP and a distinct target count in a single category, so entry
+// (i, j) scores the pool of whichever of the two has more targets.
+TEST(ProbabilityReferenceTest, EveryPoolSizeMatchesTheFormula) {
+  const MetroContext ctx = testing::shared_focus_context();
+  const MeasurementSystem& ms = *testing::shared_world().ms;
+  const std::size_t n = ctx.size();
+  const ProbabilityConfig cfg;
+  std::array<double, traceroute::kNumStrategies> alpha{}, beta{};
+  alpha.fill(cfg.prior_alpha);
+  beta.fill(cfg.prior_beta);
+  std::array<bool, traceroute::kNumStrategies> allowed{};
+  allowed.fill(true);
+  for (std::size_t base = 0; base <= 1100; base += n) {
+    std::vector<std::array<int, traceroute::kVpCategories>> vp(n);
+    std::vector<std::array<int, traceroute::kTargetCategories>> tgt(n);
+    ReferencePm::Counts ref_vp, ref_tgt;
+    for (std::size_t i = 0; i < n; ++i) {
+      vp[i][0] = 1;
+      tgt[i][0] = static_cast<int>(base + i);
+      ref_vp.emplace_back(vp[i].begin(), vp[i].end());
+      ref_tgt.emplace_back(tgt[i].begin(), tgt[i].end());
+    }
+    util::checkpoint::Encoder enc;
+    enc(n, vp, tgt, alpha, beta, allowed,
+        std::unordered_map<std::uint64_t, double>{});
+    ProbabilityMatrix pm(ctx, ms, nullptr);
+    util::checkpoint::Decoder dec(enc.data());
+    pm.load(dec);
+    SCOPED_TRACE("target counts from " + std::to_string(base));
+    expect_matches_reference(pm, ReferencePm(ref_vp, ref_tgt),
+                             static_cast<int>(n));
   }
 }
 
