@@ -26,28 +26,59 @@ namespace {
 
 using namespace metas;
 
-void BM_AlsFit(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int rank = static_cast<int>(state.range(1));
-  util::Rng rng(1);
+/// One ALS benchmark problem over n = range(0) ASes at rank range(1): ~20%
+/// of the pairs observed as random +-1 ratings, `features` random feature
+/// rows in [-1, 1], five sweeps.
+struct AlsProblem {
+  std::size_t n = 0;
   std::vector<core::RatingEntry> entries;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      if (rng.uniform() < 0.2)
-        entries.push_back({i, j, rng.bernoulli(0.5) ? 1.0 : -1.0});
   core::FeatureMatrix feats;
   core::AlsConfig cfg;
-  cfg.rank = rank;
-  cfg.iterations = 5;
-  for (auto _ : state) {
+
+  void fit() const {
     core::AlsCompleter c(n, feats, cfg);
     c.fit(entries);
     benchmark::DoNotOptimize(c.predict(0, 1));
   }
+};
+
+AlsProblem als_problem(const benchmark::State& state,
+                       std::size_t features = 0) {
+  AlsProblem p;
+  p.n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(1);
+  for (std::size_t i = 0; i < p.n; ++i)
+    for (std::size_t j = i + 1; j < p.n; ++j)
+      if (rng.uniform() < 0.2)
+        p.entries.push_back({i, j, rng.bernoulli(0.5) ? 1.0 : -1.0});
+  p.feats.names.assign(features, "feature");
+  p.feats.rows.assign(features, std::vector<double>(p.n));
+  for (auto& row : p.feats.rows)
+    for (double& v : row) v = rng.uniform(-1.0, 1.0);
+  p.cfg.rank = static_cast<int>(state.range(1));
+  p.cfg.iterations = 5;
+  return p;
+}
+
+void time_fits(benchmark::State& state, const AlsProblem& p) {
+  for (auto _ : state) p.fit();
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(entries.size()));
+                          static_cast<std::int64_t>(p.entries.size()));
+}
+
+void BM_AlsFit(benchmark::State& state) {
+  time_fits(state, als_problem(state));
 }
 BENCHMARK(BM_AlsFit)->Args({150, 8})->Args({300, 16});
+
+// Paper-shaped: a paper-scale metro's n and rank with its 33 encoded
+// feature rows, so the probe also times the shared feature-Gram blocks.
+// Named BM_AlsFit/190/16/33, so the telemetry-overhead-als gate covers it.
+void BM_AlsFitFeatures(benchmark::State& state) {
+  time_fits(state,
+            als_problem(state, static_cast<std::size_t>(state.range(2))));
+}
+BENCHMARK(BM_AlsFitFeatures)->Name("BM_AlsFit")->Args({190, 16, 33});
 
 // Crash-safety cost, measured as a ratio INSIDE one benchmark: each
 // iteration times the ALS fit and (every second fit) the full checkpoint
@@ -66,18 +97,7 @@ BENCHMARK(BM_AlsFit)->Args({150, 8})->Args({300, 16});
 // size-independent syscall cost of a write against an unrealistically
 // small denominator.
 void BM_AlsFitCheckpointed(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int rank = static_cast<int>(state.range(1));
-  util::Rng rng(1);
-  std::vector<core::RatingEntry> entries;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      if (rng.uniform() < 0.2)
-        entries.push_back({i, j, rng.bernoulli(0.5) ? 1.0 : -1.0});
-  core::FeatureMatrix feats;
-  core::AlsConfig cfg;
-  cfg.rank = rank;
-  cfg.iterations = 5;
+  const AlsProblem p = als_problem(state);
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string ck_path =
       std::string(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp") +
@@ -88,14 +108,13 @@ void BM_AlsFitCheckpointed(benchmark::State& state) {
   std::int64_t fits = 0;
   for (auto _ : state) {
     const clock::time_point t0 = clock::now();
-    core::AlsCompleter c(n, feats, cfg);
-    c.fit(entries);
+    p.fit();
     const clock::time_point t1 = clock::now();
     fit_s += std::chrono::duration<double>(t1 - t0).count();
     if (++fits % 2 == 0) {
       util::checkpoint::Encoder enc;
-      enc.u64(entries.size());
-      for (const core::RatingEntry& e : entries) {
+      enc.u64(p.entries.size());
+      for (const core::RatingEntry& e : p.entries) {
         enc.u64(e.i);
         enc.u64(e.j);
         enc.f64(e.value);
@@ -107,11 +126,10 @@ void BM_AlsFitCheckpointed(benchmark::State& state) {
           util::checkpoint::write_file(ck_path, enc.data(), wo));
       ckpt_s += std::chrono::duration<double>(clock::now() - t1).count();
     }
-    benchmark::DoNotOptimize(c.predict(0, 1));
   }
   state.counters["checkpoint_overhead"] = fit_s > 0.0 ? ckpt_s / fit_s : 0.0;
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(entries.size()));
+                          static_cast<std::int64_t>(p.entries.size()));
 }
 BENCHMARK(BM_AlsFitCheckpointed)->Args({300, 16});
 
@@ -127,37 +145,18 @@ BENCHMARK(BM_AlsFitCheckpointed)->Args({300, 16});
 // timed windows except the allocation, which is a real per-run cost and is
 // deliberately charged to the traced side.
 void BM_AlsFitTraced(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int rank = static_cast<int>(state.range(1));
-  util::Rng rng(1);
-  std::vector<core::RatingEntry> entries;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      if (rng.uniform() < 0.2)
-        entries.push_back({i, j, rng.bernoulli(0.5) ? 1.0 : -1.0});
-  core::FeatureMatrix feats;
-  core::AlsConfig cfg;
-  cfg.rank = rank;
-  cfg.iterations = 5;
+  const AlsProblem p = als_problem(state);
   auto& rec = util::trace::Recorder::instance();
   using clock = std::chrono::steady_clock;
   double off_s = 0.0;
   double on_s = 0.0;
   for (auto _ : state) {
     const clock::time_point t0 = clock::now();
-    {
-      core::AlsCompleter c(n, feats, cfg);
-      c.fit(entries);
-      benchmark::DoNotOptimize(c.predict(0, 1));
-    }
+    p.fit();
     off_s += std::chrono::duration<double>(clock::now() - t0).count();
     rec.start(1u << 16);  // arm + clear, untimed
     const clock::time_point t1 = clock::now();
-    {
-      core::AlsCompleter c(n, feats, cfg);
-      c.fit(entries);
-      benchmark::DoNotOptimize(c.predict(0, 1));
-    }
+    p.fit();
     on_s += std::chrono::duration<double>(clock::now() - t1).count();
     rec.stop();
   }
@@ -165,7 +164,7 @@ void BM_AlsFitTraced(benchmark::State& state) {
   state.counters["trace_overhead"] =
       off_s > 0.0 ? on_s / off_s - 1.0 : 0.0;
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(entries.size()));
+                          static_cast<std::int64_t>(p.entries.size()));
 }
 BENCHMARK(BM_AlsFitTraced)->Args({300, 16});
 

@@ -33,29 +33,26 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
   MAC_COUNT("als.fits_started");
   MAC_COUNT_N("als.observed_entries", observed.size());
   const auto r = mac::checked_cast<std::size_t>(cfg_.rank);
-  cols_.assign(total_, {});
-  vals_.assign(total_, {});
-  wts_.assign(total_, {});
-
-  auto add = [&](std::size_t row, std::size_t col, double v, double w) {
-    cols_[row].push_back(col);
-    vals_[row].push_back(v);
-    wts_[row].push_back(w);
-  };
-  // Class-balance factor: equalize the total weight of positive and
-  // negative observations so the completion does not collapse toward the
-  // over-observed existing links.
-  double neg_boost = 1.0;
-  if (cfg_.balance_classes) {
-    double pos_w = 0.0, neg_w = 0.0;
-    for (const RatingEntry& e : observed)
-      (e.value > 0.0 ? pos_w : neg_w) += std::fabs(e.value);
-    if (neg_w > 0.0 && pos_w > 0.0)
-      neg_boost = std::min(cfg_.balance_cap, std::max(1.0, pos_w / neg_w));
-  }
+  // Count each row's observations (an entry is a rating of both its rows)
+  // and the class weights.  Class-balance factor: equalize the total weight
+  // of positive and negative observations so the completion does not
+  // collapse toward the over-observed existing links.
+  obs_start_.assign(n_ + 1, 0);
+  double pos_w = 0.0, neg_w = 0.0;
   for (const RatingEntry& e : observed) {
     if (e.i == e.j || e.i >= n_ || e.j >= n_)
       throw std::invalid_argument("AlsCompleter::fit: bad entry index");
+    ++obs_start_[e.i + 1];
+    ++obs_start_[e.j + 1];
+    (e.value > 0.0 ? pos_w : neg_w) += std::fabs(e.value);
+  }
+  for (std::size_t i = 0; i < n_; ++i) obs_start_[i + 1] += obs_start_[i];
+  obs_.resize(obs_start_[n_]);
+  std::vector<std::size_t> next(obs_start_.begin(), obs_start_.end() - 1);
+  double neg_boost = 1.0;
+  if (cfg_.balance_classes && neg_w > 0.0 && pos_w > 0.0)
+    neg_boost = std::min(cfg_.balance_cap, std::max(1.0, pos_w / neg_w));
+  for (const RatingEntry& e : observed) {
     double w = 1.0;
     double target = e.value;
     if (cfg_.confidence_weighting) {
@@ -66,15 +63,8 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
     }
     if (e.value < 0.0) w *= neg_boost;
     MAC_ASSERT(w > 0.0 && std::isfinite(w), "w=", w, " value=", e.value);
-    add(e.i, e.j, target, w);
-    add(e.j, e.i, target, w);
-  }
-  for (std::size_t f = 0; f < features_->count(); ++f) {
-    const auto& row = features_->rows[f];
-    for (std::size_t i = 0; i < n_; ++i) {
-      add(i, n_ + f, row[i], cfg_.feature_weight);
-      add(n_ + f, i, row[i], cfg_.feature_weight);
-    }
+    obs_[next[e.i]++] = {e.j, target, w};
+    obs_[next[e.j]++] = {e.i, target, w};
   }
 
   // Random small init; deterministic under the config seed.
@@ -98,8 +88,8 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
       break;
     }
     MAC_SPAN("als.iteration");
-    double delta = solve_side(cols_, vals_, wts_, q_, p_);
-    delta += solve_side(cols_, vals_, wts_, p_, q_);
+    double delta = solve_side(q_, p_);
+    delta += solve_side(p_, q_);
     ++iterations_run_;
     MAC_COUNT("als.iterations_run");
     // Summed factor-update magnitude: the per-iteration convergence signal.
@@ -115,47 +105,70 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
   fitted_ = true;
 }
 
-double AlsCompleter::solve_side(
-    const std::vector<std::vector<std::size_t>>& obs_cols,
-    const std::vector<std::vector<double>>& obs_vals,
-    const std::vector<std::vector<double>>& obs_wts,
-    const linalg::Matrix& fixed, linalg::Matrix& solved) {
+double AlsCompleter::solve_side(const linalg::Matrix& fixed,
+                                linalg::Matrix& solved) {
   MAC_SPAN("als.solve_side");
   const auto r = mac::checked_cast<std::size_t>(cfg_.rank);
-  linalg::Matrix gram(r, r);
-  linalg::Vector rhs(r);
+  const std::size_t nf = features_->count();
+  const double fw = cfg_.feature_weight;
+  // Every AS row observes every feature row of `fixed`, and every feature
+  // row every AS row, all with weight fw: each AS row's Gram starts from the
+  // shared g_feat, and all feature rows share g_as.  Grams fill only the
+  // upper triangle, which is all the factorization reads.
+  linalg::Matrix g_feat(r, r), g_as(r, r), gram(r, r);
+  linalg::Vector x(r);
+  auto add_gram = [&](linalg::Matrix& g, std::size_t c, double w) {
+    for (std::size_t a = 0; a < r; ++a) {
+      const double wa = w * fixed(c, a);
+      for (std::size_t b = a; b < r; ++b) g(a, b) += wa * fixed(c, b);
+    }
+  };
+  auto add_rhs = [&](std::size_t c, double wv) {
+    for (std::size_t a = 0; a < r; ++a) x[a] += wv * fixed(c, a);
+  };
+  for (std::size_t f = 0; f < nf; ++f) add_gram(g_feat, n_ + f, fw);
+
   double delta = 0.0;
   std::size_t rows_solved = 0, rows_degenerate = 0;
-  for (std::size_t row = 0; row < total_; ++row) {
-    const auto& cols = obs_cols[row];
-    if (cols.empty()) continue;
-    // Accumulate sum_w q_c q_c^T and sum_w v q_c over this row's observations.
-    for (std::size_t a = 0; a < r; ++a) {
-      rhs[a] = 0.0;
-      for (std::size_t b = 0; b < r; ++b) gram(a, b) = 0.0;
-    }
-    for (std::size_t t = 0; t < cols.size(); ++t) {
-      std::size_t c = cols[t];
-      double w = obs_wts[row][t];
-      double v = obs_vals[row][t];
-      for (std::size_t a = 0; a < r; ++a) {
-        double fa = fixed(c, a);
-        rhs[a] += w * v * fa;
-        for (std::size_t b = a; b < r; ++b) gram(a, b) += w * fa * fixed(c, b);
-      }
-    }
-    for (std::size_t a = 0; a < r; ++a)
-      for (std::size_t b = 0; b < a; ++b) gram(a, b) = gram(b, a);
-    double reg = cfg_.lambda * static_cast<double>(cols.size());
-    auto x = linalg::solve_regularized(gram, rhs, reg);
-    if (!x) {  // numerically degenerate row: keep previous factors
-      ++rows_degenerate;
-      continue;
-    }
+  auto store = [&](std::size_t row) {
     ++rows_solved;
     for (std::size_t a = 0; a < r; ++a) {
-      delta += std::fabs((*x)[a] - solved(row, a));
-      solved(row, a) = (*x)[a];
+      delta += std::fabs(x[a] - solved(row, a));
+      solved(row, a) = x[a];
+    }
+  };
+  for (std::size_t row = 0; row < n_; ++row) {
+    const std::size_t begin = obs_start_[row], end = obs_start_[row + 1];
+    if (begin == end && nf == 0) continue;
+    gram = g_feat;
+    std::fill(x.begin(), x.end(), 0.0);
+    for (std::size_t t = begin; t < end; ++t) {
+      add_rhs(obs_[t].col, obs_[t].weight * obs_[t].value);
+      add_gram(gram, obs_[t].col, obs_[t].weight);
+    }
+    for (std::size_t f = 0; f < nf; ++f)
+      add_rhs(n_ + f, fw * features_->rows[f][row]);
+    const double reg = cfg_.lambda * static_cast<double>(end - begin + nf);
+    if (!linalg::cholesky_in_place(gram, reg)) {
+      ++rows_degenerate;  // numerically degenerate row: keep previous factors
+      continue;
+    }
+    linalg::cholesky_solve_in_place(gram, x);
+    store(row);
+  }
+
+  if (nf > 0 && n_ > 0) {
+    // One factorization of g_as + lambda n I serves every feature row.
+    for (std::size_t i = 0; i < n_; ++i) add_gram(g_as, i, fw);
+    const double reg = cfg_.lambda * static_cast<double>(n_);
+    const bool ok = linalg::cholesky_in_place(g_as, reg);
+    if (!ok) rows_degenerate += nf;
+    for (std::size_t f = 0; ok && f < nf; ++f) {
+      std::fill(x.begin(), x.end(), 0.0);
+      for (std::size_t i = 0; i < n_; ++i)
+        add_rhs(i, fw * features_->rows[f][i]);
+      linalg::cholesky_solve_in_place(g_as, x);
+      store(n_ + f);
     }
   }
   MAC_COUNT_N("als.rows_solved", rows_solved);

@@ -72,21 +72,29 @@ class AlsCompleter {
   /// stop control truncated the sweep loop).
   int iterations_run() const { return iterations_run_; }
 
+  /// Fitted factors (total x rank): the AS rows, then one per feature.
+  const linalg::Matrix& p() const { return p_; }
+  const linalg::Matrix& q() const { return q_; }
+
  private:
+  /// One weighted rating an AS row observes.
+  struct Observation {
+    std::size_t col = 0;
+    double value = 0.0, weight = 0.0;
+  };
+
   /// Refits one factor side; returns the summed |delta| of updated entries
   /// (the per-iteration convergence signal surfaced via telemetry).
-  double solve_side(const std::vector<std::vector<std::size_t>>& obs_cols,
-                    const std::vector<std::vector<double>>& obs_vals,
-                    const std::vector<std::vector<double>>& obs_wts,
-                    const linalg::Matrix& fixed, linalg::Matrix& solved);
+  double solve_side(const linalg::Matrix& fixed, linalg::Matrix& solved);
 
   std::size_t n_ = 0;       // AS count
   std::size_t total_ = 0;   // n + feature count
   AlsConfig cfg_;
   linalg::Matrix p_, q_;    // total_ x rank factors
-  // Augmented observation lists built at fit() time.
-  std::vector<std::vector<std::size_t>> cols_;
-  std::vector<std::vector<double>> vals_, wts_;
+  // CSR observations built at fit(): AS row i observes obs_[obs_start_[i]
+  // .. obs_start_[i + 1]) in input order.  Feature entries stay in place.
+  std::vector<std::size_t> obs_start_;
+  std::vector<Observation> obs_;
   const FeatureMatrix* features_;  // lint: allow(view-member) -- caller-owned matrix bound at fit() time; solvers are transient helpers
   const util::RunControl* control_ = nullptr;  // lint: allow(view-member) -- optional stop control owned by the pipeline's caller; may be null
   int iterations_run_ = 0;

@@ -295,6 +295,11 @@ void MeasurementSystem::save(util::checkpoint::Encoder& enc) const {
 
 void MeasurementSystem::load(util::checkpoint::Decoder& dec) {
   io(*this, dec);
+  const std::size_t metros = net_->metros.size();
+  if (!traceroute::metros_below(evidence_.all(), metros) ||
+      !consistency_.metros_below(metros))
+    throw util::checkpoint::CheckpointError(
+        "MeasurementSystem: metro id outside the world");
 }
 
 double MeasurementSystem::vp_score(int vp_id, AsId i) const {

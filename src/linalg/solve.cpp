@@ -6,72 +6,49 @@
 
 namespace metas::linalg {
 
-std::optional<Matrix> cholesky(const Matrix& a) {
-  if (!a.is_square()) throw std::invalid_argument("cholesky: non-square matrix");
+bool cholesky_in_place(Matrix& a, double lambda) {
+  if (!a.is_square())
+    throw std::invalid_argument("cholesky_in_place: non-square matrix");
+  MAC_REQUIRE(lambda >= 0.0, "lambda=", lambda);
   const std::size_t n = a.rows();
-  Matrix l(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      // A(i, j) read from the upper triangle, which L never overwrites.
+      double s = a(j, i);
+      if (i == j) s += lambda;
+      for (std::size_t k = 0; k < j; ++k) s -= a(i, k) * a(j, k);
       if (i == j) {
-        if (s <= 0.0 || !std::isfinite(s)) return std::nullopt;
-        l(i, i) = std::sqrt(s);
+        if (s <= 0.0 || !std::isfinite(s)) return false;
+        a(i, i) = std::sqrt(s);
       } else {
-        l(i, j) = s / l(j, j);
+        a(i, j) = s / a(j, j);
       }
     }
   }
 #if METASCRITIC_CONTRACTS
   for (std::size_t i = 0; i < n; ++i)
-    MAC_ENSURE(l(i, i) > 0.0, "non-positive Cholesky pivot at i=", i);
+    MAC_ENSURE(a(i, i) > 0.0, "non-positive Cholesky pivot at i=", i);
 #endif
-  return l;
+  return true;
 }
 
-std::optional<Vector> solve_spd(const Matrix& a, const Vector& b) {
-  if (a.rows() != b.size())
-    throw std::invalid_argument("solve_spd: shape mismatch");
-  auto lopt = cholesky(a);
-  if (!lopt) return std::nullopt;
-  const Matrix& l = *lopt;
-  const std::size_t n = a.rows();
+void cholesky_solve_in_place(const Matrix& l, Vector& b) {
+  if (!l.is_square() || l.rows() != b.size())
+    throw std::invalid_argument("cholesky_solve_in_place: shape mismatch");
+  const std::size_t n = l.rows();
   // Forward substitution: L y = b.
-  Vector y(n);
   for (std::size_t i = 0; i < n; ++i) {
     double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * b[k];
+    b[i] = s / l(i, i);
   }
   // Back substitution: L^T x = y.
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-    x[ii] = s / l(ii, ii);
-    MAC_ENSURE(std::isfinite(x[ii]), "non-finite solution at i=", ii);
+  for (std::size_t i = n; i-- > 0;) {
+    double s = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) s -= l(k, i) * b[k];
+    b[i] = s / l(i, i);
+    MAC_ENSURE(std::isfinite(b[i]), "non-finite solution at i=", i);
   }
-  return x;
-}
-
-std::optional<Vector> ridge_solve(const Matrix& a, const Vector& b,
-                                  double lambda) {
-  if (a.rows() != b.size())
-    throw std::invalid_argument("ridge_solve: shape mismatch");
-  Matrix g = a.gram();
-  Vector rhs(a.cols(), 0.0);
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t i = 0; i < a.rows(); ++i) rhs[j] += a(i, j) * b[i];
-  return solve_regularized(std::move(g), rhs, lambda);
-}
-
-std::optional<Vector> solve_regularized(Matrix g, const Vector& rhs,
-                                        double lambda) {
-  if (!g.is_square() || g.rows() != rhs.size())
-    throw std::invalid_argument("solve_regularized: shape mismatch");
-  MAC_REQUIRE(lambda >= 0.0, "lambda=", lambda);
-  for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) += lambda;
-  return solve_spd(g, rhs);
 }
 
 }  // namespace metas::linalg

@@ -1,31 +1,24 @@
-// Direct solvers used inside ALS: Cholesky factorization of symmetric
-// positive-definite systems and the ridge-regularized normal-equation solve
-// argmin_x ||A x - b||^2 + lambda ||x||^2.
+// The one dense SPD solver: an in-place Cholesky factorization of a
+// ridge-regularized system (A + lambda I) and the triangular solves that use
+// it.  Both work on caller-owned buffers, so ALS, which solves thousands of
+// rank x rank systems per sweep, allocates nothing per system.
 #pragma once
-
-#include <optional>
 
 #include "linalg/matrix.hpp"
 
 namespace metas::linalg {
 
-/// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
-/// Returns std::nullopt if A is not (numerically) positive definite.
-std::optional<Matrix> cholesky(const Matrix& a);
+/// Factors A + lambda I = L L^T in place.  Only the upper triangle of the
+/// square matrix `a` (entries (i, j) with j >= i) is read; on success L
+/// occupies the lower triangle and the diagonal, and the strict upper
+/// triangle is left as it was.  Returns false, with `a` partly overwritten,
+/// if a pivot is non-positive or non-finite (the system is not numerically
+/// positive definite).  Throws std::invalid_argument if `a` is not square.
+bool cholesky_in_place(Matrix& a, double lambda);
 
-/// Solves A x = b for SPD A via Cholesky. Returns std::nullopt if the
-/// factorization fails. Throws std::invalid_argument on shape mismatch.
-std::optional<Vector> solve_spd(const Matrix& a, const Vector& b);
-
-/// Ridge least squares: solves (A^T A + lambda I) x = A^T b.
-/// Always succeeds for lambda > 0 on finite inputs; returns std::nullopt only
-/// if the regularized system is still numerically singular.
-std::optional<Vector> ridge_solve(const Matrix& a, const Vector& b,
-                                  double lambda);
-
-/// Solves the already-formed normal system (G + lambda I) x = rhs where G is
-/// SPD-ish (e.g. a Gram matrix accumulated by ALS).
-std::optional<Vector> solve_regularized(Matrix g, const Vector& rhs,
-                                        double lambda);
+/// Solves L L^T x = b in place (`b` becomes x), with L the factor that
+/// cholesky_in_place left in `l`.  Throws std::invalid_argument on a shape
+/// mismatch.
+void cholesky_solve_in_place(const Matrix& l, Vector& b);
 
 }  // namespace metas::linalg

@@ -149,6 +149,10 @@ std::size_t WellPositionedTracker::issued_by(int vp_id) const {
   return it == vps_.end() ? 0 : it->second.issued;
 }
 
+bool ConsistencyTracker::metros_below(std::size_t count) const {
+  return traceroute::metros_below(pair_data_, count);
+}
+
 template <class Self, class Ar>
 void ConsistencyTracker::io(Self& s, Ar& ar) {
   ar(s.pair_data_);

@@ -27,6 +27,21 @@ class Decoder;
 
 namespace metas::traceroute {
 
+/// True if every metro id in the direct and transit sets of a pair map
+/// lies in [0, count).  Decoded evidence is checked with it before any id
+/// reaches Internet::metro_scope, an unchecked index into `metros`.
+template <class PairMap>
+bool metros_below(const PairMap& pairs, std::size_t count) {
+  auto below = [count](const std::set<topology::MetroId>& ids) {
+    return ids.empty() ||
+           (*ids.begin() >= 0 &&
+            mac::checked_cast<std::size_t>(*ids.rbegin()) < count);
+  };
+  for (const auto& [key, ev] : pairs)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+    if (!below(ev.direct) || !below(ev.transit)) return false;
+  return true;
+}
+
 class ConsistencyTracker {
  public:
   explicit ConsistencyTracker(const topology::Internet& net) : net_(&net) {}
@@ -53,6 +68,9 @@ class ConsistencyTracker {
       const std::vector<topology::AsId>& universe) const;
 
   std::size_t pairs_tracked() const { return pair_data_.size(); }
+
+  /// True if every metro id in the tracked evidence lies in [0, count).
+  bool metros_below(std::size_t count) const;
 
   /// Checkpoint serialization in sorted-key order (byte-stable across runs).
   /// load() rebuilds the derived mixed-pair set.

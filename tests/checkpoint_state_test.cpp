@@ -1,12 +1,13 @@
 // Checkpointed pipeline state (DESIGN.md §12): every library type that a
 // resumable run persists round-trips mid-run state byte for byte, a seeded
 // corpus of corrupted payloads decodes to a clean load or CheckpointError
-// and nothing else, a penalty outside the metro is refused, and a phase
-// blob from one metro is refused by another.
+// and nothing else, a penalty or a metro id outside its range is refused,
+// and a phase blob from one metro is refused by another.
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
@@ -305,6 +306,43 @@ TEST(CheckpointStateTest, PenaltyOutsideTheMetroIsRejected) {
   fresh.rank_loop.load(dec);
   fresh.sched.load(dec);
   EXPECT_THROW(fresh.pm.load(dec), ck::CheckpointError);
+}
+
+// Evidence and consistency sets name metros by id, and the next E_m
+// rebuild hands those ids to Internet::metro_scope, an unchecked metros[]
+// index.  A decoded id outside the world must be refused on load.
+TEST(CheckpointStateTest, MetroIdOutsideTheWorldIsRejected) {
+  const Capture& c = capture();
+  // Swaps the largest id in the smallest-keyed pair's first non-empty
+  // metro set for `bad`.
+  auto patch = [](auto& pairs, int bad) {
+    ASSERT_FALSE(pairs.empty());
+    auto& sets = std::min_element(pairs.begin(), pairs.end(),
+                                  [](const auto& x, const auto& y) {
+                                    return x.first < y.first;
+                                  })->second;
+    auto& ids = sets.first.empty() ? sets.second : sets.first;
+    ASSERT_FALSE(ids.empty());
+    ids.erase(std::prev(ids.end()));
+    ids.insert(bad);
+  };
+  auto load_plane = [&](const PlaneShape& plane) {
+    ck::Encoder enc;
+    enc(plane);
+    FreshState fresh(c);
+    ck::Decoder dec(enc.data());
+    fresh.ms.load(dec);
+  };
+  for (int bad : {static_cast<int>(c.world.net.metros.size()), -1}) {
+    SCOPED_TRACE(bad);
+    auto evidence = decode_shape<PlaneShape>(c.plane);
+    patch(std::get<0>(evidence), bad);
+    EXPECT_THROW(load_plane(evidence), ck::CheckpointError);
+    auto consistency = decode_shape<PlaneShape>(c.plane);
+    patch(std::get<1>(consistency), bad);
+    EXPECT_THROW(load_plane(consistency), ck::CheckpointError);
+  }
+  EXPECT_NO_THROW(load_plane(decode_shape<PlaneShape>(c.plane)));
 }
 
 TEST(CheckpointStateTest, PhaseBlobFromAnotherMetroIsRejected) {

@@ -1,5 +1,7 @@
-// Tests for Cholesky and ridge solvers.
+// Tests for the in-place Cholesky factorization and solve.
 #include "linalg/solve.hpp"
+
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +9,14 @@
 
 namespace metas::linalg {
 namespace {
+
+/// Solves (A + lambda I) x = b through the in-place entry points, on
+/// copies of the inputs.
+std::optional<Vector> solve(Matrix a, Vector b, double lambda = 0.0) {
+  if (!cholesky_in_place(a, lambda)) return std::nullopt;
+  cholesky_solve_in_place(a, b);
+  return b;
+}
 
 Matrix random_spd(std::size_t n, util::Rng& rng, double ridge = 0.5) {
   Matrix a(n, n);
@@ -20,20 +30,23 @@ Matrix random_spd(std::size_t n, util::Rng& rng, double ridge = 0.5) {
 TEST(Cholesky, FactorizesKnownMatrix) {
   Matrix a(2, 2);
   a(0, 0) = 4; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 3;
-  auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
-  Matrix rec = *l * l->transpose();
+  Matrix l = a;
+  ASSERT_TRUE(cholesky_in_place(l, 0.0));
+  EXPECT_EQ(l(0, 1), a(0, 1));  // the strict upper triangle is left alone
+  l(0, 1) = 0.0;
+  Matrix rec = l * l.transpose();
   EXPECT_LT(rec.max_abs_diff(a), 1e-12);
 }
 
 TEST(Cholesky, RejectsIndefinite) {
   Matrix a(2, 2);
   a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 1;  // eigenvalues 3, -1
-  EXPECT_FALSE(cholesky(a).has_value());
+  EXPECT_FALSE(cholesky_in_place(a, 0.0));
 }
 
 TEST(Cholesky, RejectsNonSquare) {
-  EXPECT_THROW(cholesky(Matrix(2, 3)), std::invalid_argument);
+  Matrix a(2, 3);
+  EXPECT_THROW(cholesky_in_place(a, 0.0), std::invalid_argument);
 }
 
 TEST(SolveSpd, RecoversKnownSolution) {
@@ -43,14 +56,15 @@ TEST(SolveSpd, RecoversKnownSolution) {
     Vector x_true(n);
     for (double& v : x_true) v = rng.normal();
     Vector b = a * x_true;
-    auto x = solve_spd(a, b);
+    auto x = solve(a, b);
     ASSERT_TRUE(x.has_value());
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR((*x)[i], x_true[i], 1e-8);
   }
 }
 
 TEST(SolveSpd, ShapeMismatchThrows) {
-  EXPECT_THROW(solve_spd(Matrix(2, 2), Vector{1.0}), std::invalid_argument);
+  Vector b{1.0};
+  EXPECT_THROW(cholesky_solve_in_place(Matrix(2, 2), b), std::invalid_argument);
 }
 
 TEST(RidgeSolve, ShrinksTowardZero) {
@@ -62,8 +76,12 @@ TEST(RidgeSolve, ShrinksTowardZero) {
     for (std::size_t j = 0; j < 4; ++j) a(i, j) = rng.normal();
     b[i] = dot(a.row(i), x_true) + rng.normal(0.0, 0.01);
   }
-  auto x_small = ridge_solve(a, b, 1e-6);
-  auto x_big = ridge_solve(a, b, 1e4);
+  // Ridge least squares: (A^T A + lambda I) x = A^T b.
+  Vector atb(4, 0.0);
+  for (std::size_t j = 0; j < 4; ++j)
+    for (std::size_t i = 0; i < 30; ++i) atb[j] += a(i, j) * b[i];
+  auto x_small = solve(a.gram(), atb, 1e-6);
+  auto x_big = solve(a.gram(), atb, 1e4);
   ASSERT_TRUE(x_small && x_big);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR((*x_small)[j], x_true[j], 0.05);
@@ -75,14 +93,16 @@ TEST(SolveRegularized, HandlesSingularGramWithRidge) {
   // Rank-deficient Gram matrix: solvable once the ridge is added.
   Matrix g(2, 2);
   g(0, 0) = 1; g(0, 1) = 1; g(1, 0) = 1; g(1, 1) = 1;
-  auto x = solve_regularized(g, {1.0, 1.0}, 0.1);
+  auto x = solve(g, {1.0, 1.0}, 0.1);
   ASSERT_TRUE(x.has_value());
   EXPECT_NEAR((*x)[0], (*x)[1], 1e-12);  // symmetric problem, symmetric answer
 }
 
 TEST(SolveRegularized, ShapeMismatchThrows) {
-  EXPECT_THROW(solve_regularized(Matrix(2, 2), Vector{1.0}, 0.1),
-               std::invalid_argument);
+  Matrix l(2, 2);
+  ASSERT_TRUE(cholesky_in_place(l, 0.1));
+  Vector rhs{1.0};
+  EXPECT_THROW(cholesky_solve_in_place(l, rhs), std::invalid_argument);
 }
 
 // Property: for any SPD system, the Cholesky solution satisfies A x = b.
@@ -94,7 +114,7 @@ TEST_P(SolveResidualTest, ResidualIsTiny) {
   Matrix a = random_spd(n, rng);
   Vector b(n);
   for (double& v : b) v = rng.normal();
-  auto x = solve_spd(a, b);
+  auto x = solve(a, b);
   ASSERT_TRUE(x.has_value());
   Vector r = a * *x;
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(r[i], b[i], 1e-7);

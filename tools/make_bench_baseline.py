@@ -2,10 +2,10 @@
 """Build a committed BENCH_*.json perf-trajectory baseline.
 
 Usage:
-  tools/make_bench_baseline.py BENCHMARK.json TELEMETRY.json [-o OUT]
-  tools/make_bench_baseline.py BENCHMARK.json --prefix BM_AlsFit -o BENCH_als.json
+  tools/make_bench_baseline.py perf_micro.json TELEMETRY.json [-o OUT]
+  tools/make_bench_baseline.py perf_micro.json --prefix BM_AlsFit -o BENCH_als.json
 
-BENCHMARK.json is bench/perf_micro's `--benchmark_format=json` output;
+perf_micro.json is bench/perf_micro's `--benchmark_format=json` output;
 TELEMETRY.json is the snapshot perf_micro writes when METAS_TELEMETRY_OUT is
 set (optional -- pure perf baselines such as BENCH_als.json omit it).  The
 baseline keeps, per benchmark, the median cpu_time, the items-per-second
