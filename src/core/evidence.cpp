@@ -1,6 +1,7 @@
 #include "core/evidence.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/checkpoint.hpp"
 #include "util/numeric.hpp"
@@ -40,12 +41,22 @@ bool EvidenceStore::transit_at(AsId a, AsId b, MetroId m) const {
   return ev != nullptr && ev->transit.count(m) != 0;
 }
 
-std::vector<std::uint64_t> EvidenceStore::sorted_keys(
-    const MetroContext* within) const {
+std::vector<std::pair<std::uint64_t, const PairEvidence*>>
+EvidenceStore::sorted_pairs(const MetroContext& within) const {
+  std::vector<std::pair<std::uint64_t, const PairEvidence*>> out;
+  for (const auto& [key, ev] : pairs_)  // lint: allow(unordered-iter) -- harvest only; sorted below before any consumer sees it
+    if (within.has_pair(key)) out.emplace_back(key, &ev);
+  std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  });
+  return out;
+}
+
+std::vector<std::uint64_t> EvidenceStore::sorted_keys() const {
   std::vector<std::uint64_t> keys;
-  if (within == nullptr) keys.reserve(pairs_.size());
+  keys.reserve(pairs_.size());
   for (const auto& [key, ev] : pairs_)  // lint: allow(unordered-iter) -- key harvest only; sorted below before any consumer sees it
-    if (within == nullptr || within->has_pair(key)) keys.push_back(key);
+    keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   return keys;
 }
@@ -61,54 +72,84 @@ void EvidenceStore::save(util::checkpoint::Encoder& enc) const {
 
 void EvidenceStore::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
 
+namespace {
+
+constexpr std::array<GeoScope, topology::kNumGeoScopes> kFinestFirst = {
+    GeoScope::kSameMetro, GeoScope::kSameCountry, GeoScope::kSameContinent,
+    GeoScope::kElsewhere};
+
+/// The per-pair rule of E_m (§3.4), written into the empty (ia, ib) entry.
+/// A full build and a delta refresh both apply it; a refresh clears the
+/// entry first, since EstimatedMatrix::set merges onto a filled one.
+void fill_pair(EstimatedMatrix& e, const MetroContext& ctx, std::size_t ia,
+               std::size_t ib, const PairEvidence& ev,
+               const ConsistentSets& consistent) {
+  const auto& net = ctx.net();
+  const MetroId m = ctx.metro();
+
+  // Positive: the geographically closest direct observation wins.
+  if (!ev.direct.empty()) {
+    GeoScope best = GeoScope::kElsewhere;
+    for (MetroId dm : ev.direct) best = std::min(best, net.metro_scope(m, dm));
+    e.set(ia, ib, positive_rating(best));
+  }
+
+  // Negative: the finest transit scope at which both ASes still route
+  // consistently; inconsistent ASes yield no non-existence evidence.
+  unsigned crossed = 0;  // bit g: a transit crossing at scope g
+  for (MetroId tm : ev.transit)
+    crossed |= 1u << mac::enum_cast<unsigned>(net.metro_scope(m, tm));
+  for (GeoScope g : kFinestFirst) {
+    const auto gi = mac::enum_cast<std::size_t>(g);
+    if (((crossed >> gi) & 1u) != 0 && consistent[gi][ia] &&
+        consistent[gi][ib]) {
+      e.set(ia, ib, negative_rating(g));
+      break;
+    }
+  }
+}
+
+}  // namespace
+
 EstimatedMatrix build_estimated_matrix(
     const MetroContext& ctx, const EvidenceStore& evidence,
     const traceroute::ConsistencyTracker& consistency) {
-  const auto& net = ctx.net();
-  const MetroId m = ctx.metro();
+  return build_estimated_matrix(ctx, evidence,
+                                consistency.consistent_sets(ctx.ases()));
+}
+
+EstimatedMatrix build_estimated_matrix(const MetroContext& ctx,
+                                       const EvidenceStore& evidence,
+                                       const ConsistentSets& consistent) {
   EstimatedMatrix e(ctx.size());
-
-  // Per-granularity consistent-AS sets, computed once over the universe.
-  const auto consistent = consistency.consistent_sets(ctx.ases());
-
-  // Sorted-key traversal (R10) over the metro's own pairs: e.set writes are
-  // per-pair independent, but ordered traversal keeps the fill
-  // deterministic by construction.
-  for (std::uint64_t key : evidence.sorted_keys(&ctx)) {
-    const PairEvidence& ev = evidence.all().at(key);
-    AsId a = mac::checked_cast<AsId>(key & 0xffffffffULL);
-    AsId b = mac::checked_cast<AsId>(key >> 32);
-    int ia = ctx.local(a), ib = ctx.local(b);
+  // Sorted-key traversal (R10) over the metro's own pairs: each key owns
+  // its entry, but ordered traversal keeps the fill deterministic by
+  // construction.
+  for (const auto& [key, ev] : evidence.sorted_pairs(ctx)) {
+    const int ia = ctx.local(mac::checked_cast<AsId>(key & 0xffffffffULL));
+    const int ib = ctx.local(mac::checked_cast<AsId>(key >> 32));
     if (ia == ib) continue;
-
-    // Positive: the geographically closest direct observation wins.
-    if (!ev.direct.empty()) {
-      GeoScope best = GeoScope::kElsewhere;
-      for (MetroId dm : ev.direct)
-        best = std::min(best, net.metro_scope(m, dm));
-      e.set(mac::checked_cast<std::size_t>(ia), mac::checked_cast<std::size_t>(ib),
-            positive_rating(best));
-    }
-
-    // Negative: the finest transit scope at which both ASes still route
-    // consistently; inconsistent ASes yield no non-existence evidence.
-    if (!ev.transit.empty()) {
-      std::vector<GeoScope> scopes;
-      scopes.reserve(ev.transit.size());
-      for (MetroId tm : ev.transit) scopes.push_back(net.metro_scope(m, tm));
-      std::sort(scopes.begin(), scopes.end());
-      for (GeoScope g : scopes) {
-        auto gi = mac::enum_cast<std::size_t>(g);
-        if (consistent[gi][mac::checked_cast<std::size_t>(ia)] &&
-            consistent[gi][mac::checked_cast<std::size_t>(ib)]) {
-          e.set(mac::checked_cast<std::size_t>(ia), mac::checked_cast<std::size_t>(ib),
-                negative_rating(g));
-          break;
-        }
-      }
-    }
+    fill_pair(e, ctx, mac::checked_cast<std::size_t>(ia),
+              mac::checked_cast<std::size_t>(ib), *ev, consistent);
   }
   return e;
+}
+
+void refresh_estimated_pairs(EstimatedMatrix& e, const MetroContext& ctx,
+                             const EvidenceStore& evidence,
+                             const ConsistentSets& consistent,
+                             const std::vector<std::uint64_t>& keys) {
+  for (std::uint64_t key : keys) {
+    if (!ctx.has_pair(key)) continue;
+    const AsId a = mac::checked_cast<AsId>(key & 0xffffffffULL);
+    const AsId b = mac::checked_cast<AsId>(key >> 32);
+    const auto ia = mac::checked_cast<std::size_t>(ctx.local(a));
+    const auto ib = mac::checked_cast<std::size_t>(ctx.local(b));
+    if (ia == ib) continue;
+    e.clear(ia, ib);
+    if (const PairEvidence* ev = evidence.find(a, b))
+      fill_pair(e, ctx, ia, ib, *ev, consistent);
+  }
 }
 
 }  // namespace metas::core

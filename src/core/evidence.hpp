@@ -57,11 +57,13 @@ class EvidenceStore {
 
   /// Pair keys in ascending order: the sanctioned way to traverse `all()`,
   /// so no consumer depends on unordered iteration order (tools/lint.py
-  /// R10).  With `within`, only pairs with both ends at that metro are kept
-  /// and sorted.  O(P + K log K) for K kept keys; cache the result when
-  /// looping.
-  std::vector<std::uint64_t> sorted_keys(
-      const MetroContext* within = nullptr) const;
+  /// R10).
+  std::vector<std::uint64_t> sorted_keys() const;
+  /// The pairs with both ends at `within`, in ascending key order, each
+  /// with its evidence, so no caller looks a key up twice.  O(P + K log K)
+  /// for K kept pairs; cache the result when looping.
+  std::vector<std::pair<std::uint64_t, const PairEvidence*>> sorted_pairs(
+      const MetroContext& within) const;
 
   /// Checkpoint serialization in sorted-key order (byte-stable across runs).
   void save(util::checkpoint::Encoder& enc) const;
@@ -74,12 +76,29 @@ class EvidenceStore {
   std::unordered_map<std::uint64_t, PairEvidence> pairs_;
 };
 
+using ConsistentSets = traceroute::ConsistencyTracker::ConsistentSets;
+
 /// Derives E_m for a metro from global evidence (§3.4):
 ///  - positive fill: best geographic scope of any direct observation;
 ///  - negative fill: closest transit scope, only when both ASes are routing
 ///    consistently at that granularity.
+/// When both exist the larger magnitude wins, the positive on a tie.
 EstimatedMatrix build_estimated_matrix(
     const MetroContext& ctx, const EvidenceStore& evidence,
     const traceroute::ConsistencyTracker& consistency);
+/// Same, from the metro's consistent sets computed by the caller.
+EstimatedMatrix build_estimated_matrix(const MetroContext& ctx,
+                                       const EvidenceStore& evidence,
+                                       const ConsistentSets& consistent);
+
+/// Brings `e`, a build of this metro under the same consistent sets, up to
+/// date after new evidence for the pairs `keys` (pair_key()s, in any order;
+/// keys outside the metro are skipped).  Each such entry is cleared and
+/// re-derived by the rule build_estimated_matrix applies, so the result
+/// equals a full build whenever every pair whose evidence changed is listed.
+void refresh_estimated_pairs(EstimatedMatrix& e, const MetroContext& ctx,
+                             const EvidenceStore& evidence,
+                             const ConsistentSets& consistent,
+                             const std::vector<std::uint64_t>& keys);
 
 }  // namespace metas::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/checkpoint.hpp"
 #include "util/numeric.hpp"
@@ -29,13 +30,18 @@ MeasurementSystem::MeasurementSystem(const topology::Internet& net,
     targets_by_as_[mac::checked_cast<std::size_t>(targets_[t].as)].push_back(t);
 }
 
-void MeasurementSystem::process_trace(const traceroute::TraceResult& trace,
-                                      traceroute::TraceObservations& obs_out) {
-  obs_out = traceroute::extract_observations(trace, rels_, rng_);
-  // Well-positioned checks must see the tracker state *before* this trace.
-  evidence_.ingest(trace, obs_out, wp_);
-  consistency_.ingest(obs_out);
-  wp_.ingest(trace);
+traceroute::TraceObservations MeasurementSystem::process_trace(
+    const traceroute::TraceResult& trace) {
+  auto obs = traceroute::extract_observations(trace, rels_, rng_);
+  evidence_.ingest(trace, obs, wp_);
+  consistency_.ingest(obs);
+  if (view_) {
+    for (const auto& l : obs.links)
+      observed_.push_back(topology::pair_key(l.a, l.b));
+    for (const auto& t : obs.transits)
+      observed_.push_back(topology::pair_key(t.a, t.b));
+  }
+  return obs;
 }
 
 void MeasurementSystem::run_public_archives(std::size_t count) {
@@ -65,8 +71,9 @@ void MeasurementSystem::run_public_archives(std::size_t count) {
     // observation (the real archives only contain completed traceroutes).
     if (trace.status != traceroute::ProbeStatus::kOk) continue;
     MAC_COUNT("measurement.public_traces_processed");
-    traceroute::TraceObservations obs;
-    process_trace(trace, obs);
+    // Well-positioned checks must see the tracker state *before* this trace.
+    process_trace(trace);
+    wp_.ingest(trace);
   }
 }
 
@@ -227,9 +234,7 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
   // Informativeness checks (like evidence ingestion) must see the
   // well-positioned tracker state *before* this trace, so wp_.ingest runs
   // last.
-  auto obs = traceroute::extract_observations(trace, rels_, rng_);
-  evidence_.ingest(trace, obs, wp_);
-  consistency_.ingest(obs);
+  const auto obs = process_trace(trace);
 
   for (const auto& l : obs.links) {
     if ((l.a == i && l.b == j) || (l.a == j && l.b == i)) {
@@ -283,6 +288,35 @@ EstimatedMatrix MeasurementSystem::build_matrix(const MetroContext& ctx) const {
   return build_estimated_matrix(ctx, evidence_, consistency_);
 }
 
+const EstimatedMatrix& MeasurementSystem::matrix(const MetroContext& ctx) {
+  const bool same_metro = view_ && view_->metro == ctx.metro();
+  if (same_metro && observed_.empty()) return view_->e;
+  ConsistentSets consistent = consistency_.consistent_sets(ctx.ases());
+  if (same_metro && consistent == view_->consistent) {
+    // Evidence only grows, and only for observed pairs; under unchanged
+    // consistent sets no other entry can move.
+    std::sort(observed_.begin(), observed_.end());
+    observed_.erase(std::unique(observed_.begin(), observed_.end()),
+                    observed_.end());
+    refresh_estimated_pairs(view_->e, ctx, evidence_, consistent, observed_);
+    MAC_COUNT("measurement.matrices_refreshed");
+  } else {
+    view_.reset();  // free the stale view first: one n x n E_m at a time
+    EstimatedMatrix e = build_estimated_matrix(ctx, evidence_, consistent);
+    view_ = MatrixView{ctx.metro(), std::move(consistent), std::move(e)};
+    MAC_COUNT("measurement.matrices_rebuilt");
+  }
+  observed_.clear();
+  return view_->e;
+}
+
+EstimatedMatrix MeasurementSystem::take_matrix(const MetroContext& ctx) {
+  matrix(ctx);
+  EstimatedMatrix e = std::move(view_->e);
+  view_.reset();
+  return e;
+}
+
 template <class Self, class Ar>
 void MeasurementSystem::io(Self& s, Ar& ar) {
   ar(s.evidence_, s.consistency_, s.wp_, s.rng_, s.health_clock_,
@@ -294,6 +328,8 @@ void MeasurementSystem::save(util::checkpoint::Encoder& enc) const {
 }
 
 void MeasurementSystem::load(util::checkpoint::Decoder& dec) {
+  view_.reset();
+  observed_.clear();
   io(*this, dec);
   const std::size_t metros = net_->metros.size();
   if (!traceroute::metros_below(evidence_.all(), metros) ||

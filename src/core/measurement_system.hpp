@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -74,8 +75,22 @@ class MeasurementSystem {
   /// Same for targets of (j, m); kTargetCategories-sized.
   std::vector<int> target_category_counts(AsId j, MetroId m) const;
 
-  /// Derives the current estimated matrix for a metro from global evidence.
+  /// Derives the current estimated matrix for a metro from global evidence:
+  /// one full build, every call.
   EstimatedMatrix build_matrix(const MetroContext& ctx) const;
+
+  /// The metro's current E_m, equal to build_matrix(ctx), from one view
+  /// kept current by delta (DESIGN.md §14).  The view is returned as is
+  /// when no trace was processed since the last call; rebuilt in full when
+  /// there is none (first call, after take_matrix() or load()), for another
+  /// metro, or when the metro's consistent sets moved; otherwise only the
+  /// pairs observed since the last call are re-derived.
+  /// The reference stays valid and unchanged until the next matrix(),
+  /// take_matrix() or load().
+  const EstimatedMatrix& matrix(const MetroContext& ctx);
+  /// matrix(ctx), moved out of the view, which is dropped: a metro's last
+  /// read keeps no second n x n copy alive.
+  EstimatedMatrix take_matrix(const MetroContext& ctx);
 
   const EvidenceStore& evidence() const { return evidence_; }
   const traceroute::ConsistencyTracker& consistency() const { return consistency_; }
@@ -107,8 +122,12 @@ class MeasurementSystem {
   template <class Self, class Ar>
   static void io(Self& s, Ar& ar);
 
-  void process_trace(const traceroute::TraceResult& trace,
-                     traceroute::TraceObservations& obs_out);
+  /// Ingests a completed trace's observations into the evidence and
+  /// consistency trackers and, while a view exists, records their pair
+  /// keys for it.  The caller updates the well-positioned tracker after
+  /// its own checks, which must see the state before this trace.
+  traceroute::TraceObservations process_trace(
+      const traceroute::TraceResult& trace);
 
   /// False when the VP is dead, quarantined, or backing off.  Always true
   /// without an active fault injector.
@@ -146,6 +165,17 @@ class MeasurementSystem {
     static void io(Self& h, Ar& ar) { ar(h.strikes, h.blocked_until); }
   };
   std::unordered_map<int, VpHealth> vp_health_;
+
+  // The E_m view behind matrix(): derived state, never serialized, dropped
+  // by take_matrix() and load().  `consistent` holds the sets `e` was derived under, and
+  // observed_ the pair keys of every observation processed since.
+  struct MatrixView {
+    MetroId metro = -1;
+    ConsistentSets consistent;
+    EstimatedMatrix e;
+  };
+  std::optional<MatrixView> view_;
+  std::vector<std::uint64_t> observed_;
 };
 
 }  // namespace metas::core

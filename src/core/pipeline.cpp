@@ -114,7 +114,7 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   MAC_GAUGE_SET("pipeline.estimated_rank", res.estimated_rank);
 
   // Final completion over the full E_m at the estimated rank.
-  res.estimated = ms_->build_matrix(*ctx_);
+  res.estimated = ms_->take_matrix(*ctx_);
   auto entries = rating_entries(res.estimated);
 
   // Hold out a slice for threshold tuning.

@@ -50,6 +50,7 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
     std::copy(vc.begin(), vc.end(), vp_counts_[i].begin());
     std::copy(tc.begin(), tc.end(), tgt_counts_[i].begin());
   }
+  refresh_available();
   allowed_.fill(true);
 
   for (int s = 0; s < kNumStrategies; ++s) {
@@ -82,6 +83,23 @@ void ProbabilityMatrix::refresh_success(std::size_t s) {
   success_[s] = alpha_[s] / (alpha_[s] + beta_[s]);
 }
 
+void ProbabilityMatrix::refresh_available() {
+  auto collect = [](const auto& counts, auto& out) {
+    out.assign(counts.size(), {});
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      auto& a = out[i];
+      for (std::size_t c = 0; c < counts[i].size(); ++c) {
+        if (counts[i][c] == 0) continue;
+        a.category[a.size] = mac::checked_cast<int>(c);
+        a.count[a.size] = mac::checked_cast<std::size_t>(counts[i][c]);
+        ++a.size;
+      }
+    }
+  };
+  collect(vp_counts_, vp_available_);
+  collect(tgt_counts_, tgt_available_);
+}
+
 double ProbabilityMatrix::strategy_prob(int strategy) const {
   MAC_REQUIRE(strategy >= 0 && strategy < kNumStrategies,
               "strategy=", strategy);
@@ -105,25 +123,24 @@ std::uint64_t ProbabilityMatrix::penalty_key(int i, int j, int s) const {
 
 double ProbabilityMatrix::dir_prob(int near, int far, int* best_vp,
                                    int* best_tgt) const {
-  const auto& vc = vp_counts_[mac::checked_cast<std::size_t>(near)];
-  const auto& tc = tgt_counts_[mac::checked_cast<std::size_t>(far)];
+  const auto& va = vp_available_[mac::checked_cast<std::size_t>(near)];
+  const auto& ta = tgt_available_[mac::checked_cast<std::size_t>(far)];
   // Most entries carry no penalty at all; only those probe the hash.
   const bool penalized = penalized_[entry(near, far)] != 0;
   double best = 0.0;
-  for (int v = 0; v < kVpCategories; ++v) {
-    const auto nv =
-        mac::checked_cast<std::size_t>(vc[mac::checked_cast<std::size_t>(v)]);
-    if (nv == 0) continue;
-    for (int t = 0; t < kTargetCategories; ++t) {
-      const auto nt =
-          mac::checked_cast<std::size_t>(tc[mac::checked_cast<std::size_t>(t)]);
-      if (nt == 0) continue;
-      int s = traceroute::strategy_index(v, t);
-      if (!allowed_[mac::checked_cast<std::size_t>(s)]) continue;
-      double p = success_[mac::checked_cast<std::size_t>(s)];
-      p *= pool_factor_[std::min(nv * nt, kPoolSaturated)];
+  for (std::size_t a = 0; a < va.size; ++a) {
+    const int v = va.category[a];
+    const std::size_t nv = va.count[a];
+    for (std::size_t b = 0; b < ta.size; ++b) {
+      const int t = ta.category[b];
+      // traceroute::strategy_index(v, t), inline.
+      const auto s = mac::checked_cast<std::size_t>(v * kTargetCategories + t);
+      if (!allowed_[s]) continue;
+      double p = success_[s];
+      p *= pool_factor_[std::min(nv * ta.count[b], kPoolSaturated)];
       if (penalized) {
-        auto pen = penalties_.find(penalty_key(near, far, s));
+        auto pen = penalties_.find(
+            penalty_key(near, far, mac::checked_cast<int>(s)));
         if (pen != penalties_.end()) p *= pen->second;
       }
       if (p > best) {
@@ -255,6 +272,7 @@ void ProbabilityMatrix::load(util::checkpoint::Decoder& dec) {
     penalized_[mac::checked_cast<std::size_t>(at)] = 1;
   }
   for (std::size_t s = 0; s < success_.size(); ++s) refresh_success(s);
+  refresh_available();
 }
 
 }  // namespace metas::core

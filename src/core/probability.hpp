@@ -100,6 +100,7 @@ class ProbabilityMatrix {
   static void io(Self& s, Ar& ar);
 
   double dir_prob(int near, int far, int* best_vp, int* best_tgt) const;
+  void refresh_available();
   std::size_t entry(int near, int far) const;  // index into penalized_
   std::uint64_t penalty_key(int i, int j, int s) const;
   void refresh_success(std::size_t s);
@@ -116,11 +117,21 @@ class ProbabilityMatrix {
 
   // Derived caches, not serialized (rebuilt on construction and load):
   // alpha / (alpha + beta) per strategy, the candidate-pool factor per pool
-  // size, and per ordered (near, far) entry whether penalties_ holds any
-  // penalty for it.
+  // size, per ordered (near, far) entry whether penalties_ holds any
+  // penalty for it, and per local AS its non-empty VP and target
+  // categories in ascending order with their counts -- the only
+  // categories dir_prob can score.
   std::array<double, traceroute::kNumStrategies> success_{};
   std::vector<double> pool_factor_;
   std::vector<std::uint8_t> penalized_;
+  template <std::size_t N>
+  struct Available {
+    std::size_t size = 0;
+    std::array<int, N> category{};
+    std::array<std::size_t, N> count{};
+  };
+  std::vector<Available<traceroute::kVpCategories>> vp_available_;
+  std::vector<Available<traceroute::kTargetCategories>> tgt_available_;
 };
 
 }  // namespace metas::core

@@ -119,7 +119,7 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
     if (scheduler != nullptr)
       res.traceroutes_used +=
           scheduler->fill_rows_to(r, cfg_.budget_per_iteration);
-    EstimatedMatrix e = ms.build_matrix(*ctx_);
+    const EstimatedMatrix& e = ms.matrix(*ctx_);
     double mse = holdout_mse(e, r, rng);
     MAC_HISTOGRAM("pipeline.rank_holdout_mse", mse);
     res.history.emplace_back(r, mse);

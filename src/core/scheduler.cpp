@@ -84,7 +84,7 @@ std::size_t MeasurementScheduler::fill_rows_to(int target, std::size_t budget) {
       MAC_COUNT("scheduler.campaigns_stopped_early");
       break;
     }
-    EstimatedMatrix e = ms_->build_matrix(*ctx_);
+    const EstimatedMatrix& e = ms_->matrix(*ctx_);
     bool any_deficient = false;
     for (std::size_t i = 0; i < ctx_->size(); ++i) {
       if (given_up_[i]) continue;
@@ -123,7 +123,7 @@ bool MeasurementScheduler::under_backoff(int i, int j) const {
 
 void MeasurementScheduler::finish_campaign(int target) {
   const std::size_t n = ctx_->size();
-  EstimatedMatrix e = ms_->build_matrix(*ctx_);
+  const EstimatedMatrix& e = ms_->matrix(*ctx_);
   degradation_.fill_target = target;
   degradation_.rows = n;
   degradation_.rows_at_target = 0;
@@ -163,7 +163,10 @@ BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
   std::vector<std::size_t> sim_filled(n);
   for (std::size_t i = 0; i < n; ++i) sim_filled[i] = e.row_filled(i);
 
-  std::unordered_set<std::uint64_t> batch_explored_rows;
+  std::vector<char> batch_explored_rows(n, 0);
+  // A row search that finds no row draws no random number, so once one
+  // fails the exploit arm is skipped for the rest of the batch.
+  bool exploit_exhausted = false;
   BatchResult result;
   MAC_COUNT("scheduler.batches_run");
 
@@ -193,16 +196,16 @@ BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
       case SelectionPolicy::kIxpMapped:
         if (rng_.bernoulli(cfg_.epsilon))
           pick = pick_explore(sim_filled, e, batch_explored_rows);
-        else
-          pick = pick_exploit(sim_filled, e, target);
+        else if (!exploit_exhausted)
+          pick = pick_exploit(sim_filled, e, target, exploit_exhausted);
         break;
     }
     if (pick.i < 0) continue;
     MAC_COUNT("scheduler.picks_selected");
     if (pick.exploration) {
       MAC_COUNT("scheduler.picks_exploration");
-      batch_explored_rows.insert(mac::checked_cast<std::uint64_t>(pick.i));
-      batch_explored_rows.insert(mac::checked_cast<std::uint64_t>(pick.j));
+      batch_explored_rows[mac::checked_cast<std::size_t>(pick.i)] = 1;
+      batch_explored_rows[mac::checked_cast<std::size_t>(pick.j)] = 1;
       explored_entries_.insert(entry_key(pick.i, pick.j, n));
     }
     sim_filled[mac::checked_cast<std::size_t>(pick.i)]++;
@@ -215,7 +218,7 @@ BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
 
 MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
     const std::vector<std::size_t>& sim_filled, const EstimatedMatrix& e,
-    int target) {
+    int target, bool& no_row) {
   const std::size_t n = ctx_->size();
   // Deficient row with the fewest filled entries but at least one entry with
   // P above the threshold; ties broken at random.
@@ -233,7 +236,10 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
       best_row = mac::checked_cast<int>(i);
     }
   }
-  if (best_row < 0) return {};
+  if (best_row < 0) {
+    no_row = true;
+    return {};
+  }
   // Unfilled entry in that row with the highest P, skipping entries waiting
   // out an infrastructure backoff.
   int best_j = -1;
@@ -267,7 +273,7 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
 
 MeasurementScheduler::Pick MeasurementScheduler::pick_explore(
     const std::vector<std::size_t>& sim_filled, const EstimatedMatrix& e,
-    const std::unordered_set<std::uint64_t>& batch_rows) {
+    const std::vector<char>& batch_rows) {
   const std::size_t n = ctx_->size();
   // Entry (i, j) minimizing filled(i)+filled(j) with a usable traceroute,
   // at most one exploration per row per batch and one per entry ever.
@@ -284,7 +290,7 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_explore(
       std::size_t b = s - a;
       if (b >= n) continue;
       std::size_t i = rows[a], j = rows[b];
-      if (batch_rows.count(i) != 0 || batch_rows.count(j) != 0) continue;
+      if (batch_rows[i] != 0 || batch_rows[j] != 0) continue;
       if (i > j) std::swap(i, j);
       if (i == j || e.filled(i, j)) continue;
       if (explored_entries_.count(entry_key(mac::checked_cast<int>(i),
@@ -413,11 +419,33 @@ void MeasurementScheduler::io(Self& s, Ar& ar) {
      s.greedy_order_, s.greedy_cursor_, s.attempted_, s.sched_tick_,
      s.requeued_);
   // fill_rows_to and execute index both vectors by every row of the metro.
+  // Every loaded entry must lie inside the metro too: the CSV export reads
+  // rows by history record, pick_greedy reads E_m at each greedy key, and a
+  // requeue failure count sizes a backoff shift.
   if constexpr (Ar::kLoading) {
-    if (s.fail_streak_.size() != s.ctx_->size() ||
-        s.given_up_.size() != s.ctx_->size())
+    const std::size_t n = s.ctx_->size();
+    if (s.fail_streak_.size() != n || s.given_up_.size() != n)
       throw util::checkpoint::CheckpointError(
           "scheduler checkpoint does not match the metro size");
+    auto row = [n](int x) {
+      return x >= 0 && mac::checked_cast<std::size_t>(x) < n;
+    };
+    if (!std::all_of(s.history_.begin(), s.history_.end(),
+                     [&row](const IssuedRecord& r) {
+                       return row(r.i) && row(r.j);
+                     }))
+      throw util::checkpoint::CheckpointError(
+          "scheduler checkpoint names a row outside the metro");
+    if (!std::all_of(s.greedy_order_.begin(), s.greedy_order_.end(),
+                     [n](const auto& g) {
+                       return n > 0 && g.second / n < g.second % n;
+                     }))
+      throw util::checkpoint::CheckpointError(
+          "scheduler checkpoint has a greedy entry outside the metro");
+    for (const auto& [key, requeue] : s.requeued_)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+      if (requeue.second < 0)
+        throw util::checkpoint::CheckpointError(
+            "scheduler checkpoint has a negative requeue count");
   }
 
   // Registry counters: persist this scheduler's *deltas*.  On load the

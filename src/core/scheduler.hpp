@@ -147,11 +147,13 @@ class MeasurementScheduler {
   static void io(Self& s, Ar& ar);
 
   struct Pick { int i = -1, j = -1; bool exploration = false; };
+  /// Sets `no_row` when no row qualifies.  That holds for the rest of the
+  /// batch: `sim_filled` only grows and rows are only ever given up.
   Pick pick_exploit(const std::vector<std::size_t>& sim_filled,
-                    const EstimatedMatrix& e, int target);
+                    const EstimatedMatrix& e, int target, bool& no_row);
   Pick pick_explore(const std::vector<std::size_t>& sim_filled,
                     const EstimatedMatrix& e,
-                    const std::unordered_set<std::uint64_t>& batch_rows);
+                    const std::vector<char>& batch_rows);
   Pick pick_random(const EstimatedMatrix& e);
   Pick pick_greedy(const EstimatedMatrix& e);
   /// Runs the pick; returns probes launched (0 when no strategy was usable

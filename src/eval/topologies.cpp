@@ -25,9 +25,8 @@ bgp::AsGraph build_public_graph(const World& w) {
 std::size_t add_measured_links(bgp::AsGraph& g, const World& w,
                                const core::MetroContext& ctx) {
   std::size_t added = 0;
-  for (std::uint64_t key : w.ms->evidence().sorted_keys(&ctx)) {
-    const core::PairEvidence& ev = w.ms->evidence().all().at(key);
-    if (ev.direct.empty()) continue;
+  for (const auto& [key, ev] : w.ms->evidence().sorted_pairs(ctx)) {
+    if (ev->direct.empty()) continue;
     AsId a = mac::checked_cast<AsId>(key & 0xffffffffULL);
     AsId b = mac::checked_cast<AsId>(key >> 32);
     if (g.has_edge(a, b)) continue;

@@ -1,8 +1,8 @@
 // Checkpointed pipeline state (DESIGN.md §12): every library type that a
 // resumable run persists round-trips mid-run state byte for byte, a seeded
 // corpus of corrupted payloads decodes to a clean load or CheckpointError
-// and nothing else, a penalty or a metro id outside its range is refused,
-// and a phase blob from one metro is refused by another.
+// and nothing else, a penalty, a scheduler entry or a metro id outside its
+// range is refused, and a phase blob from one metro is refused by another.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -306,6 +306,67 @@ TEST(CheckpointStateTest, PenaltyOutsideTheMetroIsRejected) {
   fresh.rank_loop.load(dec);
   fresh.sched.load(dec);
   EXPECT_THROW(fresh.pm.load(dec), ck::CheckpointError);
+}
+
+// Scheduler entries name rows of the metro: the CSV export reads rows by
+// history record, pick_greedy reads E_m at each greedy key, and a requeue
+// failure count sizes a backoff shift.  Each must lie inside the metro.
+TEST(CheckpointStateTest, SchedulerEntryOutsideTheMetroIsRejected) {
+  const Capture& c = capture();
+  ASSERT_FALSE(c.phase.empty());
+  const auto clean = decode_shape<PhaseShape>(c.phase);
+  const u64 n = std::get<0>(std::get<2>(clean));
+  auto load_scheduler = [&](const PhaseShape& ph) {
+    ck::Encoder enc;
+    enc(ph);
+    FreshState fresh(c);
+    ck::Decoder dec(enc.data());
+    fresh.rank_loop.load(dec);
+    fresh.sched.load(dec);
+  };
+  auto patched = [&](auto patch) {
+    PhaseShape ph = clean;
+    patch(std::get<1>(ph));
+    return ph;
+  };
+  const int rows = static_cast<int>(n);
+  for (int bad : {rows, -1}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(load_scheduler(patched([bad](auto& sched) {
+                   std::get<0>(std::get<1>(sched).at(0)) = bad;
+                 })),
+                 ck::CheckpointError)
+        << "history row i";
+    EXPECT_THROW(load_scheduler(patched([bad](auto& sched) {
+                   std::get<1>(std::get<1>(sched).at(0)) = bad;
+                 })),
+                 ck::CheckpointError)
+        << "history row j";
+  }
+  // lo * n + hi must have lo < hi < n.
+  for (u64 key : {n * n, n * n + 1, 1 * n + 0, 2 * n + 2}) {
+    SCOPED_TRACE(key);
+    EXPECT_THROW(load_scheduler(patched([key](auto& sched) {
+                   std::get<5>(sched).emplace_back(0.5, key);
+                 })),
+                 ck::CheckpointError)
+        << "greedy key";
+  }
+  EXPECT_NO_THROW(load_scheduler(patched([n](auto& sched) {
+    std::get<5>(sched).emplace_back(0.5, 0 * n + 1);
+  })));
+  EXPECT_THROW(load_scheduler(patched([](auto& sched) {
+                 auto& requeued = std::get<9>(sched);
+                 ASSERT_FALSE(requeued.empty());
+                 std::min_element(requeued.begin(), requeued.end(),
+                                  [](const auto& x, const auto& y) {
+                                    return x.first < y.first;
+                                  })
+                     ->second.second = -1;
+               })),
+               ck::CheckpointError)
+      << "negative requeue failure count";
+  EXPECT_NO_THROW(load_scheduler(clean));
 }
 
 // Evidence and consistency sets name metros by id, and the next E_m

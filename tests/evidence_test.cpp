@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "eval/world.hpp"
 #include "topology/generator.hpp"
 #include "util/checkpoint.hpp"
+#include "util/telemetry.hpp"
 
 namespace metas::core {
 namespace {
@@ -235,12 +237,46 @@ TEST_F(EvidenceTest, PairsNamingAsesOutsideTheWorldStayNonLocal) {
   ev.load(dec_ev);
   ct.load(dec_ct);
 
-  EXPECT_EQ(ev.sorted_keys(&ctx), std::vector<std::uint64_t>{(b << 32) | a});
+  const auto local = ev.sorted_pairs(ctx);
+  ASSERT_EQ(local.size(), 1u);
+  EXPECT_EQ(local[0].first, (b << 32) | a);
   for (const auto& alive : ct.consistent_sets(ctx.ases()))
     EXPECT_TRUE(std::all_of(alive.begin(), alive.end(), [](bool x) { return x; }));
   EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
   EXPECT_EQ(e.total_filled(), 1u);
   EXPECT_DOUBLE_EQ(e.value(0, 1), 1.0);
+}
+
+// A delta refresh clears each listed pair and re-derives it.  Merging the
+// new evidence onto the old entry would differ from a full build only on a
+// tie: a -0.4 transit entry that gains a direct link at the same
+// (continent) scope is +0.4 in a full build, where the positive wins ties,
+// but would stay -0.4 merged.
+TEST_F(EvidenceTest, RefreshRederivesAPairLikeAFullBuild) {
+  auto [a, b] = two_ases_at_metro0();
+  MetroContext ctx(*net_, 0);
+  ConsistentSets all;
+  for (auto& alive : all) alive.assign(ctx.size(), true);
+  EvidenceStore ev;
+  traceroute::WellPositionedTracker wp;
+  traceroute::TraceObservations transit;
+  transit.transits.push_back({a, b, 99, 2, 2});  // same continent: -0.4
+  ev.ingest(trace_stub(), transit, wp);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, all);
+  const auto ia = static_cast<std::size_t>(ctx.local(a));
+  const auto ib = static_cast<std::size_t>(ctx.local(b));
+  ASSERT_DOUBLE_EQ(e.value(ia, ib), -0.4);
+
+  traceroute::TraceObservations direct;
+  direct.links.push_back({a, b, 2, false});  // same continent: +0.4
+  ev.ingest(trace_stub(), direct, wp);
+  const auto outside = (static_cast<std::uint64_t>(net_->num_ases()) << 32) |
+                       static_cast<std::uint64_t>(a);
+  refresh_estimated_pairs(e, ctx, ev, all, {outside, topology::pair_key(a, b)});
+  EXPECT_DOUBLE_EQ(build_estimated_matrix(ctx, ev, all).value(ia, ib), 0.4);
+  EXPECT_DOUBLE_EQ(e.value(ia, ib), 0.4);
+  EXPECT_EQ(e.row_filled(ia), 1u);
+  EXPECT_EQ(e.total_filled(), 1u);
 }
 
 // ---- E_m against an independent brute-force reference ------------------
@@ -332,14 +368,10 @@ ReferenceEm reference_em(const MetroContext& ctx, const MeasurementSystem& ms) {
   return ref;
 }
 
-/// build_matrix() equals the reference bit for bit: values, mask and row
-/// counts.  Returns the reference's eliminated-AS count.
-std::size_t expect_matches_reference(const MetroContext& ctx,
-                                     const MeasurementSystem& ms) {
-  const EstimatedMatrix e = ms.build_matrix(ctx);
-  const ReferenceEm ref = reference_em(ctx, ms);
-  const std::size_t n = ctx.size();
-  EXPECT_EQ(e.size(), n);
+/// `e` equals the reference bit for bit: values, mask and row counts.
+void expect_equals_reference(const EstimatedMatrix& e, const ReferenceEm& ref) {
+  const std::size_t n = e.size();
+  ASSERT_EQ(ref.value.size(), n * n);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t row = 0;
@@ -358,13 +390,28 @@ std::size_t expect_matches_reference(const MetroContext& ctx,
     EXPECT_EQ(e.row_filled(i), row) << "row " << i;
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+/// Both build_matrix() and the view matrix() equal the reference.  Returns
+/// the reference's eliminated-AS count.
+std::size_t expect_matches_reference(const MetroContext& ctx,
+                                     MeasurementSystem& ms) {
+  const ReferenceEm ref = reference_em(ctx, ms);
+  {
+    SCOPED_TRACE("build_matrix");
+    expect_equals_reference(ms.build_matrix(ctx), ref);
+  }
+  {
+    SCOPED_TRACE("matrix");
+    expect_equals_reference(ms.matrix(ctx), ref);
+  }
   return ref.eliminated;
 }
 
-/// Drives a scheduler on the world's first focus metro batch by batch and
-/// checks E_m before every batch.  Returns the ASes the reference
-/// eliminated over all checks, so callers can see the consistency pass
-/// was exercised.
+/// Drives a scheduler on the world's first focus metro batch by batch, each
+/// batch from the view, and checks E_m before every batch.  Returns the
+/// ASes the reference eliminated over all checks, so callers can see the
+/// consistency pass was exercised.
 std::size_t drive_and_check(eval::World& w, MeasurementSystem& ms,
                             std::uint64_t seed, int batches) {
   const MetroContext ctx(w.net, w.focus_metros.at(0));
@@ -377,10 +424,15 @@ std::size_t drive_and_check(eval::World& w, MeasurementSystem& ms,
   for (int b = 0; b < batches; ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
     eliminated += expect_matches_reference(ctx, ms);
-    sched.run_batch(ms.build_matrix(ctx), 40);
+    sched.run_batch(ms.matrix(ctx), 40);
   }
   eliminated += expect_matches_reference(ctx, ms);
   return eliminated;
+}
+
+/// Reads a telemetry counter (0 when instrumentation is compiled out).
+std::uint64_t counter(const char* name) {
+  return util::telemetry::Registry::instance().counter(name).value();
 }
 
 eval::WorldConfig reference_world_config(std::uint64_t seed, bool flaky) {
@@ -391,16 +443,83 @@ eval::WorldConfig reference_world_config(std::uint64_t seed, bool flaky) {
 }
 
 TEST(EstimatedMatrixReferenceTest, BuildMatrixMatchesBruteForceEveryBatch) {
-  std::size_t eliminated = 0;
+  const std::uint64_t rebuilt = counter("measurement.matrices_rebuilt");
+  const std::uint64_t refreshed = counter("measurement.matrices_refreshed");
+  std::size_t eliminated = 0, worlds = 0;
   for (std::uint64_t seed : {3u, 17u, 42u}) {
     for (bool flaky : {false, true}) {
       SCOPED_TRACE("seed " + std::to_string(seed) +
                    (flaky ? " flaky" : " none"));
       eval::World w = eval::build_world(reference_world_config(seed, flaky));
       eliminated += drive_and_check(w, *w.ms, seed, 6);
+      ++worlds;
     }
   }
   EXPECT_GT(eliminated, 0u) << "no world had an inconsistent AS to eliminate";
+  if (!util::telemetry::compiled()) return;
+  // Each world's first view is a full build; any other full build means a
+  // batch moved the consistent sets.  Both view paths must have run.
+  EXPECT_GT(counter("measurement.matrices_rebuilt") - rebuilt, worlds)
+      << "no consistent-set change forced a full rebuild";
+  EXPECT_GT(counter("measurement.matrices_refreshed") - refreshed, 0u)
+      << "no delta refresh ran";
+}
+
+// One view serves whichever metro asks: it follows a switch to another
+// metro and back, public-archive traces processed between two batches, and
+// a load() of an earlier plane into the same MeasurementSystem.
+TEST(EstimatedMatrixReferenceTest, ViewFollowsMetroSwitchesArchivesAndLoad) {
+  eval::World w = eval::build_world(reference_world_config(9, false));
+  MeasurementSystem& ms = *w.ms;
+  const MetroContext first(w.net, w.focus_metros.at(0));
+  const MetroContext second(w.net, w.focus_metros.at(1));
+  ProbabilityMatrix pm_first(first, ms, nullptr);
+  ProbabilityMatrix pm_second(second, ms, nullptr);
+  SchedulerConfig sc;
+  sc.batch_size = 40;
+  sc.seed = 9;
+  MeasurementScheduler at_first(first, ms, pm_first, sc);
+  MeasurementScheduler at_second(second, ms, pm_second, sc);
+  auto batch = [&ms](const MetroContext& ctx, MeasurementScheduler& sched) {
+    expect_matches_reference(ctx, ms);
+    sched.run_batch(ms.matrix(ctx), 40);
+  };
+  const std::uint64_t refreshed = counter("measurement.matrices_refreshed");
+  {
+    SCOPED_TRACE("first metro");
+    batch(first, at_first);
+    batch(first, at_first);
+  }
+  {
+    SCOPED_TRACE("public archives between two batches");
+    ms.run_public_archives(500);
+    batch(first, at_first);
+  }
+  {
+    SCOPED_TRACE("second metro");
+    batch(second, at_second);
+    batch(second, at_second);
+  }
+  {
+    SCOPED_TRACE("first metro again");
+    batch(first, at_first);
+  }
+  util::checkpoint::Encoder saved;
+  ms.save(saved);
+  batch(first, at_first);
+  batch(first, at_first);
+  expect_matches_reference(first, ms);
+  {
+    SCOPED_TRACE("after load");
+    util::checkpoint::Decoder dec(saved.data());
+    ms.load(dec);
+    ASSERT_TRUE(dec.done());
+    batch(first, at_first);
+    expect_matches_reference(first, ms);
+  }
+  if (util::telemetry::compiled()) {
+    EXPECT_GT(counter("measurement.matrices_refreshed") - refreshed, 0u);
+  }
 }
 
 TEST(EstimatedMatrixReferenceTest, BuildMatrixMatchesAfterPlaneRoundTrip) {

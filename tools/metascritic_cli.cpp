@@ -345,7 +345,10 @@ int main(int argc, char** argv) {
   wc.faults = opt.faults;
   wc.resilience.enabled = opt.resilience;
   if (!opt.quiet) std::cout << "building world (seed " << opt.seed << ")...\n";
-  eval::World world = eval::build_world(wc);
+  eval::World world = [&] {
+    MAC_SPAN("cli.build_world");
+    return eval::build_world(wc);
+  }();
 
   // Select metros.
   std::vector<topology::MetroId> metros;
