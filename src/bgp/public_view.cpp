@@ -5,11 +5,10 @@
 
 namespace metas::bgp {
 
-LinkSet compute_public_view(const AsGraph& graph,
+LinkSet compute_public_view(RoutingEngine& engine,
                             const std::vector<AsId>& collectors) {
   LinkSet visible;
-  RoutingEngine engine(graph);
-  const std::size_t n = graph.size();
+  const std::size_t n = engine.graph().size();
   for (AsId dst = 0; dst < mac::checked_cast<AsId>(n); ++dst) {
     const RoutingTable& t = engine.table(dst);
     for (AsId c : collectors) {
@@ -25,8 +24,6 @@ LinkSet compute_public_view(const AsGraph& graph,
         cur = nh;
       }
     }
-    // One destination's table can be large; keep at most a window cached.
-    if (engine.cached_tables() > 64) engine.clear_cache();
   }
   return visible;
 }

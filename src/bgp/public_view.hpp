@@ -30,9 +30,10 @@ class LinkSet {
   std::unordered_set<std::uint64_t> links_;
 };
 
-/// Computes the links visible from `collector` ASes over `graph`.
-/// Walks the best path from every collector to every destination AS.
-LinkSet compute_public_view(const AsGraph& graph,
+/// Computes the links visible from `collector` ASes over the engine's graph.
+/// Walks the best path from every collector to every destination AS, so it
+/// reads (and, where missing, computes and keeps) every routing table.
+LinkSet compute_public_view(RoutingEngine& engine,
                             const std::vector<AsId>& collectors);
 
 /// Places BGP collectors: every Tier-1 hosts one with prob `tier1_prob`, and

@@ -1,7 +1,6 @@
 #include "bgp/routing.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 #include "util/contracts.hpp"
@@ -71,120 +70,87 @@ RoutingTable RoutingEngine::compute(AsId dst) const {
   const std::size_t n = g.size();
   if (dst < 0 || mac::checked_cast<std::size_t>(dst) >= n)
     throw std::out_of_range("RoutingEngine::compute: bad destination");
+  auto at = [](AsId a) { return mac::checked_cast<std::size_t>(a); };
 
   RoutingTable t;
   t.dst = dst;
   t.kind.assign(n, RouteKind::kNone);
   t.length.assign(n, kNoRoute);
   t.next_hop.assign(n, topology::kInvalidAs);
+  // Each phase offers (length, exporter) candidates and keeps the shortest,
+  // then the lowest exporter id: a minimum no visit order can change.
+  auto offer = [&t](std::size_t u, RouteKind kind, int len, AsId from) {
+    if (len < t.length[u] || (len == t.length[u] && from < t.next_hop[u])) {
+      t.kind[u] = kind;
+      t.length[u] = len;
+      t.next_hop[u] = from;
+    }
+  };
 
   // --- Phase 1: customer routes (BFS up customer->provider edges). ---
-  std::vector<int> cust_len(n, kNoRoute);
-  std::vector<AsId> cust_nh(n, topology::kInvalidAs);
-  cust_len[mac::checked_cast<std::size_t>(dst)] = 0;
-  cust_nh[mac::checked_cast<std::size_t>(dst)] = dst;
-  std::vector<AsId> frontier{dst};
+  // `reached` collects every AS holding one, dst first, level by level.
+  t.kind[at(dst)] = RouteKind::kCustomer;
+  t.length[at(dst)] = 0;
+  t.next_hop[at(dst)] = dst;
+  std::vector<AsId> reached{dst};
   std::size_t propagation_passes = 0;
-  while (!frontier.empty()) {
-    ++propagation_passes;
-    // Ascending order makes the lowest-id parent win ties within a level.
-    std::sort(frontier.begin(), frontier.end());
-    std::vector<AsId> next;
-    for (AsId u : frontier) {
+  for (std::size_t begin = 0; begin < reached.size(); ++propagation_passes) {
+    const std::size_t end = reached.size();
+    for (std::size_t k = begin; k < end; ++k) {
+      const AsId u = reached[k];
+      const int len = t.length[at(u)] + 1;
       for (AsId p : g.providers(u)) {
-        auto pi = mac::checked_cast<std::size_t>(p);
-        if (cust_len[pi] != kNoRoute) continue;
-        cust_len[pi] = cust_len[mac::checked_cast<std::size_t>(u)] + 1;
-        cust_nh[pi] = u;
-        next.push_back(p);
+        if (t.kind[at(p)] == RouteKind::kNone) reached.push_back(p);
+        offer(at(p), RouteKind::kCustomer, len, u);
       }
     }
-    frontier = std::move(next);
+    begin = end;
   }
   // BFS levels of the customer-route flood: the per-table propagation depth.
   MAC_COUNT_N("bgp.propagation_passes", propagation_passes);
 
   // --- Phase 2: peer routes (one peer hop off a customer route). ---
-  std::vector<int> peer_len(n, kNoRoute);
-  std::vector<AsId> peer_nh(n, topology::kInvalidAs);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (AsId v : g.peers(mac::checked_cast<AsId>(u))) {
-      auto vi = mac::checked_cast<std::size_t>(v);
-      if (cust_len[vi] == kNoRoute) continue;
-      int cand = cust_len[vi] + 1;
-      if (cand < peer_len[u] || (cand == peer_len[u] && v < peer_nh[u])) {
-        peer_len[u] = cand;
-        peer_nh[u] = v;
-      }
-    }
+  // Only a customer route is exported to peers, so only `reached` offers.
+  for (AsId v : reached) {
+    const int len = t.length[at(v)] + 1;
+    for (AsId u : g.peers(v))
+      if (t.kind[at(u)] != RouteKind::kCustomer)
+        offer(at(u), RouteKind::kPeer, len, v);
   }
 
-  // Selected (kind, length) ignoring provider routes; provider routes are
-  // relaxed below from these seeds.
-  auto seed_kind = [&](std::size_t u) {
-    if (cust_len[u] != kNoRoute) return RouteKind::kCustomer;
-    if (peer_len[u] != kNoRoute) return RouteKind::kPeer;
-    return RouteKind::kNone;
+  // --- Phase 3: provider routes (shortest-first down provider->customer). ---
+  // An AS exports its selected route to its customers at one hop more.
+  // Customer and peer routes are final; ASes holding one seed the bucket of
+  // their length.  Buckets run in increasing length, so an AS's first offer
+  // is its shortest and it joins exactly one bucket, like phase 1's levels.
+  std::vector<std::vector<AsId>> bucket;
+  auto enqueue = [&bucket](int len, AsId u) {
+    const auto b = mac::checked_cast<std::size_t>(len);
+    if (bucket.size() <= b) bucket.resize(b + 1);
+    bucket[b].push_back(u);
   };
-  auto seed_len = [&](std::size_t u) {
-    return cust_len[u] != kNoRoute ? cust_len[u] : peer_len[u];
-  };
-
-  // --- Phase 3: provider routes (Dijkstra down provider->customer). ---
-  std::vector<int> prov_len(n, kNoRoute);
-  std::vector<AsId> prov_nh(n, topology::kInvalidAs);
-  using Item = std::pair<int, AsId>;  // (exported length, exporter)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   for (std::size_t u = 0; u < n; ++u)
-    if (seed_kind(u) != RouteKind::kNone)
-      pq.emplace(seed_len(u), mac::checked_cast<AsId>(u));
-
-  // An AS exports its *selected* route to customers; selected length is the
-  // seed length when a customer/peer route exists, otherwise the provider
-  // route length being settled by the Dijkstra.
-  std::vector<char> settled(n, 0);
-  while (!pq.empty()) {
-    auto [len, u] = pq.top();
-    pq.pop();
-    auto ui = mac::checked_cast<std::size_t>(u);
-    if (settled[ui]) continue;
-    settled[ui] = 1;
-    for (AsId w : g.customers(u)) {
-      auto wi = mac::checked_cast<std::size_t>(w);
-      int cand = len + 1;
-      if (cand < prov_len[wi] ||
-          (cand == prov_len[wi] && u < prov_nh[wi])) {
-        prov_len[wi] = cand;
-        prov_nh[wi] = u;
-        // Only ASes without customer/peer routes propagate provider routes
-        // further down at this (possibly improved) length.
-        if (seed_kind(wi) == RouteKind::kNone && !settled[wi])
-          pq.emplace(cand, w);
+    if (t.kind[u] != RouteKind::kNone)
+      enqueue(t.length[u], mac::checked_cast<AsId>(u));
+  for (std::size_t b = 0; b < bucket.size(); ++b) {
+    const std::vector<AsId> level = std::move(bucket[b]);
+    const int len = mac::checked_cast<int>(b) + 1;
+    for (AsId u : level) {
+      for (AsId w : g.customers(u)) {
+        const RouteKind k = t.kind[at(w)];
+        if (k == RouteKind::kCustomer || k == RouteKind::kPeer) continue;
+        if (k == RouteKind::kNone) enqueue(len, w);
+        offer(at(w), RouteKind::kProvider, len, u);
       }
     }
   }
 
-  // --- Final selection. ---
-  for (std::size_t u = 0; u < n; ++u) {
-    if (cust_len[u] != kNoRoute) {
-      t.kind[u] = RouteKind::kCustomer;
-      t.length[u] = cust_len[u];
-      t.next_hop[u] = cust_nh[u];
-    } else if (peer_len[u] != kNoRoute) {
-      t.kind[u] = RouteKind::kPeer;
-      t.length[u] = peer_len[u];
-      t.next_hop[u] = peer_nh[u];
-    } else if (prov_len[u] != kNoRoute) {
-      t.kind[u] = RouteKind::kProvider;
-      t.length[u] = prov_len[u];
-      t.next_hop[u] = prov_nh[u];
-    }
+  for (std::size_t u = 0; u < n; ++u)
     MAC_ENSURE(t.kind[u] == RouteKind::kNone ||
                    t.next_hop[u] != topology::kInvalidAs,
                "routed AS without next hop: u=", u);
-  }
-  MAC_ENSURE(t.length[mac::checked_cast<std::size_t>(dst)] == 0,
-             "dst=", dst, " self-length=", t.length[mac::checked_cast<std::size_t>(dst)]);
+  MAC_ENSURE(t.length[at(dst)] == 0,
+             "dst=", dst, " self-length=", t.length[at(dst)]);
   return t;
 }
 

@@ -9,7 +9,8 @@
 //
 // Routes to one destination for *all* sources are computed in a single
 // three-phase pass (customer BFS up the c2p hierarchy, one peer hop, then a
-// Dijkstra-style relaxation down to customers), and cached per destination.
+// shortest-first relaxation down to customers from per-length buckets), and
+// cached per destination for the engine's lifetime.
 #pragma once
 
 #include <limits>
@@ -52,10 +53,9 @@ class RoutingEngine {
   /// Best AS path src -> dst (inclusive of both ends); empty if unreachable.
   std::vector<AsId> path(AsId src, AsId dst);
 
-  /// Drops all cached tables (e.g., after the graph changed -- callers must
-  /// construct a new engine for a new graph; this is for memory control).
-  void clear_cache() { cache_.clear(); }
-
+  const AsGraph& graph() const { return *graph_; }
+  /// Tables computed so far.  None is evicted: a full cache holds n tables
+  /// of n entries at 9 bytes each.
   std::size_t cached_tables() const { return cache_.size(); }
 
  private:

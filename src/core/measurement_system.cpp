@@ -62,9 +62,10 @@ void MeasurementSystem::run_public_archives(std::size_t count) {
                              : 0.0);
     weights[t] = 0.2 + popularity * popularity;
   }
+  const util::CumulativeWeights target_weights(weights);
   for (std::size_t k = 0; k < count; ++k) {
     const VantagePoint& vp = rng_.pick(vps_);
-    const ProbeTarget& tgt = targets_[rng_.weighted_index(weights)];
+    const ProbeTarget& tgt = targets_[rng_.weighted_index(target_weights)];
     if (tgt.as == vp.as) continue;
     auto trace = engine_->trace(vp, tgt, rng_);
     // Archives degrade gracefully: a faulted probe simply contributes no

@@ -2,6 +2,7 @@
 
 #include "util/contracts.hpp"
 #include "util/numeric.hpp"
+#include "util/telemetry.hpp"
 
 namespace metas::eval {
 
@@ -24,7 +25,10 @@ std::vector<topology::MetroId> focus_metro_ids(
 
 World build_world(const WorldConfig& cfg) {
   World w;
-  w.net = topology::generate_internet(cfg.gen);
+  {
+    MAC_SPAN("topology.generate");
+    w.net = topology::generate_internet(cfg.gen);
+  }
   w.focus_metros = focus_metro_ids(cfg.gen);
 
   util::Rng rng(cfg.seed);
@@ -42,8 +46,10 @@ World build_world(const WorldConfig& cfg) {
 
   w.collectors = bgp::place_collectors(w.net, rng);
   if (cfg.compute_public_view) {
-    bgp::AsGraph g = bgp::AsGraph::from_internet(w.net);
-    w.public_view = bgp::compute_public_view(g, w.collectors);
+    // The traceroute engine routes over the same Internet, and the archives
+    // above have already cached nearly every table the view reads.
+    MAC_SPAN("bgp.public_view");
+    w.public_view = bgp::compute_public_view(w.engine->routing(), w.collectors);
   }
   return w;
 }

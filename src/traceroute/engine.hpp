@@ -56,6 +56,12 @@ struct TracerouteConfig {
 class TracerouteEngine {
  public:
   TracerouteEngine(const topology::Internet& net, TracerouteConfig cfg = {});
+  // routing_ points at the sibling graph_, so a copied or moved engine would
+  // route over the source engine's graph.
+  TracerouteEngine(const TracerouteEngine&) = delete;
+  TracerouteEngine& operator=(const TracerouteEngine&) = delete;
+  TracerouteEngine(TracerouteEngine&&) = delete;
+  TracerouteEngine& operator=(TracerouteEngine&&) = delete;
 
   /// Traceroute from a vantage point to a target.
   TraceResult trace(const VantagePoint& vp, const ProbeTarget& tgt,

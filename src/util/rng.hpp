@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -14,7 +15,36 @@
 #include <string>
 #include <vector>
 
+#include "util/numeric.hpp"
+
 namespace metas::util {
+
+/// Running sums of a weight vector, built once for any number of
+/// Rng::weighted_index draws over the same weights.  Weights must be finite
+/// and non-negative with a positive, finite total.
+class CumulativeWeights {
+ public:
+  explicit CumulativeWeights(const std::vector<double>& weights) {
+    sums_.reserve(weights.size());
+    double total = 0.0;
+    for (double w : weights) {
+      if (w < 0.0) throw std::invalid_argument("Rng::weighted_index: negative weight");
+      if (!std::isfinite(w))
+        throw std::invalid_argument("Rng::weighted_index: non-finite weight");
+      total += w;
+      sums_.push_back(total);
+    }
+    if (total <= 0.0)
+      throw std::invalid_argument("Rng::weighted_index: all weights zero");
+    if (!std::isfinite(total))
+      throw std::invalid_argument("Rng::weighted_index: weights overflow");
+  }
+
+  const std::vector<double>& sums() const { return sums_; }
+
+ private:
+  std::vector<double> sums_;
+};
 
 /// Seeded pseudo-random generator wrapping std::mt19937_64 with the
 /// convenience draws used throughout the code base.
@@ -89,23 +119,21 @@ class Rng {
     return idx;
   }
 
-  /// Weighted index draw proportional to non-negative weights.
+  /// Weighted index draw: the first index whose running sum exceeds
+  /// uniform() * total, one uniform() per draw.
+  std::size_t weighted_index(const CumulativeWeights& weights) {
+    const std::vector<double>& sums = weights.sums();
+    const double r = uniform() * sums.back();
+    const auto i = std::upper_bound(sums.begin(), sums.end(), r) - sums.begin();
+    // uniform() * total can round up to the total, which no running sum
+    // exceeds: that draw returns the last index.
+    return std::min(mac::checked_cast<std::size_t>(i), sums.size() - 1);
+  }
+
+  /// Weighted index draw proportional to non-negative, finite weights.
   /// Requires at least one strictly positive weight.
   std::size_t weighted_index(const std::vector<double>& weights) {
-    double total = 0.0;
-    for (double w : weights) {
-      if (w < 0.0) throw std::invalid_argument("Rng::weighted_index: negative weight");
-      total += w;
-    }
-    if (total <= 0.0)
-      throw std::invalid_argument("Rng::weighted_index: all weights zero");
-    double r = uniform() * total;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      acc += weights[i];
-      if (r < acc) return i;
-    }
-    return weights.size() - 1;
+    return weighted_index(CumulativeWeights(weights));
   }
 
   /// Derive an independent child generator (for parallel or per-entity use).

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,13 @@
 
 namespace metas::traceroute {
 namespace {
+
+// The routing engine points at the traceroute engine's own graph, so a copy
+// or a move would route over the source engine's graph.
+static_assert(!std::is_copy_constructible_v<TracerouteEngine> &&
+              !std::is_copy_assignable_v<TracerouteEngine> &&
+              !std::is_move_constructible_v<TracerouteEngine> &&
+              !std::is_move_assignable_v<TracerouteEngine>);
 
 topology::GeneratorConfig small_cfg(std::uint64_t seed = 31) {
   topology::GeneratorConfig cfg;

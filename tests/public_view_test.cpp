@@ -22,9 +22,10 @@ AsGraph edge_peering_graph() {
 
 TEST(PublicView, EdgePeeringInvisibleFromTop) {
   AsGraph g = edge_peering_graph();
+  RoutingEngine eng(g);
   // Collector at the top of the hierarchy: never sees the 3--4 peer link
   // because peer routes are not exported upward.
-  LinkSet v = compute_public_view(g, {0});
+  LinkSet v = compute_public_view(eng, {0});
   EXPECT_FALSE(v.contains(3, 4));
   // The c2p links on its best paths are visible.
   EXPECT_TRUE(v.contains(0, 1));
@@ -33,14 +34,16 @@ TEST(PublicView, EdgePeeringInvisibleFromTop) {
 
 TEST(PublicView, EdgePeeringVisibleFromPeerItself) {
   AsGraph g = edge_peering_graph();
-  LinkSet v = compute_public_view(g, {3});
+  RoutingEngine eng(g);
+  LinkSet v = compute_public_view(eng, {3});
   EXPECT_TRUE(v.contains(3, 4));  // 3 itself uses the peer route to 4
 }
 
 TEST(PublicView, MoreCollectorsSeeMoreLinks) {
   AsGraph g = edge_peering_graph();
-  LinkSet few = compute_public_view(g, {0});
-  LinkSet more = compute_public_view(g, {0, 3, 4});
+  RoutingEngine eng(g);
+  LinkSet few = compute_public_view(eng, {0});
+  LinkSet more = compute_public_view(eng, {0, 3, 4});
   EXPECT_GE(more.size(), few.size());
   for (auto key : few.raw()) EXPECT_TRUE(more.raw().count(key));
 }
@@ -66,7 +69,8 @@ TEST(PublicView, GeneratedInternetMostPeeringHidden) {
   util::Rng rng(4);
   auto collectors = place_collectors(net, rng);
   ASSERT_FALSE(collectors.empty());
-  LinkSet visible = compute_public_view(g, collectors);
+  RoutingEngine eng(g);
+  LinkSet visible = compute_public_view(eng, collectors);
 
   std::size_t peer_total = 0, peer_visible = 0;
   for (const auto& [key, li] : net.link_map) {

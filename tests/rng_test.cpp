@@ -2,6 +2,8 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -90,8 +92,68 @@ TEST(Rng, WeightedIndexRespectsWeights) {
 
 TEST(Rng, WeightedIndexErrors) {
   Rng rng(1);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double big = std::numeric_limits<double>::max();
   EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(rng.weighted_index({1.0, -1.0}), std::invalid_argument);
+  EXPECT_THROW(rng.weighted_index(std::vector<double>{}), std::invalid_argument);
+  // A non-finite weight or total would send every draw to the last index.
+  EXPECT_THROW(rng.weighted_index({1.0, nan, 1.0, 5.0}), std::invalid_argument);
+  EXPECT_THROW(rng.weighted_index({inf, 1.0, 1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(rng.weighted_index({1.0, -inf}), std::invalid_argument);
+  EXPECT_THROW(rng.weighted_index({big, big}), std::invalid_argument);
+  EXPECT_THROW(CumulativeWeights({2.0, nan}), std::invalid_argument);
+  // A rejected table draws nothing: the stream is where a fresh one starts.
+  EXPECT_EQ(rng.uniform(), Rng(1).uniform());
+}
+
+// The per-call linear scan over the weights, the reference for the
+// prefix-sum draw: the same sums in the same order, one uniform() per draw.
+std::size_t linear_scan_draw(Rng& rng, const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  const double r = rng.uniform() * total;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (r < acc) return i;
+  }
+  return weights.size() - 1;
+}
+
+TEST(Rng, PrefixSumDrawsMatchLinearScan) {
+  Rng gen(77);
+  std::size_t draws = 0;
+  for (int v = 0; v < 500; ++v) {
+    const std::size_t n = 1 + gen.index(48);
+    std::vector<double> w(n, 0.0);
+    if (v % 5 == 0) {
+      // A single positive weight anywhere.
+      w[gen.index(n)] = std::pow(10.0, gen.uniform(-6.0, 6.0));
+    } else {
+      // Magnitudes over 24 decades with interior zero runs, then a leading
+      // and a trailing zero run.
+      for (double& x : w)
+        x = gen.bernoulli(0.35) ? 0.0 : std::pow(10.0, gen.uniform(-12.0, 12.0));
+      const auto run = [&] { return static_cast<std::ptrdiff_t>(gen.index(n)); };
+      std::fill(w.begin(), w.begin() + run(), 0.0);
+      std::fill(w.end() - run(), w.end(), 0.0);
+      if (std::all_of(w.begin(), w.end(), [](double x) { return x == 0.0; }))
+        w[gen.index(n)] = 1.0;
+    }
+    const CumulativeWeights sums(w);
+    const std::uint64_t seed = gen.engine()();
+    Rng a(seed), b(seed);
+    for (int k = 0; k < 25; ++k, ++draws) {
+      const std::size_t expected = linear_scan_draw(b, w);
+      // Alternate the two entry points: both take one uniform() per draw.
+      const std::size_t got =
+          k % 2 == 0 ? a.weighted_index(sums) : a.weighted_index(w);
+      ASSERT_EQ(got, expected) << "vector " << v << " draw " << k;
+    }
+  }
+  EXPECT_GE(draws, 10000u);
 }
 
 TEST(Rng, PickErrorsOnEmpty) {

@@ -1,7 +1,15 @@
-// Gao-Rexford routing tests on hand-built graphs.
+// Gao-Rexford routing tests on hand-built graphs, plus a fixpoint reference
+// diffed against every table of random and generated graphs.
 #include "bgp/routing.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "eval/world.hpp"
+#include "topology/generator.hpp"
+#include "util/rng.hpp"
 
 namespace metas::bgp {
 namespace {
@@ -143,8 +151,6 @@ TEST(Routing, CacheIsReused) {
   eng.table(0);
   eng.table(0);
   EXPECT_EQ(eng.cached_tables(), 1u);
-  eng.clear_cache();
-  EXPECT_EQ(eng.cached_tables(), 0u);
 }
 
 // Provider routes chain down through multiple levels.
@@ -161,6 +167,163 @@ TEST(Routing, MultiLevelProviderDescent) {
   const RoutingTable& t = eng.table(4);
   EXPECT_EQ(t.kind[3], RouteKind::kProvider);
   EXPECT_EQ(t.length[3], 4);
+}
+
+// --- Fixpoint reference --------------------------------------------------
+// The relationship-constrained path model of Dimitropoulos et al., computed
+// the slow way: every AS repeatedly re-selects from the routes its
+// neighbours export until no selection changes.  Customer routes (and the
+// destination's own) go to everyone; peer and provider routes go only to
+// customers.  Preference: customer > peer > provider, then shortest length,
+// then lowest next-hop id.  It shares nothing with RoutingEngine but the
+// graph's adjacency, and it reads that in no particular order.
+
+struct RefRoute {
+  RouteKind kind = RouteKind::kNone;
+  int length = kNoRoute;
+  AsId next_hop = topology::kInvalidAs;
+  bool operator==(const RefRoute&) const = default;
+};
+
+bool ref_preferred(const RefRoute& a, const RefRoute& b) {
+  if (a.kind != b.kind)
+    return static_cast<int>(a.kind) < static_cast<int>(b.kind);
+  if (a.length != b.length) return a.length < b.length;
+  return a.next_hop < b.next_hop;
+}
+
+std::vector<RefRoute> fixpoint_routes(const AsGraph& g, AsId dst) {
+  const std::size_t n = g.size();
+  std::vector<RefRoute> sel(n);
+  sel[static_cast<std::size_t>(dst)] = {RouteKind::kCustomer, 0, dst};
+  // Selections settle within a few passes of the hierarchy's depth.
+  for (std::size_t round = 0; round <= 4 * n + 4; ++round) {
+    std::vector<RefRoute> next = sel;
+    for (std::size_t u = 0; u < n; ++u) {
+      if (static_cast<AsId>(u) == dst) continue;
+      RefRoute best;
+      auto learn = [&](AsId v, RouteKind as, bool exported) {
+        const RefRoute& r = sel[static_cast<std::size_t>(v)];
+        if (r.kind == RouteKind::kNone || !exported) return;
+        RefRoute cand{as, r.length + 1, v};
+        if (ref_preferred(cand, best)) best = cand;
+      };
+      const AsId a = static_cast<AsId>(u);
+      for (AsId v : g.customers(a))
+        learn(v, RouteKind::kCustomer,
+              sel[static_cast<std::size_t>(v)].kind == RouteKind::kCustomer);
+      for (AsId v : g.peers(a))
+        learn(v, RouteKind::kPeer,
+              sel[static_cast<std::size_t>(v)].kind == RouteKind::kCustomer);
+      for (AsId v : g.providers(a)) learn(v, RouteKind::kProvider, true);
+      next[u] = best;
+    }
+    if (next == sel) return sel;
+    sel = std::move(next);
+  }
+  ADD_FAILURE() << "no fixpoint toward dst " << dst;
+  return sel;
+}
+
+bool has_provider(const AsGraph& g, AsId customer, AsId provider) {
+  const auto& p = g.providers(customer);
+  return std::find(p.begin(), p.end(), provider) != p.end();
+}
+
+// Gao-Rexford validity: uphill (c2p) edges, at most one peer edge, then
+// downhill (p2c) edges.
+bool valley_free(const AsGraph& g, const std::vector<AsId>& path) {
+  bool descending = false;  // after a peer or a downhill edge
+  for (std::size_t k = 1; k < path.size(); ++k) {
+    const AsId a = path[k - 1], b = path[k];
+    if (!g.has_edge(a, b)) return false;
+    if (has_provider(g, a, b)) {
+      if (descending) return false;
+    } else if (has_provider(g, b, a)) {
+      descending = true;
+    } else {
+      if (descending) return false;  // a second peer edge, or one after descent
+      descending = true;
+    }
+  }
+  return true;
+}
+
+/// Diffs every entry of every table against the reference and checks every
+/// path; returns the number of (source, destination) pairs compared.
+std::size_t expect_matches_fixpoint(const AsGraph& g, const std::string& what) {
+  RoutingEngine eng(g);
+  const auto n = static_cast<AsId>(g.size());
+  std::size_t compared = 0, mismatches = 0;
+  for (AsId dst = 0; dst < n; ++dst) {
+    const std::vector<RefRoute> ref = fixpoint_routes(g, dst);
+    const RoutingTable& t = eng.table(dst);
+    for (AsId src = 0; src < n; ++src) {
+      const auto s = static_cast<std::size_t>(src);
+      const RefRoute got{t.kind[s], t.length[s], t.next_hop[s]};
+      ++compared;
+      if (got != ref[s] && ++mismatches <= 5)
+        ADD_FAILURE() << what << ": src " << src << " dst " << dst
+                      << " engine (" << static_cast<int>(got.kind) << ", "
+                      << got.length << ", " << got.next_hop << ") reference ("
+                      << static_cast<int>(ref[s].kind) << ", " << ref[s].length
+                      << ", " << ref[s].next_hop << ")";
+      const std::vector<AsId> p = eng.path(src, dst);
+      if (!t.reachable(src)) {
+        EXPECT_TRUE(p.empty()) << what;
+        continue;
+      }
+      EXPECT_EQ(p.size(), static_cast<std::size_t>(t.length[s]) + 1) << what;
+      EXPECT_TRUE(!p.empty() && p.front() == src && p.back() == dst) << what;
+      EXPECT_TRUE(valley_free(g, p))
+          << what << ": src " << src << " dst " << dst;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  return compared;
+}
+
+// Random graphs of 2-12 ASes: c2p edges point from a random rank order's
+// later AS to an earlier one (so the hierarchy is acyclic), peers fill
+// further pairs, and edges arrive in random order so adjacency order varies.
+TEST(RoutingReference, RandomGraphsMatchFixpoint) {
+  util::Rng rng(20241017);
+  std::size_t compared = 0;
+  for (int graph = 0; graph < 2500; ++graph) {
+    const std::size_t n = 2 + rng.index(11);
+    const double c2p = rng.uniform(0.1, 0.7);
+    const double peer = rng.uniform(0.0, 0.5);
+    std::vector<std::size_t> rank = rng.sample_indices(n, n);
+    std::vector<std::pair<AsId, AsId>> pairs;
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = a + 1; b < n; ++b)
+        pairs.emplace_back(static_cast<AsId>(a), static_cast<AsId>(b));
+    rng.shuffle(pairs);
+    AsGraph g(n);
+    for (auto [a, b] : pairs) {
+      const double roll = rng.uniform();
+      if (roll < c2p) {
+        // The AS later in the rank order is the customer.
+        if (rank[static_cast<std::size_t>(a)] > rank[static_cast<std::size_t>(b)])
+          g.add_c2p(a, b);
+        else
+          g.add_c2p(b, a);
+      } else if (roll < c2p + peer) {
+        g.add_peer(a, b);
+      }
+    }
+    compared += expect_matches_fixpoint(g, "graph " + std::to_string(graph));
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(compared, 100000u);
+}
+
+TEST(RoutingReference, GeneratedSmallWorldMatchesFixpoint) {
+  const topology::Internet net =
+      topology::generate_internet(eval::small_world_config(42).gen);
+  const AsGraph g = AsGraph::from_internet(net);
+  EXPECT_EQ(expect_matches_fixpoint(g, "small seed 42"),
+            net.num_ases() * net.num_ases());
 }
 
 }  // namespace

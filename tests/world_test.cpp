@@ -1,11 +1,15 @@
 // World-construction, metrics, and topology-variant tests.
 #include "eval/world.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "eval/metrics.hpp"
 #include "eval/topologies.hpp"
 #include "test_world.hpp"
+#include "util/telemetry.hpp"
 
 namespace metas::eval {
 namespace {
@@ -37,6 +41,51 @@ TEST(World, PublicViewSubsetOfTruthLinks) {
     auto a = static_cast<topology::AsId>(key & 0xffffffffULL);
     auto b = static_cast<topology::AsId>(key >> 32);
     EXPECT_TRUE(w.net.linked(a, b));
+  }
+}
+
+std::vector<std::uint64_t> sorted_links(const bgp::LinkSet& links) {
+  std::vector<std::uint64_t> keys(links.raw().begin(), links.raw().end());
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// build_world's public view reads the traceroute engine's routing cache.  It
+// equals the view over a fresh graph and engine, and leaves the cache
+// holding one table per AS.
+TEST(World, PublicViewReadsTheEngineCache) {
+  using MakeConfig = WorldConfig (*)(std::uint64_t);
+  for (MakeConfig make : {MakeConfig{small_world_config},
+                          MakeConfig{paper_world_config}}) {
+    for (std::uint64_t seed : {7u, 42u}) {
+      World w = build_world(make(seed));
+      SCOPED_TRACE(std::to_string(w.net.num_ases()) + " ASes, seed " +
+                   std::to_string(seed));
+      EXPECT_EQ(w.engine->routing().cached_tables(), w.net.num_ases());
+      const bgp::AsGraph g = bgp::AsGraph::from_internet(w.net);
+      bgp::RoutingEngine fresh(g);
+      EXPECT_EQ(sorted_links(bgp::compute_public_view(fresh, w.collectors)),
+                sorted_links(w.public_view));
+    }
+  }
+}
+
+// With every table cached by world build, a metro run computes none.
+TEST(World, MetroRunComputesNoRoutingTable) {
+  World w = build_world(small_world_config(42));
+  ASSERT_EQ(w.engine->routing().cached_tables(), w.net.num_ases());
+  auto& computed =
+      util::telemetry::Registry::instance().counter("bgp.tables_computed");
+  const std::uint64_t before = computed.value();
+  core::MetroContext ctx(w.net, w.focus_metros.front());
+  core::PipelineConfig pc;
+  pc.scheduler.batch_size = 60;
+  const core::PipelineResult r =
+      core::MetascriticPipeline(ctx, *w.ms, nullptr, pc).run();
+  EXPECT_GT(r.targeted_traceroutes, 0u);
+  EXPECT_EQ(w.engine->routing().cached_tables(), w.net.num_ases());
+  if (util::telemetry::compiled()) {
+    EXPECT_EQ(computed.value(), before);
   }
 }
 
