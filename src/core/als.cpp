@@ -1,8 +1,10 @@
 #include "core/als.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/solve.hpp"
 #include "util/contracts.hpp"
@@ -22,7 +24,14 @@ AlsCompleter::AlsCompleter(std::size_t n, const FeatureMatrix& features,
                            AlsConfig cfg)
     : n_(n), total_(n + features.count()), cfg_(cfg), features_(&features) {
   if (cfg.rank < 1) throw std::invalid_argument("AlsCompleter: rank < 1");
-  if (cfg.lambda <= 0.0) throw std::invalid_argument("AlsCompleter: lambda <= 0");
+  if (cfg.iterations < 1)
+    throw std::invalid_argument("AlsCompleter: iterations < 1");
+  // Written so a NaN fails each test.
+  if (!(cfg.lambda > 0.0 && std::isfinite(cfg.lambda)))
+    throw std::invalid_argument("AlsCompleter: lambda not positive and finite");
+  if (!(cfg.feature_weight >= 0.0 && std::isfinite(cfg.feature_weight)))
+    throw std::invalid_argument(
+        "AlsCompleter: feature_weight negative or not finite");
   for (const auto& row : features.rows)
     if (row.size() != n)
       throw std::invalid_argument("AlsCompleter: feature row size mismatch");
@@ -77,7 +86,7 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
       q_(i, k) = rng.normal(0.0, 0.1);
     }
 
-  MAC_REQUIRE(cfg_.iterations > 0, "iterations=", cfg_.iterations);
+  const SolveSide half_sweep = solve_side_for(r);
   iterations_run_ = 0;
   for (int it = 0; it < cfg_.iterations; ++it) {
     // Cooperative stop between sweeps: the first sweep always completes so
@@ -88,8 +97,8 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
       break;
     }
     MAC_SPAN("als.iteration");
-    double delta = solve_side(q_, p_);
-    delta += solve_side(p_, q_);
+    double delta = (this->*half_sweep)(q_, p_);
+    delta += (this->*half_sweep)(p_, q_);
     ++iterations_run_;
     MAC_COUNT("als.iterations_run");
     // Summed factor-update magnitude: the per-iteration convergence signal.
@@ -105,26 +114,61 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
   fitted_ = true;
 }
 
+namespace {
+
+/// Ranks up to this bound solve at a compile-time rank; larger ones read it
+/// at run time.  The largest rank a `paper` run fits over seeds 1-10 is 24.
+constexpr std::size_t kMaxFixedRank = 32;
+
+/// A zeroed kernel buffer of N doubles on the stack, or of `size` doubles
+/// on the heap when N is linalg::kDynamic.
+template <std::size_t N>
+auto zeroed(std::size_t size) {
+  if constexpr (N == linalg::kDynamic)
+    return linalg::Vector(size, 0.0);
+  else
+    return std::array<double, N>{};
+}
+
+}  // namespace
+
+AlsCompleter::SolveSide AlsCompleter::solve_side_for(std::size_t rank) {
+  constexpr auto table = []<std::size_t... Ks>(std::index_sequence<Ks...>) {
+    return std::array<SolveSide, sizeof...(Ks)>{
+        &AlsCompleter::solve_side<Ks + 1>...};
+  }(std::make_index_sequence<kMaxFixedRank>());
+  MAC_REQUIRE(rank >= 1, "rank=", rank);
+  return rank <= kMaxFixedRank ? table[rank - 1]
+                               : &AlsCompleter::solve_side<linalg::kDynamic>;
+}
+
+template <std::size_t R>
 double AlsCompleter::solve_side(const linalg::Matrix& fixed,
                                 linalg::Matrix& solved) {
   MAC_SPAN("als.solve_side");
-  const auto r = mac::checked_cast<std::size_t>(cfg_.rank);
+  const std::size_t r =
+      linalg::dim<R>(mac::checked_cast<std::size_t>(cfg_.rank));
+  MAC_REQUIRE(fixed.cols() == r && solved.cols() == r, "rank=", r);
   const std::size_t nf = features_->count();
   const double fw = cfg_.feature_weight;
   // Every AS row observes every feature row of `fixed`, and every feature
   // row every AS row, all with weight fw: each AS row's Gram starts from the
   // shared g_feat, and all feature rows share g_as.  Grams fill only the
   // upper triangle, which is all the factorization reads.
-  linalg::Matrix g_feat(r, r), g_as(r, r), gram(r, r);
-  linalg::Vector x(r);
-  auto add_gram = [&](linalg::Matrix& g, std::size_t c, double w) {
+  auto g_feat = zeroed<R * R>(r * r);
+  auto g_as = g_feat, gram = g_feat;
+  auto x = zeroed<R>(r);
+  const double* q = fixed.data().data();
+  auto add_gram = [&](auto& g, std::size_t c, double w) {
+    const double* qc = q + c * r;
     for (std::size_t a = 0; a < r; ++a) {
-      const double wa = w * fixed(c, a);
-      for (std::size_t b = a; b < r; ++b) g(a, b) += wa * fixed(c, b);
+      const double wa = w * qc[a];
+      for (std::size_t b = a; b < r; ++b) g[a * r + b] += wa * qc[b];
     }
   };
   auto add_rhs = [&](std::size_t c, double wv) {
-    for (std::size_t a = 0; a < r; ++a) x[a] += wv * fixed(c, a);
+    const double* qc = q + c * r;
+    for (std::size_t a = 0; a < r; ++a) x[a] += wv * qc[a];
   };
   for (std::size_t f = 0; f < nf; ++f) add_gram(g_feat, n_ + f, fw);
 
@@ -132,9 +176,10 @@ double AlsCompleter::solve_side(const linalg::Matrix& fixed,
   std::size_t rows_solved = 0, rows_degenerate = 0;
   auto store = [&](std::size_t row) {
     ++rows_solved;
+    double* out = solved.data().data() + row * r;
     for (std::size_t a = 0; a < r; ++a) {
-      delta += std::fabs(x[a] - solved(row, a));
-      solved(row, a) = x[a];
+      delta += std::fabs(x[a] - out[a]);
+      out[a] = x[a];
     }
   };
   for (std::size_t row = 0; row < n_; ++row) {
@@ -149,11 +194,11 @@ double AlsCompleter::solve_side(const linalg::Matrix& fixed,
     for (std::size_t f = 0; f < nf; ++f)
       add_rhs(n_ + f, fw * features_->rows[f][row]);
     const double reg = cfg_.lambda * static_cast<double>(end - begin + nf);
-    if (!linalg::cholesky_in_place(gram, reg)) {
+    if (!linalg::cholesky_in_place<R>(gram, r, reg)) {
       ++rows_degenerate;  // numerically degenerate row: keep previous factors
       continue;
     }
-    linalg::cholesky_solve_in_place(gram, x);
+    linalg::cholesky_solve_in_place<R>(gram, x);
     store(row);
   }
 
@@ -161,13 +206,13 @@ double AlsCompleter::solve_side(const linalg::Matrix& fixed,
     // One factorization of g_as + lambda n I serves every feature row.
     for (std::size_t i = 0; i < n_; ++i) add_gram(g_as, i, fw);
     const double reg = cfg_.lambda * static_cast<double>(n_);
-    const bool ok = linalg::cholesky_in_place(g_as, reg);
+    const bool ok = linalg::cholesky_in_place<R>(g_as, r, reg);
     if (!ok) rows_degenerate += nf;
     for (std::size_t f = 0; ok && f < nf; ++f) {
       std::fill(x.begin(), x.end(), 0.0);
       for (std::size_t i = 0; i < n_; ++i)
         add_rhs(i, fw * features_->rows[f][i]);
-      linalg::cholesky_solve_in_place(g_as, x);
+      linalg::cholesky_solve_in_place<R>(g_as, x);
       store(n_ + f);
     }
   }

@@ -7,6 +7,7 @@
 // completed rating for an AS pair is the symmetrized clamped inner product.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,8 @@ std::vector<RatingEntry> rating_entries(const EstimatedMatrix& e);
 class AlsCompleter {
  public:
   /// `n` ASes, plus the encoded features. The feature matrix may be empty.
+  /// Throws std::invalid_argument unless rank >= 1, iterations >= 1, lambda
+  /// is positive and finite, and feature_weight is non-negative and finite.
   AlsCompleter(std::size_t n, const FeatureMatrix& features, AlsConfig cfg);
 
   /// Fits the factors on the given observed ratings.
@@ -84,8 +87,16 @@ class AlsCompleter {
   };
 
   /// Refits one factor side; returns the summed |delta| of updated entries
-  /// (the per-iteration convergence signal surfaced via telemetry).
+  /// (the per-iteration convergence signal surfaced via telemetry).  R is
+  /// the rank as a compile-time constant, or linalg::kDynamic to read it
+  /// from the config (DESIGN.md §15).
+  template <std::size_t R>
   double solve_side(const linalg::Matrix& fixed, linalg::Matrix& solved);
+
+  using SolveSide = double (AlsCompleter::*)(const linalg::Matrix&,
+                                             linalg::Matrix&);
+  /// The solve_side instantiation a fit at `rank` runs.
+  static SolveSide solve_side_for(std::size_t rank);
 
   std::size_t n_ = 0;       // AS count
   std::size_t total_ = 0;   // n + feature count

@@ -1,6 +1,9 @@
 // CSV exporters for pipeline outputs: inferred link lists, full rating
 // matrices, and measurement logs -- the artifacts a downstream user of the
 // real system would consume.
+//
+// Numbers are written as a default-state std::ostream writes them, whatever
+// the stream's state: doubles as %.6g, integers in decimal, flags as 0/1.
 #pragma once
 
 #include <iosfwd>

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -45,6 +46,24 @@ TEST(Als, ConfigValidation) {
   bad.rank = 2;
   bad.lambda = 0.0;
   EXPECT_THROW(AlsCompleter(5, f, bad), std::invalid_argument);
+  // A fit under any of these would return its random start as the model.
+  bad.lambda = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(AlsCompleter(5, f, bad), std::invalid_argument);
+  bad.lambda = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(AlsCompleter(5, f, bad), std::invalid_argument);
+  bad.lambda = 0.08;
+  bad.iterations = 0;
+  EXPECT_THROW(AlsCompleter(5, f, bad), std::invalid_argument);
+  bad.iterations = -3;
+  EXPECT_THROW(AlsCompleter(5, f, bad), std::invalid_argument);
+  bad.iterations = 10;
+  for (double fw : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity()}) {
+    bad.feature_weight = fw;
+    EXPECT_THROW(AlsCompleter(5, f, bad), std::invalid_argument) << fw;
+  }
+  bad.feature_weight = 0.0;  // features may be switched off
+  EXPECT_NO_THROW(AlsCompleter(5, f, bad));
 }
 
 TEST(Als, PredictBeforeFitThrows) {
@@ -446,6 +465,11 @@ std::vector<ReferenceCase> cases_without_features() {
       {"random unweighted", random_problem(90, 0, 0.2, 13), 6, plain},
       {"planted", planted_problem(100, 3, 0, 0.4, 14), 5},
       {"planted rank 24", planted_problem(150, 4, 0, 0.25, 15), 24},
+      // The last compile-time rank, the first run-time one, and one well
+      // above both.
+      {"random rank 32", random_problem(80, 0, 0.5, 16), 32},
+      {"random rank 33", random_problem(80, 0, 0.5, 17), 33},
+      {"random rank 56", random_problem(70, 0, 0.7, 18), 56},
   };
 }
 
@@ -463,6 +487,9 @@ std::vector<ReferenceCase> cases_with_features() {
        12},
       {"planted heavy features", planted_problem(100, 2, 9, 0.3, 26), 3,
        heavy},
+      {"random rank 32", random_problem(80, 12, 0.3, 27), 32},
+      {"random rank 33", random_problem(80, 12, 0.3, 28), 33},
+      {"random rank 56", random_problem(70, 9, 0.4, 29), 56},
   };
 }
 

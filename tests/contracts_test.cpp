@@ -68,7 +68,7 @@ TEST(ContractDeathTest, EigenRequiresSymmetry) {
 TEST(ContractDeathTest, SolveRejectsNegativeLambda) {
   linalg::Matrix g(2, 2);
   g(0, 0) = g(1, 1) = 1.0;
-  EXPECT_DEATH(linalg::cholesky_in_place(g, -0.5), "MAC_REQUIRE");
+  EXPECT_DEATH(linalg::cholesky_in_place(g.data(), 2, -0.5), "MAC_REQUIRE");
 }
 
 TEST(ContractDeathTest, EstimatedMatrixRejectsOutOfRangeValue) {

@@ -1,6 +1,8 @@
 // CSV-export tests.
 #include "eval/export.hpp"
 
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -94,6 +96,93 @@ TEST_F(ExportTest, MeasurementLogRoundTrips) {
             "as_a,as_b,estimated_prob,ran,informative,found_link,found_nonlink,"
             "exploration,infra_failure,attempts");
   EXPECT_NE(ls[1].find("0.4,1,1,1,0,1,0,2"), std::string::npos);
+}
+
+// Every number reads as a default-state std::ostringstream writes it (%.6g
+// for doubles), whatever the state of the stream the exporter is given.
+TEST_F(ExportTest, NumbersReadAsDefaultOstreamWritesThem) {
+  const std::vector<double> values = {
+      1e-05, -2.5e-07,                  // exponent form
+      0.1234567, 123456.7, 1234567.0,   // rounding to six digits
+      1.0, -1.0, 0.0, -0.0};            // integers and negative zero
+  const std::size_t n = ctx_->size();
+  ASSERT_GT(n, values.size() + 1);
+  result_.measurement_log.clear();
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    const std::size_t i = k % 3, j = k + 3;
+    result_.ratings(i, j) = result_.ratings(j, i) = values[k];
+    core::IssuedRecord rec;
+    rec.i = static_cast<int>(i);
+    rec.j = static_cast<int>(j);
+    rec.estimated_prob = values[k];
+    rec.ran = k % 2 == 0;
+    rec.found_nonexistence = k % 3 == 0;
+    rec.attempts = static_cast<int>(k) - 4;
+    result_.measurement_log.push_back(rec);
+  }
+
+  // A state under which operator<< would write other text.
+  auto odd_state = [](std::ostringstream& os) {
+    os << std::fixed << std::setprecision(2) << std::showpos << std::hex
+       << std::uppercase << std::boolalpha;
+  };
+  std::ostringstream links, ratings, log;
+  odd_state(links);
+  odd_state(ratings);
+  odd_state(log);
+  // Below every rating, so every pair is written.
+  const double threshold = -std::numeric_limits<double>::infinity();
+  export_links_csv(links, *ctx_, result_, threshold);
+  export_ratings_csv(ratings, *ctx_, result_);
+  export_measurement_log_csv(log, *ctx_, result_);
+
+  // The line a default-state stream builds from the same fields.
+  auto line = [](const auto&... fields) {
+    std::ostringstream os;
+    const char* sep = "";
+    ((os << sep << fields, sep = ","), ...);
+    return os.str();
+  };
+  auto as = [&](std::size_t i) { return ctx_->as_at(i); };
+  const core::EstimatedMatrix& est = result_.estimated;
+
+  std::vector<std::string> want = {"as_a,as_b,rating,measured,inferred"};
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      want.push_back(line(as(i), as(j), result_.ratings(i, j),
+                          est.filled(i, j) && est.value(i, j) > 0 ? 1 : 0,
+                          1));
+  EXPECT_EQ(lines(links.str()), want);
+
+  std::ostringstream header;
+  header << "as";
+  for (std::size_t j = 0; j < n; ++j) header << ',' << as(j);
+  want = {header.str()};
+  for (std::size_t i = 0; i < n; ++i) {
+    std::ostringstream row;
+    row << as(i);
+    for (std::size_t j = 0; j < n; ++j)
+      row << ',' << (i == j ? 0.0 : result_.ratings(i, j));
+    want.push_back(row.str());
+  }
+  EXPECT_EQ(lines(ratings.str()), want);
+
+  want = {"as_a,as_b,estimated_prob,ran,informative,found_link,found_nonlink,"
+          "exploration,infra_failure,attempts"};
+  for (const core::IssuedRecord& r : result_.measurement_log)
+    want.push_back(line(as(static_cast<std::size_t>(r.i)),
+                        as(static_cast<std::size_t>(r.j)), r.estimated_prob,
+                        r.ran ? 1 : 0, r.informative ? 1 : 0,
+                        r.found_existence ? 1 : 0,
+                        r.found_nonexistence ? 1 : 0, r.exploration ? 1 : 0,
+                        r.infra_failure ? 1 : 0, r.attempts));
+  EXPECT_EQ(lines(log.str()), want);
+
+  // The fields the value list was chosen for, spelled out.
+  const std::string rows = ratings.str() + log.str();
+  for (const char* text : {",1e-05,", ",-2.5e-07,", ",0.123457,", ",123457,",
+                           ",1.23457e+06,", ",-0,", ",-1,"})
+    EXPECT_NE(rows.find(text), std::string::npos) << text;
 }
 
 }  // namespace

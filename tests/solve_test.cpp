@@ -1,20 +1,25 @@
-// Tests for the in-place Cholesky factorization and solve.
+// Tests for the in-place Cholesky factorization and solve, at compile-time
+// and run-time dimensions on both sides of ALS's fixed-rank bound (32).
 #include "linalg/solve.hpp"
 
+#include <cmath>
 #include <optional>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "linalg/matrix.hpp"
 #include "util/rng.hpp"
 
 namespace metas::linalg {
 namespace {
 
-/// Solves (A + lambda I) x = b through the in-place entry points, on
-/// copies of the inputs.
+/// Solves (A + lambda I) x = b through the in-place entry points at
+/// dimension template argument N, on copies of the inputs.
+template <std::size_t N = kDynamic>
 std::optional<Vector> solve(Matrix a, Vector b, double lambda = 0.0) {
-  if (!cholesky_in_place(a, lambda)) return std::nullopt;
-  cholesky_solve_in_place(a, b);
+  if (!cholesky_in_place<N>(a.data(), a.rows(), lambda)) return std::nullopt;
+  cholesky_solve_in_place<N>(a.data(), b);
   return b;
 }
 
@@ -27,31 +32,96 @@ Matrix random_spd(std::size_t n, util::Rng& rng, double ridge = 0.5) {
   return spd;
 }
 
+/// The textbook dot-form Cholesky, a row of L at a time, and its two
+/// substitutions: each entry sums its terms in ascending k.
+std::optional<Vector> dot_form_solve(const Matrix& a, Vector b,
+                                     double lambda) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      double s = a(j, i);
+      if (i == j) s += lambda;
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      if (i == j) {
+        if (s <= 0.0 || !std::isfinite(s)) return std::nullopt;
+        l(i, i) = std::sqrt(s);
+      } else {
+        l(i, j) = s / l(j, j);
+      }
+    }
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * b[k];
+    b[i] = s / l(i, i);
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    double s = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) s -= l(k, i) * b[k];
+    b[i] = s / l(i, i);
+  }
+  return b;
+}
+
 TEST(Cholesky, FactorizesKnownMatrix) {
   Matrix a(2, 2);
   a(0, 0) = 4; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 3;
-  Matrix l = a;
-  ASSERT_TRUE(cholesky_in_place(l, 0.0));
-  EXPECT_EQ(l(0, 1), a(0, 1));  // the strict upper triangle is left alone
-  l(0, 1) = 0.0;
-  Matrix rec = l * l.transpose();
-  EXPECT_LT(rec.max_abs_diff(a), 1e-12);
+  for (bool fixed : {true, false}) {
+    SCOPED_TRACE(fixed ? "N = 2" : "N = kDynamic");
+    Matrix u = a;
+    u(1, 0) = -7.0;  // the strict lower triangle is neither read nor written
+    ASSERT_TRUE(fixed ? cholesky_in_place<2>(u.data(), 2, 0.0)
+                      : cholesky_in_place(u.data(), 2, 0.0));
+    EXPECT_EQ(u(1, 0), -7.0);
+    EXPECT_EQ(u(0, 0), 2.0);  // U = L^T: sqrt(4), 2 / 2, sqrt(3 - 1)
+    EXPECT_EQ(u(0, 1), 1.0);
+    EXPECT_EQ(u(1, 1), std::sqrt(2.0));
+    u(1, 0) = 0.0;
+    Matrix rec = u.transpose() * u;
+    EXPECT_LT(rec.max_abs_diff(a), 1e-12);
+  }
 }
 
 TEST(Cholesky, RejectsIndefinite) {
   Matrix a(2, 2);
   a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 2; a(1, 1) = 1;  // eigenvalues 3, -1
-  EXPECT_FALSE(cholesky_in_place(a, 0.0));
+  Matrix b = a;
+  EXPECT_FALSE(cholesky_in_place(a.data(), 2, 0.0));
+  EXPECT_FALSE(cholesky_in_place<2>(b.data(), 2, 0.0));
 }
 
 TEST(Cholesky, RejectsNonSquare) {
   Matrix a(2, 3);
-  EXPECT_THROW(cholesky_in_place(a, 0.0), std::invalid_argument);
+  EXPECT_THROW(cholesky_in_place(a.data(), 2, 0.0), std::invalid_argument);
+  Matrix b(3, 3);  // a fixed N must agree with the run-time n
+  EXPECT_THROW(cholesky_in_place<2>(b.data(), 3, 0.0), std::invalid_argument);
+}
+
+// Every dimension, fixed or read at run time, gives the dot-form bits.
+template <std::size_t N>
+void expect_dot_form_bits(util::Rng& rng) {
+  const Matrix a = random_spd(N, rng);
+  Vector b(N);
+  for (double& v : b) v = rng.normal();
+  const auto ref = dot_form_solve(a, b, 0.25);
+  ASSERT_TRUE(ref.has_value());
+  const auto fixed = solve<N>(a, b, 0.25);
+  const auto dynamic = solve(a, b, 0.25);
+  ASSERT_TRUE(fixed && dynamic);
+  EXPECT_TRUE(*fixed == *ref) << "N = " << N;
+  EXPECT_TRUE(*dynamic == *ref) << "n = " << N;
+}
+
+TEST(Cholesky, MatchesDotFormBitwiseAtEveryDimension) {
+  util::Rng rng(5);
+  [&]<std::size_t... Ns>(std::index_sequence<Ns...>) {
+    (expect_dot_form_bits<Ns>(rng), ...);
+  }(std::index_sequence<1, 2, 3, 7, 16, 24, 31, 32, 33, 40, 56>());
 }
 
 TEST(SolveSpd, RecoversKnownSolution) {
   util::Rng rng(17);
-  for (std::size_t n : {1u, 3u, 8u, 20u}) {
+  for (std::size_t n : {1u, 3u, 8u, 20u, 32u, 33u, 56u}) {
     Matrix a = random_spd(n, rng);
     Vector x_true(n);
     for (double& v : x_true) v = rng.normal();
@@ -64,7 +134,10 @@ TEST(SolveSpd, RecoversKnownSolution) {
 
 TEST(SolveSpd, ShapeMismatchThrows) {
   Vector b{1.0};
-  EXPECT_THROW(cholesky_solve_in_place(Matrix(2, 2), b), std::invalid_argument);
+  Matrix u(2, 2);
+  EXPECT_THROW(cholesky_solve_in_place(u.data(), b), std::invalid_argument);
+  Vector b2{1.0, 2.0};
+  EXPECT_THROW(cholesky_solve_in_place<3>(u.data(), b2), std::invalid_argument);
 }
 
 TEST(RidgeSolve, ShrinksTowardZero) {
@@ -80,8 +153,8 @@ TEST(RidgeSolve, ShrinksTowardZero) {
   Vector atb(4, 0.0);
   for (std::size_t j = 0; j < 4; ++j)
     for (std::size_t i = 0; i < 30; ++i) atb[j] += a(i, j) * b[i];
-  auto x_small = solve(a.gram(), atb, 1e-6);
-  auto x_big = solve(a.gram(), atb, 1e4);
+  auto x_small = solve<4>(a.gram(), atb, 1e-6);
+  auto x_big = solve<4>(a.gram(), atb, 1e4);
   ASSERT_TRUE(x_small && x_big);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR((*x_small)[j], x_true[j], 0.05);
@@ -96,13 +169,14 @@ TEST(SolveRegularized, HandlesSingularGramWithRidge) {
   auto x = solve(g, {1.0, 1.0}, 0.1);
   ASSERT_TRUE(x.has_value());
   EXPECT_NEAR((*x)[0], (*x)[1], 1e-12);  // symmetric problem, symmetric answer
+  EXPECT_FALSE(solve<2>(g, {1.0, 1.0}, 0.0).has_value());
 }
 
 TEST(SolveRegularized, ShapeMismatchThrows) {
-  Matrix l(2, 2);
-  ASSERT_TRUE(cholesky_in_place(l, 0.1));
+  Matrix u(2, 2);
+  ASSERT_TRUE(cholesky_in_place<2>(u.data(), 2, 0.1));
   Vector rhs{1.0};
-  EXPECT_THROW(cholesky_solve_in_place(l, rhs), std::invalid_argument);
+  EXPECT_THROW(cholesky_solve_in_place(u.data(), rhs), std::invalid_argument);
 }
 
 // Property: for any SPD system, the Cholesky solution satisfies A x = b.
