@@ -5,8 +5,7 @@
 //
 // With METAS_TELEMETRY_OUT=<path> in the environment, a JSON snapshot of the
 // telemetry registry accumulated across all benchmark iterations is written
-// on exit (the BENCH_telemetry.json baseline and the CI overhead gate both
-// come from this).  BM_TelemetryCounter / BM_TelemetrySpan measure the raw
+// on exit (CI uploads it next to the benchmark output).  BM_TelemetryCounter / BM_TelemetrySpan measure the raw
 // price of one instrumentation call so overhead regressions are attributable.
 #include <benchmark/benchmark.h>
 

@@ -109,7 +109,7 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
   if (scheduler != nullptr) scheduler->set_run_control(opts.control);
   for (int r = start_rank; r <= cfg_.max_rank; ++r) {
     // Cooperative stop between iterations: a rank candidate is the work
-    // unit; the one in flight always finishes and is checkpointed.
+    // unit, checkpointed only when it ran in full.
     if (opts.control != nullptr && opts.control->stop_requested()) {
       res.truncated = true;
       break;
@@ -119,6 +119,14 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
     if (scheduler != nullptr)
       res.traceroutes_used +=
           scheduler->fill_rows_to(r, cfg_.budget_per_iteration);
+    // A stop may have cut the campaign short of its target: scoring or
+    // checkpointing this candidate would record a state that an
+    // uninterrupted run never reaches, so a resume continues from the
+    // previous boundary instead.
+    if (opts.control != nullptr && opts.control->stop_requested()) {
+      res.truncated = true;
+      break;
+    }
     const EstimatedMatrix& e = ms.matrix(*ctx_);
     double mse = holdout_mse(e, r, rng);
     MAC_HISTOGRAM("pipeline.rank_holdout_mse", mse);

@@ -63,7 +63,9 @@ struct RankLoopState {
 struct RankRunOptions {
   const util::RunControl* control = nullptr;  // lint: allow(view-member) -- optional stop control owned by the pipeline's caller; may be null
   /// Invoked after every completed rank iteration with the state a resume
-  /// at that boundary needs (the pipeline's checkpoint hook).
+  /// at that boundary needs (the pipeline's checkpoint hook).  An iteration
+  /// whose measurement campaign a stop may have cut short is not completed:
+  /// the loop ends as truncated before scoring it.
   std::function<void(const RankLoopState&)> on_iteration;
   const RankLoopState* resume = nullptr;  // lint: allow(view-member) -- caller-owned snapshot read once at run() entry
 };

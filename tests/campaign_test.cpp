@@ -1,0 +1,357 @@
+// The campaign runner in process (DESIGN.md §12): a seed-42 small campaign
+// stopped at an exact poll -- mid measurement campaign, at a rank-loop
+// top, inside the final completion, at a metro boundary -- resumes from
+// its newest checkpoint generation to exports byte-identical to an
+// uninterrupted run, and a stop before the first generation leaves nothing
+// to resume.  The resume path decodes untrusted bytes: a seeded corpus of
+// corrupted payloads, and payloads patched through their field shapes
+// (checkpoint_shapes.hpp), each resume or are refused with CampaignError,
+// never abort.  Drills that need a real process death stay fork+exec in
+// crash_recovery_test.cpp.
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "checkpoint_shapes.hpp"
+#include "eval/campaign.hpp"
+#include "util/checkpoint.hpp"
+#include "util/rng.hpp"
+
+namespace metas {
+namespace {
+
+namespace ck = util::checkpoint;
+namespace fs = std::filesystem;
+using testing::PlaneShape;
+using testing::PriorsShape;
+using testing::u64;
+
+// The campaign's own fields of a format-1 payload.
+using FingerprintShape =
+    std::tuple<u64, std::string, bool, std::string, bool, double, double,
+               double, double, double, double, double, double, u64>;
+using SummaryShape = std::tuple<std::string, u64, int, u64, double, u64,
+                                double, u64, u64, u64, u64, u64>;
+using EngineShape = std::pair<u64, u64>;  // probes issued, probes faulted
+
+// A deadline clock that advances 1 ms per read, so a budget of N ms
+// expires at exactly the Nth stop poll after it is armed.
+std::uint64_t g_clock_reads = 0;
+std::uint64_t polling_clock() { return ++g_clock_reads * 1'000'000; }
+
+class CampaignCheckpointTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("campaign_" + std::string(::testing::UnitTest::GetInstance()
+                                          ->current_test_info()
+                                          ->name()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  /// Seed-42 small all-metros campaign exporting to `<dir>/<name>` and
+  /// checkpointing to `<dir>/<name>.ck/snap`.
+  eval::CampaignConfig config(const std::string& name) const {
+    eval::CampaignConfig cfg;
+    cfg.all_metros = true;
+    cfg.out_dir = (dir_ / name).string();
+    cfg.checkpoint_path = (dir_ / (name + ".ck") / "snap").string();
+    return cfg;
+  }
+
+  static eval::CampaignConfig resuming(eval::CampaignConfig cfg) {
+    cfg.resume_path = cfg.checkpoint_path;
+    return cfg;
+  }
+
+  static std::string read_file(const fs::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+
+  /// Asserts every CSV under `ref` exists under `got` with identical bytes.
+  static void expect_identical_exports(const std::string& ref,
+                                       const std::string& got) {
+    std::size_t compared = 0;
+    for (const auto& entry : fs::directory_iterator(ref)) {
+      const fs::path other = fs::path(got) / entry.path().filename();
+      ASSERT_TRUE(fs::exists(other)) << other;
+      EXPECT_TRUE(read_file(entry.path()) == read_file(other))
+          << "export differs: " << entry.path().filename();
+      ++compared;
+    }
+    EXPECT_EQ(compared, 12u) << "4 metros x 3 CSVs under " << ref;
+  }
+
+  /// Runs `name`'s campaign until the first checkpoint written once
+  /// `metros` metros have started, and returns that newest payload.  The
+  /// checkpoint directory is then removed, so no older generation can
+  /// stand in for a payload published later.
+  std::string payload_in_metro(const std::string& name, int metros) {
+    util::CancelToken stop;
+    util::RunControl control;
+    control.token = &stop;
+    int started = 0;
+    eval::CampaignHooks hooks;
+    hooks.on_metro = [&](const std::string&) { ++started; };
+    hooks.on_checkpoint = [&](int) {
+      if (started == metros) stop.cancel();
+    };
+    const eval::CampaignConfig cfg = config(name);
+    eval::Campaign(cfg).run(&control, hooks);
+    auto payload = ck::load_file(cfg.checkpoint_path);
+    EXPECT_TRUE(payload.has_value());
+    fs::remove_all(fs::path(cfg.checkpoint_path).parent_path());
+    return payload.value_or(std::string());
+  }
+
+  /// Publishes `payload` under a valid checksum as the only generation.
+  static void publish(const std::string& path, const std::string& payload) {
+    fs::create_directories(fs::path(path).parent_path());
+    ck::WriteOptions wo;
+    wo.keep_last = 1;
+    wo.fsync = false;
+    ASSERT_TRUE(ck::write_file(path, payload, wo));
+  }
+
+  /// Publishes `payload` as `name`'s only generation, resumes and runs the
+  /// campaign, and asserts it is refused as a corrupt payload.
+  void expect_corrupt(const std::string& name, const std::string& payload) {
+    const eval::CampaignConfig cfg = resuming(config(name));
+    publish(cfg.checkpoint_path, payload);
+    try {
+      eval::Campaign campaign(cfg);
+      campaign.resume();
+      campaign.run();
+      ADD_FAILURE() << "the patched payload resumed";
+    } catch (const eval::CampaignError& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt checkpoint payload"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  /// Byte positions in a campaign payload without faults that has a phase
+  /// blob, found by decoding it field by field.
+  struct PayloadMap {
+    std::size_t metro_count = 0;  // the completed-metro count
+    std::size_t rank_rng = 0;     // the rank loop's RNG state string
+  };
+  static PayloadMap map_payload(const std::string& payload) {
+    PayloadMap at;
+    ck::Decoder dec(payload);
+    FingerprintShape fingerprint;
+    dec(fingerprint);
+    at.metro_count = payload.size() - dec.remaining();
+    std::vector<SummaryShape> completed;
+    PriorsShape priors;
+    u64 next_metro = 0;
+    PlaneShape plane;
+    EngineShape engine;
+    bool has_faults = true, has_phase = false;
+    dec(completed, priors, next_metro, plane, engine, has_faults, has_phase);
+    EXPECT_FALSE(has_faults);
+    EXPECT_TRUE(has_phase);
+    const std::string blob = dec.str();
+    EXPECT_TRUE(dec.done()) << dec.remaining() << " bytes left over";
+    // The rank loop leads the blob: next rank, best MSE, patience count,
+    // finished flag, then the RNG state.
+    ck::Decoder phase(blob);
+    std::tuple<int, double, int, bool> rank_loop;
+    phase(rank_loop);
+    at.rank_rng = payload.size() - phase.remaining();
+    return at;
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(CampaignCheckpointTest, StopAtAnyPollResumesByteIdentically) {
+  // Reference: an uninterrupted run under an armed budget that never
+  // expires, recording the poll count at every metro start and checkpoint.
+  std::vector<std::uint64_t> starts, boundaries;
+  std::vector<std::size_t> metro_of;
+  {
+    util::RunControl control;
+    control.budget =
+        util::DeadlineBudget::after_ms(1ULL << 40, &polling_clock);
+    const std::uint64_t armed = g_clock_reads;
+    eval::CampaignHooks hooks;
+    hooks.on_metro = [&](const std::string&) {
+      starts.push_back(g_clock_reads - armed);
+    };
+    hooks.on_checkpoint = [&](int) {
+      boundaries.push_back(g_clock_reads - armed);
+      metro_of.push_back(starts.size() - 1);
+    };
+    const eval::CampaignOutcome out =
+        eval::Campaign(config("ref")).run(&control, hooks);
+    ASSERT_FALSE(out.stopped_early);
+    ASSERT_EQ(out.metros_done, 4u);
+  }
+  ASSERT_EQ(starts.size(), 4u);
+  // Per metro: its first rank boundary, its last rank boundary and its
+  // completion (the last generation it writes).
+  std::vector<std::uint64_t> first(4), last_rank(4), done(4);
+  for (std::size_t k = boundaries.size(); k-- > 0;) {
+    const std::size_t m = metro_of[k];
+    first[m] = boundaries[k];
+    if (done[m] == 0) {
+      done[m] = boundaries[k];
+    } else if (last_rank[m] == 0) {
+      last_rank[m] = boundaries[k];
+    }
+  }
+  for (std::size_t m = 0; m < 4; ++m) {
+    ASSERT_GT(last_rank[m], first[m]) << "metro " << m << " ran one rank";
+    ASSERT_GT(done[m], last_rank[m] + 4) << "no final-completion sweeps";
+  }
+
+  struct Stop {
+    const char* where;
+    std::uint64_t poll;
+    std::size_t metros_done;
+  };
+  const std::vector<Stop> stops = {
+      {"rank-loop top after the first boundary", first[0] + 1, 0},
+      {"first batch poll of a later rank", first[1] + 2, 1},
+      {"batch mid-campaign", first[1] + 4, 1},
+      {"check after the last rank's full campaign", last_rank[1] - 1, 1},
+      {"first sweep of the final completion", last_rank[2] + 1, 2},
+      {"mid final completion", (last_rank[2] + done[2]) / 2, 2},
+      {"metro boundary after completion", done[2] + 1, 3},
+      {"top of the next metro", done[2] + 2, 3},
+      {"last metro's final completion", done[3] - 3, 3},
+  };
+  for (std::size_t k = 0; k < stops.size(); ++k) {
+    const Stop& s = stops[k];
+    SCOPED_TRACE(std::string(s.where) + " (poll " + std::to_string(s.poll) +
+                 ")");
+    const std::string name = "stop" + std::to_string(k);
+    util::RunControl control;
+    control.budget = util::DeadlineBudget::after_ms(s.poll, &polling_clock);
+    const eval::CampaignOutcome out =
+        eval::Campaign(config(name)).run(&control);
+    EXPECT_TRUE(out.stopped_early);
+    EXPECT_EQ(out.metros_done, s.metros_done);
+    ASSERT_TRUE(out.resumable);
+
+    eval::Campaign resumed(resuming(config(name)));
+    EXPECT_EQ(resumed.resume().metros_done, s.metros_done);
+    EXPECT_EQ(resumed.run().metros_done, 4u);
+    expect_identical_exports(config("ref").out_dir, config(name).out_dir);
+  }
+}
+
+TEST_F(CampaignCheckpointTest, StopBeforeTheFirstCheckpointIsNotResumable) {
+  util::RunControl control;
+  control.budget = util::DeadlineBudget::after_ms(1, &polling_clock);
+  const eval::CampaignConfig cfg = config("early");
+  const eval::CampaignOutcome out = eval::Campaign(cfg).run(&control);
+  EXPECT_TRUE(out.stopped_early);
+  EXPECT_EQ(out.checkpoints_written, 0);
+  EXPECT_FALSE(out.resumable);
+  EXPECT_FALSE(fs::exists(cfg.checkpoint_path));
+}
+
+// Bytes read from disk are untrusted input, the campaign's own prefix --
+// fingerprint, completed-metro summaries, next metro -- included.  Past the
+// envelope checksum every corruption must resume cleanly or be refused
+// with CampaignError, never abort or throw anything else.
+TEST_F(CampaignCheckpointTest, MutationCorpusResumesOrIsRefused) {
+  const std::string payload = payload_in_metro("corpus", 2);
+  ASSERT_FALSE(payload.empty());
+  const eval::CampaignConfig cfg = resuming(config("corpus"));
+  publish(cfg.checkpoint_path, payload);
+  eval::Campaign campaign(cfg);
+  ASSERT_EQ(campaign.resume().metros_done, 1u);
+
+  int clean = 0, refused = 0;
+  auto resume = [&](const std::string& bytes, const std::string& what) {
+    publish(cfg.checkpoint_path, bytes);
+    try {
+      campaign.resume();
+      ++clean;
+    } catch (const eval::CampaignError&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what();
+    }
+  };
+
+  constexpr std::size_t kTruncations = 48;
+  for (std::size_t k = 0; k < kTruncations; ++k) {
+    const std::size_t len = payload.size() * k / kTruncations;
+    const int before = refused;
+    resume(payload.substr(0, len), "truncated to " + std::to_string(len));
+    EXPECT_EQ(refused, before + 1) << "truncation to " << len << " resumed";
+  }
+
+  constexpr std::size_t kWords = 64;
+  const std::size_t stride = (payload.size() / 8 / kWords) * 8;
+  for (std::size_t at = 0; at + 8 <= payload.size(); at += stride) {
+    for (u64 v : {u64{0}, u64{1} << 32, ~u64{0}}) {
+      std::string bytes = payload;
+      std::memcpy(bytes.data() + at, &v, sizeof v);
+      resume(bytes, "word at " + std::to_string(at) + " = " +
+                        std::to_string(v));
+    }
+  }
+
+  util::Rng rng(4242);
+  constexpr int kBitFlips = 128;
+  for (int k = 0; k < kBitFlips; ++k) {
+    const std::size_t bit = rng.index(payload.size() * 8);
+    std::string bytes = payload;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    resume(bytes, "bit " + std::to_string(bit) + " flipped");
+  }
+
+  EXPECT_GT(clean, 0);
+  EXPECT_GT(refused, 0);
+}
+
+// Payloads that pass the envelope checksum but decode to impossible state:
+// each must be refused as a corrupt payload, not abort the run.
+TEST_F(CampaignCheckpointTest, ImpossibleMetroCountIsRefused) {
+  std::string payload = payload_in_metro("count", 2);
+  const std::size_t at = map_payload(payload).metro_count;
+  u64 count = 0;
+  std::memcpy(&count, payload.data() + at, sizeof count);
+  ASSERT_EQ(count, 1u);
+  count = u64{1} << 60;
+  std::memcpy(payload.data() + at, &count, sizeof count);
+  expect_corrupt("count", payload);
+}
+
+// The phase blob is opaque to the resume itself: the first metro's
+// pipeline decodes it, and its error takes the same path.
+TEST_F(CampaignCheckpointTest, UnparseableRankRngStateIsRefused) {
+  std::string payload = payload_in_metro("rng", 2);
+  const std::size_t text = map_payload(payload).rank_rng + sizeof(u64);
+  ASSERT_LT(text, payload.size());
+  ASSERT_TRUE(payload[text] >= '0' && payload[text] <= '9');
+  payload[text] = 'x';
+  expect_corrupt("rng", payload);
+}
+
+TEST_F(CampaignCheckpointTest, OverlongPhaseStringIsRefused) {
+  std::string payload = payload_in_metro("overlong", 2);
+  const std::size_t at = map_payload(payload).rank_rng;
+  // A string length that runs past the end of the phase blob.
+  const u64 len = payload.size() - at;
+  std::memcpy(payload.data() + at, &len, sizeof len);
+  expect_corrupt("overlong", payload);
+}
+
+}  // namespace
+}  // namespace metas

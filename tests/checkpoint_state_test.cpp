@@ -4,20 +4,14 @@
 // and nothing else, a penalty, a scheduler entry or a metro id outside its
 // range is refused, and a phase blob from one metro is refused by another.
 #include <algorithm>
-#include <array>
-#include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "checkpoint_shapes.hpp"
 #include "eval/world.hpp"
 #include "test_world.hpp"
 #include "util/checkpoint.hpp"
@@ -26,57 +20,12 @@ namespace metas {
 namespace {
 
 namespace ck = util::checkpoint;
-using u64 = std::uint64_t;
-
-// The format-1 payload layout, spelled as container shapes apart from the
-// library's own field lists.  A real payload must decode into these shapes
-// exactly; the tests read the captured maps' sizes from them.
-using PriorsShape =
-    std::tuple<std::array<double, traceroute::kNumStrategies>,
-               std::array<double, traceroute::kNumStrategies>, int>;
-using MetroSets = std::pair<std::set<int>, std::set<int>>;
-using PlaneShape = std::tuple<
-    std::unordered_map<u64, MetroSets>,                                // evidence
-    std::unordered_map<u64, MetroSets>,                                // consistency
-    std::unordered_map<int, std::pair<u64, std::unordered_set<u64>>>,  // well-positioned
-    std::string, u64,                                                  // RNG, health clock
-    std::unordered_map<u64, std::pair<int, int>>,                      // VP statistics
-    std::unordered_map<int, std::pair<int, u64>>>;                     // VP health
-using FaultShape = std::tuple<
-    u64, u64, u64, std::string,
-    std::unordered_map<int, std::tuple<std::string, u64, bool, bool, double>>,  // VPs
-    std::unordered_map<int, std::tuple<std::string, u64, bool>>>;              // metros
-using PhaseShape = std::tuple<
-    // Rank loop.
-    std::tuple<int, double, int, bool, std::string, int, double,
-               std::vector<std::pair<int, double>>, u64, bool>,
-    // Scheduler: element 9 is the requeue queue.
-    std::tuple<std::string,
-               std::vector<std::tuple<int, int, double, bool, bool, bool, bool,
-                                      bool, bool, int, int, int, int>>,
-               std::vector<int>, std::vector<bool>, std::unordered_set<u64>,
-               std::vector<std::pair<double, u64>>, u64,
-               std::unordered_set<u64>, u64,
-               std::unordered_map<u64, std::pair<u64, int>>,
-               std::array<u64, 5>,
-               std::tuple<int, u64, u64, u64, double, u64, u64, u64, u64, u64,
-                          u64, u64>>,
-    // Probability matrix: element 6 is the link penalties.
-    std::tuple<u64, std::vector<std::array<int, traceroute::kVpCategories>>,
-               std::vector<std::array<int, traceroute::kTargetCategories>>,
-               std::array<double, traceroute::kNumStrategies>,
-               std::array<double, traceroute::kNumStrategies>,
-               std::array<bool, traceroute::kNumStrategies>,
-               std::unordered_map<u64, double>>>;
-
-template <class Shape>
-Shape decode_shape(const std::string& bytes) {
-  Shape shape;
-  ck::Decoder dec(bytes);
-  dec(shape);
-  EXPECT_TRUE(dec.done()) << dec.remaining() << " bytes left over";
-  return shape;
-}
+using testing::decode_shape;
+using testing::FaultShape;
+using testing::PhaseShape;
+using testing::PlaneShape;
+using testing::PriorsShape;
+using testing::u64;
 
 template <class T>
 std::string encode(const T& x) {

@@ -2,9 +2,11 @@
 // binary, kills it with SIGKILL at seeded checkpoint boundaries via the
 // --crash-after-checkpoints hook, resumes from the snapshot, and asserts the
 // exported CSVs are byte-identical to an uninterrupted run with the same
-// flags.  Also covers fingerprint rejection, corrupted-checkpoint fallback,
-// and checkpoints whose envelope is valid but whose payload is not, through
-// the CLI surface.
+// flags.  Also covers what needs a real process: exit codes, fingerprint
+// rejection, corrupted-checkpoint fallback, a corrupt payload reported as
+// such, the SIGKILL flight dump, and SIGTERM / --deadline-ms stops that
+// land mid-run and resume byte-identically.  Payload decoding and stops at
+// exact polls are driven in process by campaign_test.cpp.
 //
 // The CLI path is injected by CMake as METAS_CLI_PATH (see
 // tests/CMakeLists.txt); every child runs via fork/exec with stdout/stderr
@@ -13,9 +15,7 @@
 #include <unistd.h>
 
 #include <csignal>
-#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -50,9 +50,11 @@ class CrashRecoveryTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  /// fork/execs the CLI with `args`; blocks until exit.
-  RunResult run_cli(const std::vector<std::string>& args) {
+  /// fork/execs the CLI with `args`, its stdout and stderr going to a
+  /// fresh log; returns the child's pid.
+  pid_t spawn_cli(const std::vector<std::string>& args) {
     const std::string log_path = path("cli.log");
+    fs::remove(log_path);
     const pid_t pid = ::fork();
     if (pid == 0) {
       // Child: route stdout+stderr to the log, exec the CLI.
@@ -67,14 +69,23 @@ class CrashRecoveryTest : public ::testing::Test {
       ::execv(exe.c_str(), argv.data());
       std::_Exit(127);  // exec failed
     }
+    return pid;
+  }
+
+  /// Blocks until the child `pid` exits.
+  RunResult wait_cli(pid_t pid) {
     RunResult r;
     int status = 0;
     ::waitpid(pid, &status, 0);
     if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
     if (WIFSIGNALED(status)) r.term_signal = WTERMSIG(status);
-    std::ifstream in(log_path);
+    std::ifstream in(path("cli.log"));
     r.log.assign(std::istreambuf_iterator<char>(in), {});
     return r;
+  }
+
+  RunResult run_cli(const std::vector<std::string>& args) {
+    return wait_cli(spawn_cli(args));
   }
 
   static std::string read_file(const fs::path& p) {
@@ -90,7 +101,7 @@ class CrashRecoveryTest : public ::testing::Test {
       if (entry.path().extension() != ".csv") continue;
       const fs::path other = fs::path(got) / entry.path().filename();
       ASSERT_TRUE(fs::exists(other)) << other;
-      EXPECT_EQ(read_file(entry.path()), read_file(other))
+      EXPECT_TRUE(read_file(entry.path()) == read_file(other))
           << "export differs: " << entry.path().filename();
       ++compared;
     }
@@ -99,6 +110,44 @@ class CrashRecoveryTest : public ::testing::Test {
 
   std::vector<std::string> base_args(const std::string& out) {
     return {"--seed", "42", "--out", path(out), "--quiet"};
+  }
+
+  /// A seed-42 small all-metros run exporting to `out`, checkpointing to
+  /// ck/snap when `checkpoint` is set.
+  std::vector<std::string> campaign_args(const std::string& out,
+                                         bool checkpoint = true) {
+    auto args = base_args(out);
+    args.push_back("--all-metros");
+    if (checkpoint) args.insert(args.end(), {"--checkpoint", path("ck/snap")});
+    return args;
+  }
+
+  /// Spawns `args`, SIGTERMs it once its first checkpoint generation
+  /// exists -- mid-run, with the other metros still to go -- and waits.
+  RunResult sigterm_after_first_checkpoint(
+      const std::vector<std::string>& args) {
+    const pid_t pid = spawn_cli(args);
+    int status = 0;
+    pid_t ended = 0;
+    while (!fs::exists(path("ck/snap")) &&
+           (ended = ::waitpid(pid, &status, WNOHANG)) == 0)
+      ::usleep(1000);
+    if (ended == pid) {
+      ADD_FAILURE() << "run ended before its first checkpoint";
+      return {};
+    }
+    ::kill(pid, SIGTERM);
+    return wait_cli(pid);
+  }
+
+  /// Resumes the campaign from ck/snap into `out` and asserts its exports
+  /// equal the uninterrupted run's under `ref`.
+  void expect_resume_matches(const std::string& ref) {
+    auto args = campaign_args("out", false);
+    args.insert(args.end(), {"--resume", path("ck/snap")});
+    const RunResult resumed = run_cli(args);
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.log;
+    expect_identical_exports(path(ref), path("out"));
   }
 
   /// Asserts tools/trace_diff.py (stats mode) accepts the trace dump.
@@ -110,49 +159,6 @@ class CrashRecoveryTest : public ::testing::Test {
                             " '" + dump + "' > /dev/null 2>&1";
     EXPECT_EQ(std::system(cmd.c_str()), 0)
         << "trace_diff.py rejected " << dump;
-  }
-
-  /// Crashes a seed-42 --all-metros run at checkpoint #3 (mid first metro,
-  /// so the payload ends in a phase blob), lets `patch` edit the newest
-  /// payload, re-publishes it under a valid checksum, and resumes.
-  template <class Patch>
-  RunResult resume_patched(Patch&& patch) {
-    auto crash_args = base_args("out");
-    crash_args.insert(crash_args.end(),
-                      {"--all-metros", "--checkpoint", path("ck/snap"),
-                       "--crash-after-checkpoints", "3"});
-    EXPECT_EQ(run_cli(crash_args).term_signal, SIGKILL);
-    auto payload = metas::util::checkpoint::load_file(path("ck/snap"));
-    if (!payload) {
-      ADD_FAILURE() << "no checkpoint to patch";
-      return {};
-    }
-    patch(*payload);
-    EXPECT_TRUE(metas::util::checkpoint::write_file(path("ck/snap"), *payload));
-    auto resume_args = base_args("out");
-    resume_args.insert(resume_args.end(),
-                       {"--all-metros", "--resume", path("ck/snap")});
-    return run_cli(resume_args);
-  }
-
-  static std::uint64_t get_u64(const std::string& bytes, std::size_t at) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + at, sizeof v);  // checkpoints are little-endian, host-local
-    return v;
-  }
-  static void put_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
-    std::memcpy(bytes.data() + at, &v, sizeof v);
-  }
-
-  /// Offset of the phase blob: the payload's trailing string, after the
-  /// has-phase flag and the u64 length.  Its rank-loop RNG state string
-  /// starts 17 bytes in (next rank, best MSE, patience count, finished).
-  static std::size_t phase_blob_at(const std::string& payload) {
-    for (std::size_t len = 1; len + 9 <= payload.size(); ++len) {
-      const std::size_t at = payload.size() - len;
-      if (get_u64(payload, at - 8) == len && payload[at - 9] == 1) return at;
-    }
-    return 0;
   }
 
   fs::path dir_;
@@ -279,37 +285,22 @@ TEST_F(CrashRecoveryTest, AllGenerationsCorruptIsACleanError) {
   EXPECT_NE(r.log.find("no usable checkpoint"), std::string::npos) << r.log;
 }
 
-// Checkpoints that pass the envelope checksum but decode to impossible
-// state: each must be refused with exit 1, never abort the CLI.
-TEST_F(CrashRecoveryTest, ImpossibleMetroCountIsACleanError) {
-  const RunResult r = resume_patched([](std::string& payload) {
-    // The completed-metro count follows the 103-byte fingerprint.
-    ASSERT_EQ(get_u64(payload, 103), 0u);
-    put_u64(payload, 103, std::uint64_t{1} << 60);
-  });
-  EXPECT_EQ(r.exit_code, 1) << r.log;
-  EXPECT_NE(r.log.find("corrupt checkpoint payload"), std::string::npos)
-      << r.log;
-}
-
-TEST_F(CrashRecoveryTest, UnparseableRankRngStateIsACleanError) {
-  const RunResult r = resume_patched([](std::string& payload) {
-    const std::size_t rng_text = phase_blob_at(payload) + 17 + 8;
-    ASSERT_GT(rng_text, 25u);
-    ASSERT_TRUE(payload[rng_text] >= '0' && payload[rng_text] <= '9');
-    payload[rng_text] = 'x';
-  });
-  EXPECT_EQ(r.exit_code, 1) << r.log;
-  EXPECT_NE(r.log.find("corrupt checkpoint payload"), std::string::npos)
-      << r.log;
-}
-
-TEST_F(CrashRecoveryTest, OverlongPhaseStringIsACleanError) {
-  const RunResult r = resume_patched([](std::string& payload) {
-    const std::size_t blob = phase_blob_at(payload);
-    ASSERT_GT(blob, 0u);
-    put_u64(payload, blob + 17, payload.size() - blob);  // past the blob end
-  });
+// A checkpoint that passes the envelope checksum but whose payload does
+// not decode must be refused with exit 1, never abort the CLI.  The
+// in-process cases in campaign_test.cpp patch individual fields.
+TEST_F(CrashRecoveryTest, TruncatedPayloadIsACleanError) {
+  // Crash at checkpoint #3, mid first metro, and re-publish the newest
+  // payload cut in half.
+  auto crash_args = campaign_args("out");
+  crash_args.insert(crash_args.end(), {"--crash-after-checkpoints", "3"});
+  ASSERT_EQ(run_cli(crash_args).term_signal, SIGKILL);
+  auto payload = metas::util::checkpoint::load_file(path("ck/snap"));
+  ASSERT_TRUE(payload.has_value());
+  payload->resize(payload->size() / 2);
+  ASSERT_TRUE(metas::util::checkpoint::write_file(path("ck/snap"), *payload));
+  auto resume_args = campaign_args("out", false);
+  resume_args.insert(resume_args.end(), {"--resume", path("ck/snap")});
+  const RunResult r = run_cli(resume_args);
   EXPECT_EQ(r.exit_code, 1) << r.log;
   EXPECT_NE(r.log.find("corrupt checkpoint payload"), std::string::npos)
       << r.log;
@@ -345,76 +336,75 @@ TEST_F(CrashRecoveryTest, SigtermWithTracingLeavesLoadableFlightDump) {
   // stopped-early path refreshes <checkpoint>.trace.json before exporting
   // best-so-far results, and tools/trace_diff.py must accept the dump
   // (open spans and all).
-  const std::string log_path = path("cli.log");
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::freopen(log_path.c_str(), "a", stdout);
-    ::freopen(log_path.c_str(), "a", stderr);
-    std::string exe = METAS_CLI_PATH;
-    std::string out = path("out");
-    std::string snap = path("ck/snap");
-    std::string trace = path("final.trace.json");
-    char* argv[] = {exe.data(), const_cast<char*>("--seed"),
-                    const_cast<char*>("42"), const_cast<char*>("--out"),
-                    out.data(), const_cast<char*>("--checkpoint"),
-                    snap.data(), const_cast<char*>("--trace"),
-                    trace.data(), nullptr};
-    ::execv(exe.c_str(), argv);
-    std::_Exit(127);
-  }
-  ::usleep(300 * 1000);
-  ::kill(pid, SIGTERM);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  // Whether the signal landed mid-run (flight dump refreshed on the
-  // stopped-early path) or the run won the race, the final --trace file is
-  // always written on the way out and must load.
+  ASSERT_EQ(run_cli(campaign_args("ref", false)).exit_code, 0);
+  auto args = campaign_args("out");
+  args.insert(args.end(), {"--trace", path("final.trace.json")});
+  const RunResult stopped = sigterm_after_first_checkpoint(args);
+  EXPECT_EQ(stopped.exit_code, 0) << stopped.log;
+  EXPECT_NE(stopped.log.find("stopped early"), std::string::npos)
+      << stopped.log;
+  EXPECT_NE(stopped.log.find("cancelled by signal"), std::string::npos)
+      << stopped.log;
+  // The final --trace file is always written on the way out.
   ASSERT_TRUE(fs::exists(path("final.trace.json")));
   expect_trace_diff_loads(path("final.trace.json"));
-  std::ifstream in(log_path);
-  const std::string log{std::istreambuf_iterator<char>(in), {}};
-  if (log.find("stopped early") != std::string::npos) {
-    const std::string dump = path("ck/snap") + ".trace.json";
-    ASSERT_TRUE(fs::exists(dump)) << log;
-    expect_trace_diff_loads(dump);
-  }
+  const std::string dump = path("ck/snap") + ".trace.json";
+  ASSERT_TRUE(fs::exists(dump)) << stopped.log;
+  expect_trace_diff_loads(dump);
+  expect_resume_matches("ref");
 }
 
 TEST_F(CrashRecoveryTest, SigtermStopsGracefullyWithResumableCheckpoint) {
   // Cooperative shutdown: SIGTERM (not SIGKILL) lets the run finish its
-  // work unit, checkpoint, and exit 0 with a degradation report.
-  const std::string log_path = path("cli.log");
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::freopen(log_path.c_str(), "a", stdout);
-    ::freopen(log_path.c_str(), "a", stderr);
-    std::string exe = METAS_CLI_PATH;
-    std::string out = path("out");
-    std::string snap = path("ck/snap");
-    char* argv[] = {exe.data(), const_cast<char*>("--seed"),
-                    const_cast<char*>("42"), const_cast<char*>("--out"),
-                    out.data(), const_cast<char*>("--checkpoint"),
-                    snap.data(), nullptr};
-    ::execv(exe.c_str(), argv);
-    std::_Exit(127);
+  // work unit and exit 0 with a degradation report and a resume hint, and
+  // the resumed run's exports match an uninterrupted run's.
+  ASSERT_EQ(run_cli(campaign_args("ref", false)).exit_code, 0);
+  const RunResult stopped =
+      sigterm_after_first_checkpoint(campaign_args("out"));
+  EXPECT_EQ(stopped.exit_code, 0) << stopped.log;
+  EXPECT_NE(stopped.log.find("stopped early"), std::string::npos)
+      << stopped.log;
+  EXPECT_NE(stopped.log.find("cancelled by signal"), std::string::npos)
+      << stopped.log;
+  EXPECT_NE(stopped.log.find("resume with: --resume " + path("ck/snap")),
+            std::string::npos)
+      << stopped.log;
+  expect_resume_matches("ref");
+}
+
+TEST_F(CrashRecoveryTest, DeadlineStopsGracefullyWithResumableCheckpoint) {
+  // A deadline that expires during the world build stops the run before
+  // its first checkpoint: there is nothing to resume, so no hint.
+  auto early = campaign_args("out");
+  early.insert(early.end(), {"--deadline-ms", "1"});
+  const RunResult none = run_cli(early);
+  EXPECT_EQ(none.exit_code, 0) << none.log;
+  EXPECT_NE(none.log.find("stopped early (deadline expired)"),
+            std::string::npos)
+      << none.log;
+  EXPECT_EQ(none.log.find("resume with:"), std::string::npos) << none.log;
+  EXPECT_FALSE(fs::exists(path("ck/snap")));
+
+  // Double the deadline until it lands after the first checkpoint; it
+  // must land before the run ends, and the stopped run must resume to the
+  // uninterrupted run's exports.
+  ASSERT_EQ(run_cli(campaign_args("ref", false)).exit_code, 0);
+  for (int ms = 50;; ms *= 2) {
+    SCOPED_TRACE("--deadline-ms " + std::to_string(ms));
+    fs::remove_all(path("out"));
+    auto args = campaign_args("out");
+    args.insert(args.end(), {"--deadline-ms", std::to_string(ms)});
+    const RunResult stopped = run_cli(args);
+    ASSERT_EQ(stopped.exit_code, 0) << stopped.log;
+    ASSERT_NE(stopped.log.find("stopped early (deadline expired)"),
+              std::string::npos)
+        << stopped.log;
+    if (stopped.log.find("resume with: --resume " + path("ck/snap")) !=
+        std::string::npos)
+      break;
+    EXPECT_FALSE(fs::exists(path("ck/snap")));
   }
-  // Give the child a moment to get into the measurement loop, then SIGTERM.
-  ::usleep(300 * 1000);
-  ::kill(pid, SIGTERM);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  std::ifstream in(log_path);
-  const std::string log{std::istreambuf_iterator<char>(in), {}};
-  // Either the run finished before the signal landed (fast machine) or it
-  // reports the cooperative stop; both are legal, but a crash is not.
-  if (log.find("stopped early") != std::string::npos) {
-    EXPECT_NE(log.find("cancelled by signal"), std::string::npos) << log;
-    EXPECT_NE(log.find("resume with:"), std::string::npos) << log;
-  }
+  expect_resume_matches("ref");
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Build a committed BENCH_*.json perf-trajectory baseline.
 
 Usage:
-  tools/make_bench_baseline.py perf_micro.json TELEMETRY.json [-o OUT]
+  tools/make_bench_baseline.py perf_micro.json TELEMETRY.json -o OUT
   tools/make_bench_baseline.py perf_micro.json --prefix BM_AlsFit -o BENCH_als.json
 
 perf_micro.json is bench/perf_micro's `--benchmark_format=json` output;
@@ -38,7 +38,8 @@ def main(argv: list[str]) -> int:
                         help="telemetry snapshot JSON (optional)")
     parser.add_argument("--prefix", default="",
                         help="keep only benchmarks whose name starts with this")
-    parser.add_argument("-o", "--out", default="BENCH_telemetry.json")
+    parser.add_argument("-o", "--out", required=True,
+                        help="baseline to write, e.g. BENCH_als.json")
     args = parser.parse_args(argv)
 
     with open(args.benchmark, encoding="utf-8") as f:
