@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
-// ALS completion, Gao-Rexford route computation, Jacobi eigendecomposition,
-// and traceroute simulation. These guard against performance regressions in
-// the substrate the reproduction harness leans on.
+// ALS completion, Gao-Rexford route computation and traceroute simulation.
+// These guard against performance regressions in the substrate the
+// reproduction harness leans on.
 //
 // With METAS_TELEMETRY_OUT=<path> in the environment, a JSON snapshot of the
 // telemetry registry accumulated across all benchmark iterations is written
@@ -16,7 +16,6 @@
 
 #include "core/als.hpp"
 #include "eval/world.hpp"
-#include "linalg/eigen_sym.hpp"
 #include "util/checkpoint.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace.hpp"
@@ -166,23 +165,6 @@ void BM_AlsFitTraced(benchmark::State& state) {
                           static_cast<std::int64_t>(p.entries.size()));
 }
 BENCHMARK(BM_AlsFitTraced)->Args({300, 16});
-
-void BM_JacobiEigen(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(2);
-  linalg::Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i; j < n; ++j) {
-      double v = rng.normal();
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  for (auto _ : state) {
-    auto es = linalg::eigen_symmetric(a);
-    benchmark::DoNotOptimize(es.values[0]);
-  }
-}
-BENCHMARK(BM_JacobiEigen)->Arg(60)->Arg(120);
 
 struct WorldHolder {
   static eval::World& get() {

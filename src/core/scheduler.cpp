@@ -29,22 +29,7 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
       cfg_(cfg),
       rng_(cfg.seed),
       fail_streak_(ctx.size(), 0),
-      given_up_(ctx.size(), false),
-      ctr_probes_launched_(util::telemetry::Registry::instance().counter(
-          "scheduler.probes_launched")),
-      ctr_probes_faulted_(util::telemetry::Registry::instance().counter(
-          "scheduler.probes_faulted")),
-      ctr_retries_(
-          util::telemetry::Registry::instance().counter("scheduler.retries")),
-      ctr_infra_failures_(util::telemetry::Registry::instance().counter(
-          "scheduler.infra_failures")),
-      ctr_requeues_(
-          util::telemetry::Registry::instance().counter("scheduler.requeues")),
-      base_probes_launched_(ctr_probes_launched_.value()),
-      base_probes_faulted_(ctr_probes_faulted_.value()),
-      base_retries_(ctr_retries_.value()),
-      base_infra_failures_(ctr_infra_failures_.value()),
-      base_requeues_(ctr_requeues_.value()) {
+      given_up_(ctx.size(), false) {
   MAC_REQUIRE(cfg.batch_size > 0, "batch_size=", cfg.batch_size);
   MAC_REQUIRE(cfg.epsilon >= 0.0 && cfg.epsilon <= 1.0,
               "epsilon=", cfg.epsilon);
@@ -137,13 +122,11 @@ void MeasurementScheduler::finish_campaign(int target) {
     if (given_up_[i]) ++degradation_.rows_given_up;
   }
   degradation_.fill_fraction = n == 0 ? 0.0 : fill / static_cast<double>(n);
-  // Counter fields: reads of the registry counters, minus this scheduler's
-  // construction-time baselines.  Exact because schedulers run sequentially.
-  degradation_.probes_launched = ctr_probes_launched_.value() - base_probes_launched_;
-  degradation_.probes_faulted = ctr_probes_faulted_.value() - base_probes_faulted_;
-  degradation_.retries = ctr_retries_.value() - base_retries_;
-  degradation_.infra_failures = ctr_infra_failures_.value() - base_infra_failures_;
-  degradation_.requeues = ctr_requeues_.value() - base_requeues_;
+  degradation_.probes_launched = probes_launched_;
+  degradation_.probes_faulted = probes_faulted_;
+  degradation_.retries = retries_;
+  degradation_.infra_failures = infra_failures_;
+  degradation_.requeues = requeues_;
   // Quarantine/death are current measurement-system state, not cumulative
   // event counts -- they stay direct reads.
   degradation_.quarantined_vps = ms_->quarantined_vps();
@@ -378,17 +361,25 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   rec.spent = mac::checked_cast<int>(spent);
   history_.push_back(rec);
 
-  ctr_probes_launched_.add(mac::checked_cast<std::uint64_t>(out.launched));
-  ctr_probes_faulted_.add(mac::checked_cast<std::uint64_t>(out.faulted));
-  if (out.attempts > 1)
-    ctr_retries_.add(mac::checked_cast<std::uint64_t>(out.attempts - 1));
+  const bool requeue = out.infra_failure && ms_->resilience().enabled;
+  const int retries = std::max(out.attempts - 1, 0);
+  probes_launched_ += mac::checked_cast<std::uint64_t>(out.launched);
+  probes_faulted_ += mac::checked_cast<std::uint64_t>(out.faulted);
+  retries_ += mac::checked_cast<std::uint64_t>(retries);
+  infra_failures_ += out.infra_failure ? 1u : 0u;
+  requeues_ += requeue ? 1u : 0u;
+  // Unconditional, so a snapshot names all five even in a run that never
+  // faults.
+  MAC_COUNT_N("scheduler.probes_launched", out.launched);
+  MAC_COUNT_N("scheduler.probes_faulted", out.faulted);
+  MAC_COUNT_N("scheduler.retries", retries);
+  MAC_COUNT_N("scheduler.infra_failures", out.infra_failure ? 1 : 0);
+  MAC_COUNT_N("scheduler.requeues", requeue ? 1 : 0);
 
   const std::uint64_t key = entry_key(pick.i, pick.j, ctx_->size());
-  if (out.infra_failure && ms_->resilience().enabled) {
+  if (requeue) {
     // The infrastructure, not the strategy, failed: requeue the entry with
     // exponential backoff and leave fail_streak / P_m untouched.
-    ctr_infra_failures_.add();
-    ctr_requeues_.add();
     auto& [retry_at, fails] = requeued_[key];
     int doublings = std::min(fails, 7);
     ++fails;
@@ -399,7 +390,6 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
                    mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_cap));
     return spent;
   }
-  if (out.infra_failure) ctr_infra_failures_.add();
   if (!requeued_.empty()) requeued_.erase(key);
 
   pm_->record(pick.i, pick.j, choice, out.informative);
@@ -448,21 +438,8 @@ void MeasurementScheduler::io(Self& s, Ar& ar) {
             "scheduler checkpoint has a negative requeue count");
   }
 
-  // Registry counters: persist this scheduler's *deltas*.  On load the
-  // baselines become current-value minus delta (mod 2^64), so the
-  // value-minus-baseline report stays exact in a fresh process whose
-  // counters restart at zero.
-  auto delta = [&ar](const util::telemetry::Counter& ctr, auto& base) {
-    std::uint64_t d = ctr.value() - base;
-    ar(d);
-    if constexpr (Ar::kLoading) base = ctr.value() - d;
-  };
-  delta(s.ctr_probes_launched_, s.base_probes_launched_);
-  delta(s.ctr_probes_faulted_, s.base_probes_faulted_);
-  delta(s.ctr_retries_, s.base_retries_);
-  delta(s.ctr_infra_failures_, s.base_infra_failures_);
-  delta(s.ctr_requeues_, s.base_requeues_);
-
+  ar(s.probes_launched_, s.probes_faulted_, s.retries_, s.infra_failures_,
+     s.requeues_);
   auto& d = s.degradation_;
   ar(d.fill_target, d.rows, d.rows_at_target, d.rows_given_up,
      d.fill_fraction, d.probes_launched, d.probes_faulted, d.retries,

@@ -15,7 +15,6 @@
 #include "core/measurement_system.hpp"
 #include "core/probability.hpp"
 #include "util/cancel.hpp"
-#include "util/telemetry.hpp"
 
 namespace metas::core {
 
@@ -78,10 +77,7 @@ struct BatchResult {
 /// Graceful-degradation summary of a measurement campaign at one metro:
 /// what fill was achieved against the target, and what the infrastructure
 /// cost along the way.  Counters accumulate over the scheduler's lifetime;
-/// fill statistics describe the most recent fill_rows_to call.  The counter
-/// fields are materialized from the process-wide telemetry registry
-/// (`scheduler.*` counters) when a campaign finishes -- the registry is the
-/// single source of truth for this accounting (DESIGN.md §8).
+/// fill statistics describe the most recent fill_rows_to call.
 struct DegradationReport {
   int fill_target = 0;             // per-row target of the last campaign
   std::size_t rows = 0;
@@ -136,7 +132,7 @@ class MeasurementScheduler {
   /// Checkpoint serialization of all mutable scheduler state: the RNG
   /// stream, the issued-measurement log, per-row fail/give-up state, the
   /// exploration/greedy/random bookkeeping, the backoff queue and the
-  /// degradation counters (as deltas against the construction baselines).
+  /// degradation counters.
   /// load() throws CheckpointError when the per-row state does not match
   /// the metro's size.
   void save(util::checkpoint::Encoder& enc) const;
@@ -176,20 +172,13 @@ class MeasurementScheduler {
   std::size_t greedy_cursor_ = 0;
   std::unordered_set<std::uint64_t> attempted_;  // greedy/random de-dup
 
-  // Degradation accounting lives in registry-owned counters (product
-  // behaviour: built in telemetry-disabled configurations too).  Baselines
-  // captured at construction make the per-scheduler report exact when
-  // several schedulers run in one process.
-  util::telemetry::Counter& ctr_probes_launched_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  util::telemetry::Counter& ctr_probes_faulted_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  util::telemetry::Counter& ctr_retries_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  util::telemetry::Counter& ctr_infra_failures_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  util::telemetry::Counter& ctr_requeues_;  // lint: allow(view-member) -- registry-owned counter; the process-lifetime registry outlives any scheduler
-  std::uint64_t base_probes_launched_ = 0;
-  std::uint64_t base_probes_faulted_ = 0;
-  std::uint64_t base_retries_ = 0;
-  std::uint64_t base_infra_failures_ = 0;
-  std::uint64_t base_requeues_ = 0;
+  // Lifetime counts behind DegradationReport's counter fields; finish_campaign
+  // copies them into degradation_.
+  std::uint64_t probes_launched_ = 0;
+  std::uint64_t probes_faulted_ = 0;
+  std::uint64_t retries_ = 0;
+  std::uint64_t infra_failures_ = 0;
+  std::uint64_t requeues_ = 0;
 
   DegradationReport degradation_;
   std::uint64_t sched_tick_ = 0;  // one per batch slot processed

@@ -147,8 +147,7 @@ void Campaign::write_checkpoint(const CampaignHooks& hooks,
 MetroSummary Campaign::publish(const core::MetroContext& ctx,
                                const std::string& name,
                                const core::PipelineResult& result) const {
-  const double lambda =
-      cfg_.threshold > -1.5 ? cfg_.threshold : result.threshold;
+  const double lambda = cfg_.threshold.value_or(result.threshold);
   // Render into memory, then publish atomically: a crash mid-export never
   // leaves a truncated CSV behind for a resume to skip.
   auto publish_csv = [&](const char* kind, auto&& render) {

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,7 +37,7 @@ struct CampaignConfig {
   std::string scale = "small";  // "small" or "paper" world
   std::string metro;            // metro by name; empty = first focus metro
   bool all_metros = false;      // every focus metro, in order
-  double threshold = -2.0;      // link threshold; below -1.5 = tuned lambda
+  std::optional<double> threshold;  // link threshold; empty = tuned lambda
   std::string out_dir = "metascritic_out";
   traceroute::FaultProfile faults;  // default: none (inert)
   bool resilience = true;

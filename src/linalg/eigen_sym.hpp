@@ -1,5 +1,7 @@
-// Symmetric eigendecomposition via the cyclic Jacobi method, plus the
-// spectral "effective rank" measures that drive metAScritic's stopping rules.
+// Symmetric eigendecomposition via the cyclic Jacobi method, plus spectral
+// "effective rank" measures.  No pipeline run computes a spectrum: the
+// solver is the reference that tests/generator_test.cpp uses to check the
+// low-rank premise of each metro's truth matrix (Appx. B).
 //
 // The paper (Appx. B, E.5) defines the effective rank of a connectivity
 // matrix as the number of dimensions needed to reconstruct the matrix within

@@ -17,11 +17,6 @@ double& Matrix::at(std::size_t r, std::size_t c) {
   return (*this)(r, c);
 }
 
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
 Vector Matrix::row(std::size_t r) const {
   if (r >= rows_) throw std::out_of_range("Matrix::row");
   Vector v(cols_);

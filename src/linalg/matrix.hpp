@@ -1,10 +1,10 @@
 // Minimal dense linear algebra written from scratch for metAScritic.
 //
-// The recommender core only needs: small ridge-regularized SPD solves inside
-// ALS (dimension = effective rank, <= ~64), symmetric eigendecomposition for
-// effective-rank estimation, and elementwise matrix plumbing for the
-// connectivity matrices (up to a few thousand ASes per metro).  A hand-rolled
-// row-major double matrix is both sufficient and exactly reproducible.
+// The recommender core only needs small ridge-regularized SPD solves inside
+// ALS (dimension = effective rank, <= ~64) and elementwise matrix plumbing
+// for the connectivity matrices (up to a few thousand ASes per metro).  A
+// hand-rolled row-major double matrix is both sufficient and exactly
+// reproducible.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +43,6 @@ class Matrix {
 
   /// Bounds-checked access (throws std::out_of_range).
   double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
 
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }

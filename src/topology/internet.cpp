@@ -123,29 +123,6 @@ bool Internet::in_cone(AsId owner, AsId member) const {
   return std::binary_search(cone.begin(), cone.end(), member);
 }
 
-std::vector<AsId> Internet::neighbors(AsId a) const {
-  auto idx = mac::checked_cast<std::size_t>(a);
-  std::vector<AsId> out;
-  out.reserve(providers[idx].size() + customers[idx].size() + peers[idx].size());
-  out.insert(out.end(), providers[idx].begin(), providers[idx].end());
-  out.insert(out.end(), customers[idx].begin(), customers[idx].end());
-  out.insert(out.end(), peers[idx].begin(), peers[idx].end());
-  return out;
-}
-
-GeoScope Internet::scope_to_metro(AsId a, MetroId m) const {
-  MAC_REQUIRE(a >= 0 && mac::checked_cast<std::size_t>(a) < ases.size(), "a=", a);
-  MAC_REQUIRE(m >= 0 && mac::checked_cast<std::size_t>(m) < metros.size(), "m=", m);
-  const AsNode& node = ases[mac::checked_cast<std::size_t>(a)];
-  const Metro& metro = metros[mac::checked_cast<std::size_t>(m)];
-  // Presence at the metro itself dominates registration geography.
-  if (std::find(node.footprint.begin(), node.footprint.end(), m) !=
-      node.footprint.end())
-    return GeoScope::kSameMetro;
-  return geo_scope(node.home_country, node.home_continent, metro.country,
-                   metro.continent);
-}
-
 GeoScope Internet::metro_scope(MetroId a, MetroId b) const {
   if (a == b) return GeoScope::kSameMetro;
   const Metro& ma = metros[mac::checked_cast<std::size_t>(a)];

@@ -106,12 +106,6 @@ struct Internet {
   /// True if `member` is in the customer cone of `owner` (cones include self).
   bool in_cone(AsId owner, AsId member) const;
 
-  /// All neighbors of an AS (providers + customers + peers).
-  std::vector<AsId> neighbors(AsId a) const;
-
-  /// Geographic scope between a metro and an AS's home registration.
-  GeoScope scope_to_metro(AsId a, MetroId m) const;
-
   /// Geographic scope between two metros.
   GeoScope metro_scope(MetroId a, MetroId b) const;
 

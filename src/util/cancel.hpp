@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 
 #include "util/telemetry.hpp"
 
@@ -37,13 +38,17 @@ class DeadlineBudget {
  public:
   DeadlineBudget() = default;
 
-  /// Budget of `ms` milliseconds starting now, measured on `clock`.
+  /// Budget of `ms` milliseconds starting now, measured on `clock`.  A
+  /// budget past the end of the clock's range never expires.
   static DeadlineBudget after_ms(
       std::uint64_t ms, telemetry::ClockFn clock = &telemetry::steady_now_ns) {
+    constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
     DeadlineBudget b;
     b.clock_ = clock;
     b.start_ns_ = clock();
-    b.deadline_ns_ = b.start_ns_ + ms * 1'000'000ULL;
+    b.deadline_ns_ = ms > (kNever - b.start_ns_) / 1'000'000ULL
+                         ? kNever
+                         : b.start_ns_ + ms * 1'000'000ULL;
     b.armed_ = true;
     return b;
   }

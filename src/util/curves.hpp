@@ -42,7 +42,9 @@ std::vector<CurvePoint> pr_curve(const std::vector<Scored>& data);
 /// ROC curve swept over every distinct score, ordered by increasing FPR.
 std::vector<CurvePoint> roc_curve(const std::vector<Scored>& data);
 
-/// Area under the precision-recall curve (trapezoidal over recall).
+/// Area under the precision-recall curve, average-precision style: each
+/// step in recall is weighted by the precision where it ends, with no
+/// interpolation between points.
 double auprc(const std::vector<Scored>& data);
 
 /// Area under the ROC curve (equivalent to the rank statistic).

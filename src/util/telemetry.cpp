@@ -28,8 +28,10 @@ thread_local std::vector<SpanFrame> t_span_stack;
 
 std::atomic<std::uint64_t> g_tick{0};
 
-/// Minimal JSON string escape (metric names are dotted identifiers, but do
-/// not trust them blindly).
+}  // namespace
+
+// Metric and span names are dotted identifiers, but do not trust them
+// blindly.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -41,14 +43,11 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Deterministic double formatting for both exporters.
 std::string fmt_double(double v) {
   std::ostringstream os;
   os << std::setprecision(17) << v;
   return os.str();
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Clocks

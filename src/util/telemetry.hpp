@@ -28,11 +28,8 @@
 // define METASCRITIC_TELEMETRY_ENABLED=0) and every MAC_* instrumentation
 // macro below expands to nothing -- arguments unevaluated, no registry
 // lookups, no clock reads -- so the zero-overhead claim is checkable rather
-// than asserted (tests/telemetry_disabled_test.cpp).  The registry core
-// itself stays linkable in disabled builds because the scheduler's
-// DegradationReport accounting is backed by named counters (product
-// behaviour, not instrumentation); those direct Counter uses replace the
-// former hand-maintained struct increments one for one.
+// than asserted (tests/telemetry_disabled_test.cpp).  The registry holds
+// instrumentation only: no run result reads it.
 #pragma once
 
 #include <array>
@@ -240,13 +237,21 @@ class ScopedSpan {
 /// the file cannot be opened.
 bool write_snapshot(const std::string& path, Format format);
 
+/// JSON string escape shared by the registry and trace exporters: quotes
+/// and backslashes are escaped, control characters dropped.
+std::string json_escape(const std::string& s);
+
+/// Deterministic double formatting (17 significant digits) shared by the
+/// registry and trace exporters.
+std::string fmt_double(double v);
+
 }  // namespace metas::util::telemetry
 
 // ---------------------------------------------------------------------------
 // Instrumentation macros.  These -- and only these -- are subject to the
 // compile-time kill switch: with METASCRITIC_TELEMETRY_ENABLED=0 they expand
 // to nothing (arguments typecheck inside an unevaluated sizeof but never
-// run).  Direct Registry/Counter uses (DegradationReport accounting) remain.
+// run).
 // ---------------------------------------------------------------------------
 
 #if METASCRITIC_TELEMETRY_ENABLED

@@ -26,24 +26,8 @@ struct LocalCache {
 };
 thread_local LocalCache t_cache;
 
-/// Minimal JSON string escape (same policy as the telemetry exporters).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (mac::checked_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Deterministic double formatting, matching the telemetry exporters.
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
+using telemetry::fmt_double;
+using telemetry::json_escape;
 
 /// Chrome's `ts` field is in microseconds.  Emit exactly three fractional
 /// digits by integer arithmetic so the byte output never depends on float
@@ -193,11 +177,6 @@ std::uint64_t Recorder::event_count() const {
 std::size_t Recorder::thread_count() const {
   LockGuard lock(mu_);
   return buffers_.size();
-}
-
-std::size_t Recorder::buffer_events() const {
-  LockGuard lock(mu_);
-  return buffer_events_;
 }
 
 void Recorder::write_chrome_json(std::ostream& os) const {

@@ -83,6 +83,8 @@ struct TraceEvent {
 /// Default per-thread ring capacity (events), overridable per run with the
 /// CLI's --trace-buffer-events.  64Ki events * 24 bytes = 1.5 MiB/thread.
 inline constexpr std::size_t kDefaultBufferEvents = 1u << 16;
+/// Largest ring the CLI accepts: 16Mi events * 24 bytes = 384 MiB/thread.
+inline constexpr std::size_t kMaxBufferEvents = 1u << 24;
 
 /// One thread's ring.  Only the owning thread writes; other threads may
 /// read a consistent prefix after acquiring `written()` at a quiescent
@@ -152,7 +154,6 @@ class Recorder {
   /// Total events currently held (post-wraparound survivors).
   std::uint64_t event_count() const MAC_EXCLUDES(mu_);
   std::size_t thread_count() const MAC_EXCLUDES(mu_);
-  std::size_t buffer_events() const MAC_EXCLUDES(mu_);
 
   /// Serializes every thread's surviving events as Chrome trace-event JSON
   /// (object format: `otherData` header + `traceEvents`).  Span names are

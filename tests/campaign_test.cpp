@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -351,6 +352,27 @@ TEST_F(CampaignCheckpointTest, OverlongPhaseStringIsRefused) {
   const u64 len = payload.size() - at;
   std::memcpy(payload.data() + at, &len, sizeof len);
   expect_corrupt("overlong", payload);
+}
+
+// A deadline past the end of the clock's range saturates instead of
+// wrapping into the past, so the CLI's largest --deadline-ms never stops a
+// run.
+TEST(DeadlineBudgetTest, BudgetPastTheClockRangeNeverExpires) {
+  const util::DeadlineBudget budget = util::DeadlineBudget::after_ms(
+      std::numeric_limits<std::uint64_t>::max(), &polling_clock);
+  EXPECT_FALSE(budget.expired());
+}
+
+// An explicit threshold is used as given, a negative one too: only an
+// unset threshold means the tuned lambda.
+TEST_F(CampaignCheckpointTest, ExplicitNegativeThresholdIsUsed) {
+  eval::CampaignConfig cfg = config("threshold");
+  cfg.all_metros = false;
+  cfg.checkpoint_path.clear();
+  cfg.threshold = -3.0;
+  const eval::CampaignOutcome out = eval::Campaign(cfg).run();
+  ASSERT_EQ(out.metros.size(), 1u);
+  EXPECT_EQ(out.metros[0].lambda, -3.0);
 }
 
 }  // namespace

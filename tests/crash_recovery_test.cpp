@@ -5,8 +5,9 @@
 // flags.  Also covers what needs a real process: exit codes, fingerprint
 // rejection, corrupted-checkpoint fallback, a corrupt payload reported as
 // such, the SIGKILL flight dump, and SIGTERM / --deadline-ms stops that
-// land mid-run and resume byte-identically.  Payload decoding and stops at
-// exact polls are driven in process by campaign_test.cpp.
+// land mid-run and resume byte-identically, and malformed numeric flags
+// refused before anything runs (CliFlagsTest).  Payload decoding and stops
+// at exact polls are driven in process by campaign_test.cpp.
 //
 // The CLI path is injected by CMake as METAS_CLI_PATH (see
 // tests/CMakeLists.txt); every child runs via fork/exec with stdout/stderr
@@ -19,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -405,6 +407,34 @@ TEST_F(CrashRecoveryTest, DeadlineStopsGracefullyWithResumableCheckpoint) {
     EXPECT_FALSE(fs::exists(path("ck/snap")));
   }
   expect_resume_matches("ref");
+}
+
+// A numeric flag whose value is not one number in the flag's range is
+// refused before anything runs: usage, exit 2, and no output directory.
+// No case passes --trace, so no build allocates a trace ring.
+class CliFlagsTest : public CrashRecoveryTest {};
+
+TEST_F(CliFlagsTest, MalformedNumbersPrintUsageAndExitTwo) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--seed", "abc"},
+      {"--seed", "-1"},
+      {"--threshold", "0.3x"},
+      {"--threshold", "nan"},
+      {"--deadline-ms", "10abc"},
+      {"--keep-checkpoints", "4294967297"},
+      {"--trace-buffer-events", "-1"},
+      {"--trace-buffer-events", "16777217"},  // 2^24 + 1
+      {"--crash-after-checkpoints", "abc"},
+  };
+  for (const auto& [flag, value] : cases) {
+    SCOPED_TRACE(flag + " " + value);
+    const RunResult r = run_cli({"--out", path("out"), flag, value});
+    EXPECT_EQ(r.exit_code, 2) << r.log;
+    EXPECT_NE(r.log.find("usage: metascritic_cli"), std::string::npos)
+        << r.log;
+    EXPECT_FALSE(fs::exists(path("out")));
+    fs::remove_all(path("out"));
+  }
 }
 
 }  // namespace

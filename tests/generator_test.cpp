@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "linalg/eigen_sym.hpp"
+#include "util/rng.hpp"
 
 namespace metas::topology {
 namespace {
@@ -213,20 +215,48 @@ TEST(Generator, PairScoreIsSymmetric) {
 // than a comparable random matrix -- the low-rankness premise (Appx. B).
 class LowRanknessTest : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Tail energy past rank n/4 of the symmetric n x n matrix that holds +1
+/// where `link(i, j)`, -1 elsewhere off the diagonal and 0 on it.
+template <class Link>
+double quarter_rank_tail_energy(std::size_t n, Link link) {
+  linalg::Matrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (i != j) m(i, j) = link(i, j) ? 1.0 : -1.0;
+  return linalg::relative_tail_energy(linalg::singular_values(m), n / 4);
+}
+
 TEST_P(LowRanknessTest, TruthTailEnergyDropsFast) {
   GeneratorConfig cfg = tiny_config(GetParam());
   Internet net = generate_internet(cfg);
   const auto& truth = net.truth[0];
   const std::size_t n = truth.size();
   ASSERT_GT(n, 20u);
-  linalg::Matrix tm(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (i != j) tm(i, j) = truth.link(i, j) ? 1.0 : -1.0;
-  auto sv = linalg::singular_values(tm);
   // 25% of the dimensions capture most of the energy.
-  double tail = linalg::relative_tail_energy(sv, n / 4);
-  EXPECT_LT(tail, 0.45);
+  constexpr double kBound = 0.45;
+  EXPECT_LT(quarter_rank_tail_energy(
+                n, [&truth](std::size_t i, std::size_t j) {
+                  return truth.link(i, j);
+                }),
+            kBound);
+
+  // The control: as many links as the truth, placed uniformly at random.
+  // Its tail stays above the bound, so the bound separates structure from
+  // density.
+  std::vector<char> cells(n * (n - 1) / 2, 0);
+  std::fill_n(cells.begin(), truth.link_count(), 1);
+  util::Rng rng(GetParam());
+  rng.shuffle(cells);
+  std::vector<char> control(n * n, 0);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      control[i * n + j] = control[j * n + i] = cells[next++];
+  EXPECT_GT(quarter_rank_tail_energy(
+                n, [&control, n](std::size_t i, std::size_t j) {
+                  return control[i * n + j] != 0;
+                }),
+            kBound);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LowRanknessTest, ::testing::Values(1u, 2u, 3u));

@@ -61,9 +61,8 @@ TEST(TelemetryDisabled, MacrosRegisterNothing) {
 }
 
 TEST(TelemetryDisabled, RegistryCoreStillWorks) {
-  // The library core stays functional in disabled builds: the scheduler's
-  // DegradationReport accounting uses direct Counter handles, and the CLI
-  // --telemetry sink still exports whatever the core recorded.
+  // Only the macros compile out: a registry a caller drives directly still
+  // counts.
   tel::Registry reg;
   tel::Counter& c = reg.counter("disabled.core");
   c.add(5);

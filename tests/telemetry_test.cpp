@@ -273,10 +273,16 @@ TEST(TelemetryPipelineCoverage, NamespacesAndPhaseSpans) {
   core::PipelineConfig pc;
   pc.scheduler.seed = 500;
   pc.rank.seed = 501;
-  core::MetascriticPipeline pipeline(ctx, *w.ms, nullptr, pc);
-  (void)pipeline.run();
-
   tel::Registry& reg = tel::Registry::instance();
+  const std::vector<std::string> kFaultCounts = {
+      "scheduler.probes_launched", "scheduler.probes_faulted",
+      "scheduler.retries", "scheduler.infra_failures", "scheduler.requeues"};
+  std::vector<std::uint64_t> before;
+  for (const std::string& name : kFaultCounts)
+    before.push_back(reg.counter(name).value());
+  core::MetascriticPipeline pipeline(ctx, *w.ms, nullptr, pc);
+  const core::PipelineResult result = pipeline.run();
+
   auto names = reg.metric_names();
   EXPECT_GE(names.size(), 25u);
   const std::vector<std::string> kNamespaces = {
@@ -312,9 +318,16 @@ TEST(TelemetryPipelineCoverage, NamespacesAndPhaseSpans) {
       EXPECT_EQ(s.parent, run_node);
     }
 
-  // The degradation unification: scheduler.* counters are the same numbers
-  // the DegradationReport carries.
-  EXPECT_GE(reg.counter("scheduler.probes_launched").value(), 1u);
+  // The scheduler.* counters receive every increment behind the
+  // DegradationReport's counter fields.
+  const core::DegradationReport& d = result.degradation;
+  const std::vector<std::size_t> report = {
+      d.probes_launched, d.probes_faulted, d.retries, d.infra_failures,
+      d.requeues};
+  EXPECT_GE(d.probes_launched, 1u);
+  for (std::size_t k = 0; k < kFaultCounts.size(); ++k)
+    EXPECT_EQ(reg.counter(kFaultCounts[k]).value() - before[k], report[k])
+        << kFaultCounts[k];
 }
 
 }  // namespace

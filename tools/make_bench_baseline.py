@@ -17,9 +17,9 @@ baseline to benchmarks whose name starts with the given string, so one
 perf_micro run can be split into per-gate baselines.
 
 The output is deliberately coarse: absolute nanoseconds vary by machine, so
-a baseline records them for trend context; gates that compare against a
-committed baseline (als-perf, jacobi-perf) therefore carry generous budgets
-and catch step-change regressions only.  Tight budgets belong to same-machine
+a baseline records them for trend context; a gate that compares against a
+committed baseline (als-perf) therefore carries a generous budget and
+catches step-change regressions only.  Tight budgets belong to same-machine
 A/B gates such as telemetry-overhead-als (tools/check_regression.py).
 """
 

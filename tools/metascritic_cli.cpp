@@ -9,6 +9,10 @@
 //                   [--checkpoint PATH] [--resume PATH] [--deadline-ms N]
 //                   [--trace PATH] [--trace-buffer-events N]
 //
+// A numeric flag's value must be one decimal number, in range for the
+// flag (--threshold: finite, or auto); anything else prints usage and
+// exits 2 before any output is written.
+//
 // Writes per-metro <out>/<metro>_links.csv, <metro>_ratings.csv, and
 // <metro>_measurements.csv, and prints a summary table. With a non-trivial
 // fault profile the summary also reports how the measurement plane degraded
@@ -35,14 +39,18 @@
 // Tracing (DESIGN.md §13): --trace PATH arms the per-thread ring-buffer
 // flight recorder and writes a Chrome trace-event / Perfetto-compatible
 // JSON timeline (span begin/end, instants, counter samples) at the end of
-// the run; --trace-buffer-events N bounds the per-thread ring (oldest
-// events drop first, counted in the trace header).  While tracing is armed
-// every successful checkpoint write also dumps the ring next to the
-// checkpoint (<checkpoint>.trace.json), so a killed or cancelled run
+// the run; --trace-buffer-events N (1 to 2^24) bounds the per-thread ring
+// (oldest events drop first, counted in the trace header).  While tracing
+// is armed every successful checkpoint write also dumps the ring next to
+// the checkpoint (<checkpoint>.trace.json), so a killed or cancelled run
 // leaves a timeline of its final moments.
+#include <charconv>
+#include <cmath>
 #include <csignal>
+#include <cstring>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "eval/campaign.hpp"
 #include "util/cancel.hpp"
@@ -95,16 +103,29 @@ void usage() {
       "                       [--trace PATH] [--trace-buffer-events N]\n";
 }
 
+/// Parses all of `text` as a T inside T's range.  No sign is accepted for
+/// an unsigned T, and no leading space or '+' for any T.
+template <class T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 bool parse_args(int argc, char** argv, CliOptions& opt) {
   for (int k = 1; k < argc; ++k) {
     std::string arg = argv[k];
     auto next = [&]() -> const char* {
       return k + 1 < argc ? argv[++k] : nullptr;
     };
-    if (arg == "--seed") {
+    // Reads the next argument into `out`; false when it is missing or not
+    // a number of out's type.
+    auto number = [&](auto& out) {
       const char* v = next();
-      if (v == nullptr) return false;
-      opt.run.seed = std::strtoull(v, nullptr, 10);
+      return v != nullptr && parse_number(v, out);
+    };
+    if (arg == "--seed") {
+      if (!number(opt.run.seed)) return false;
     } else if (arg == "--metro") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -119,7 +140,13 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--threshold") {
       const char* v = next();
       if (v == nullptr) return false;
-      if (std::string(v) != "auto") opt.run.threshold = std::strtod(v, nullptr);
+      if (std::string(v) == "auto") {
+        opt.run.threshold.reset();
+      } else {
+        double t = 0.0;
+        if (!parse_number(v, t) || !std::isfinite(t)) return false;
+        opt.run.threshold = t;
+      }
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -156,23 +183,16 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       if (v == nullptr) return false;
       opt.trace_path = v;
     } else if (arg == "--trace-buffer-events") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.trace_buffer_events = std::strtoull(v, nullptr, 10);
-      if (opt.trace_buffer_events == 0) return false;
+      if (!number(opt.trace_buffer_events) || opt.trace_buffer_events == 0 ||
+          opt.trace_buffer_events > metas::util::trace::kMaxBufferEvents)
+        return false;
     } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.deadline_ms = std::strtoull(v, nullptr, 10);
+      if (!number(opt.deadline_ms)) return false;
     } else if (arg == "--keep-checkpoints") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.run.keep_checkpoints = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (opt.run.keep_checkpoints < 1) return false;
+      if (!number(opt.run.keep_checkpoints) || opt.run.keep_checkpoints < 1)
+        return false;
     } else if (arg == "--crash-after-checkpoints") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.crash_after_checkpoints = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number(opt.crash_after_checkpoints)) return false;
     } else if (arg == "--no-resilience") {
       opt.run.resilience = false;
     } else if (arg == "--quiet") {
@@ -299,7 +319,7 @@ int main(int argc, char** argv) {
     if (!opt.quiet) {
       std::cout << "telemetry snapshot written to " << opt.telemetry_path;
       if (!util::telemetry::compiled())
-        std::cout << " (instrumentation compiled out: core counters only)";
+        std::cout << " (instrumentation compiled out: snapshot is empty)";
       std::cout << "\n";
     }
   }
