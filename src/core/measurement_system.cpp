@@ -305,6 +305,7 @@ const EstimatedMatrix& MeasurementSystem::matrix(const MetroContext& ctx) {
     view_.reset();  // free the stale view first: one n x n E_m at a time
     EstimatedMatrix e = build_estimated_matrix(ctx, evidence_, consistent);
     view_ = MatrixView{ctx.metro(), std::move(consistent), std::move(e)};
+    ++view_rebuilds_;
     MAC_COUNT("measurement.matrices_rebuilt");
   }
   observed_.clear();
@@ -315,6 +316,7 @@ EstimatedMatrix MeasurementSystem::take_matrix(const MetroContext& ctx) {
   matrix(ctx);
   EstimatedMatrix e = std::move(view_->e);
   view_.reset();
+  ++view_rebuilds_;
   return e;
 }
 
@@ -331,6 +333,7 @@ void MeasurementSystem::save(util::checkpoint::Encoder& enc) const {
 void MeasurementSystem::load(util::checkpoint::Decoder& dec) {
   view_.reset();
   observed_.clear();
+  ++view_rebuilds_;
   io(*this, dec);
   const std::size_t metros = net_->metros.size();
   if (!traceroute::metros_below(evidence_.all(), metros) ||

@@ -91,6 +91,10 @@ class MeasurementSystem {
   /// matrix(ctx), moved out of the view, which is dropped: a metro's last
   /// read keeps no second n x n copy alive.
   EstimatedMatrix take_matrix(const MetroContext& ctx);
+  /// Counts the events after which the view may hold an entry unfilled that
+  /// it held filled: full rebuilds, take_matrix() and load().  Between two
+  /// matrix() reads with the same count, filled entries stay filled.
+  std::uint64_t view_rebuilds() const { return view_rebuilds_; }
 
   const EvidenceStore& evidence() const { return evidence_; }
   const traceroute::ConsistencyTracker& consistency() const { return consistency_; }
@@ -176,6 +180,7 @@ class MeasurementSystem {
   };
   std::optional<MatrixView> view_;
   std::vector<std::uint64_t> observed_;
+  std::uint64_t view_rebuilds_ = 0;
 };
 
 }  // namespace metas::core

@@ -69,7 +69,7 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
     }
     refresh_success(si);
   }
-  penalized_.assign(n_ * n_, 0);
+  penalty_list_.assign(n_ * n_, 0);
   // Larger candidate pools make a strategy more likely to pan out.  The
   // memo is filled at run time on purpose: a table the compiler folds
   // may round log10 differently from the C library.
@@ -116,17 +116,34 @@ std::size_t ProbabilityMatrix::entry(int near, int far) const {
          mac::checked_cast<std::size_t>(far);
 }
 
-std::uint64_t ProbabilityMatrix::penalty_key(int i, int j, int s) const {
-  return mac::checked_cast<std::uint64_t>(entry(i, j)) * kNumStrategies +
-         mac::checked_cast<std::uint64_t>(s);
+double& ProbabilityMatrix::penalty(std::size_t at, int strategy) {
+  std::uint32_t& list = penalty_list_[at];
+  if (list == 0) {
+    penalty_lists_.emplace_back();
+    list = mac::checked_cast<std::uint32_t>(penalty_lists_.size());
+  }
+  auto& pens = penalty_lists_[list - 1];
+  auto it = std::lower_bound(
+      pens.begin(), pens.end(), strategy,
+      [](const Penalty& p, int s) { return p.strategy < s; });
+  if (it == pens.end() || it->strategy != strategy)
+    it = pens.insert(it, Penalty{strategy, 1.0});
+  return it->factor;
 }
 
 double ProbabilityMatrix::dir_prob(int near, int far, int* best_vp,
                                    int* best_tgt) const {
   const auto& va = vp_available_[mac::checked_cast<std::size_t>(near)];
   const auto& ta = tgt_available_[mac::checked_cast<std::size_t>(far)];
-  // Most entries carry no penalty at all; only those probe the hash.
-  const bool penalized = penalized_[entry(near, far)] != 0;
+  // The strategies below come in ascending order, and so does the entry's
+  // penalty list: one forward walk finds each strategy's penalty.
+  const Penalty* pen = nullptr;
+  const Penalty* pen_end = nullptr;
+  if (const std::uint32_t list = penalty_list_[entry(near, far)]; list != 0) {
+    const auto& pens = penalty_lists_[list - 1];
+    pen = pens.data();
+    pen_end = pen + pens.size();
+  }
   double best = 0.0;
   for (std::size_t a = 0; a < va.size; ++a) {
     const int v = va.category[a];
@@ -134,15 +151,13 @@ double ProbabilityMatrix::dir_prob(int near, int far, int* best_vp,
     for (std::size_t b = 0; b < ta.size; ++b) {
       const int t = ta.category[b];
       // traceroute::strategy_index(v, t), inline.
-      const auto s = mac::checked_cast<std::size_t>(v * kTargetCategories + t);
-      if (!allowed_[s]) continue;
-      double p = success_[s];
+      const int s = v * kTargetCategories + t;
+      const auto si = mac::checked_cast<std::size_t>(s);
+      if (!allowed_[si]) continue;
+      double p = success_[si];
       p *= pool_factor_[std::min(nv * ta.count[b], kPoolSaturated)];
-      if (penalized) {
-        auto pen = penalties_.find(
-            penalty_key(near, far, mac::checked_cast<int>(s)));
-        if (pen != penalties_.end()) p *= pen->second;
-      }
+      while (pen != pen_end && pen->strategy < s) ++pen;
+      if (pen != pen_end && pen->strategy == s) p *= pen->factor;
       if (p > best) {
         best = p;
         if (best_vp != nullptr) *best_vp = v;
@@ -185,13 +200,12 @@ void ProbabilityMatrix::record(int i, int j, const StrategyChoice& choice,
   auto si = mac::checked_cast<std::size_t>(s);
   if (informative) {
     alpha_[si] += 1.0;
+    ++rises_;
   } else {
     beta_[si] += 1.0;
     int near = choice.swapped ? j : i;
     int far = choice.swapped ? i : j;
-    auto [it, inserted] = penalties_.emplace(penalty_key(near, far, s), 1.0);
-    it->second *= cfg_.penalty_factor;
-    penalized_[entry(near, far)] = 1;
+    penalty(entry(near, far), s) *= cfg_.penalty_factor;
   }
   refresh_success(si);
 }
@@ -219,6 +233,7 @@ void ProbabilityMatrix::restrict_to_ixp_mapped() {
               st.tgt_topo != TargetTopo::kInCone;
     allowed_[mac::checked_cast<std::size_t>(s)] = ok;
   }
+  ++rises_;
 }
 
 template <class Self, class Ar>
@@ -235,10 +250,24 @@ void StrategyPriors::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
 template <class Self, class Ar>
 void ProbabilityMatrix::io(Self& s, Ar& ar) {
   std::size_t n = s.n_;
+  // The penalty store goes to disk as its ascending (key, factor) list.
+  constexpr auto kStrategies = mac::checked_cast<std::uint64_t>(kNumStrategies);
+  std::vector<std::pair<std::uint64_t, double>> penalties;
+  if constexpr (!Ar::kLoading) {
+    for (std::size_t at = 0; at < s.penalty_list_.size(); ++at) {
+      if (s.penalty_list_[at] == 0) continue;
+      for (const Penalty& p : s.penalty_lists_[s.penalty_list_[at] - 1])
+        penalties.emplace_back(
+            mac::checked_cast<std::uint64_t>(at) * kStrategies +
+                mac::checked_cast<std::uint64_t>(p.strategy),
+            p.factor);
+    }
+  }
   ar(n, s.vp_counts_, s.tgt_counts_, s.alpha_, s.beta_, s.allowed_,
-     s.penalties_);
+     penalties);
   // choose() and record() index the availability rows by every local AS,
-  // and the pool-factor memo by products of their counts.
+  // the pool-factor memo by products of their counts, and the penalty
+  // store by each key's (near, far) entry.
   if constexpr (Ar::kLoading) {
     if (n != s.n_ || s.vp_counts_.size() != s.n_ ||
         s.tgt_counts_.size() != s.n_)
@@ -251,6 +280,17 @@ void ProbabilityMatrix::io(Self& s, Ar& ar) {
         std::any_of(s.tgt_counts_.begin(), s.tgt_counts_.end(), negative))
       throw util::checkpoint::CheckpointError(
           "probability checkpoint has a negative availability count");
+    std::fill(s.penalty_list_.begin(), s.penalty_list_.end(), 0);
+    s.penalty_lists_.clear();
+    // A repeated key keeps its last factor, as a map would.
+    for (const auto& [key, factor] : penalties) {
+      const std::uint64_t at = key / kStrategies;
+      if (at >= s.penalty_list_.size())
+        throw util::checkpoint::CheckpointError(
+            "probability checkpoint penalizes an entry outside the metro");
+      s.penalty(mac::checked_cast<std::size_t>(at),
+                mac::checked_cast<int>(key % kStrategies)) = factor;
+    }
   }
 }
 
@@ -260,19 +300,9 @@ void ProbabilityMatrix::save(util::checkpoint::Encoder& enc) const {
 
 void ProbabilityMatrix::load(util::checkpoint::Decoder& dec) {
   io(*this, dec);
-  // Rebuild the derived caches; the penalty flags are indexed by each
-  // key's (near, far) entry, which must lie inside the metro.
-  std::fill(penalized_.begin(), penalized_.end(), 0);
-  for (const auto& [key, factor] : penalties_) {  // lint: allow(unordered-iter) -- rebuilds the derived flag array after load; each key sets its own flag
-    const std::uint64_t at =
-        key / mac::checked_cast<std::uint64_t>(kNumStrategies);
-    if (at >= penalized_.size())
-      throw util::checkpoint::CheckpointError(
-          "probability checkpoint penalizes an entry outside the metro");
-    penalized_[mac::checked_cast<std::size_t>(at)] = 1;
-  }
   for (std::size_t s = 0; s < success_.size(); ++s) refresh_success(s);
   refresh_available();
+  ++rises_;
 }
 
 }  // namespace metas::core

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/measurement_system.hpp"
@@ -87,6 +86,12 @@ class ProbabilityMatrix {
   /// AS itself, at metro or country geo scope.
   void restrict_to_ixp_mapped();
 
+  /// Counts the events that may have raised some entry's probability: an
+  /// informative record (alpha grows), restrict_to_ixp_mapped() and load().
+  /// Between two reads with the same count no entry_prob has risen, since
+  /// beta and penalties only lower it (DESIGN.md §14).
+  std::uint64_t rises() const { return rises_; }
+
   /// Checkpoint serialization of all mutable estimator state (availability
   /// counts, Beta-Bernoulli counters, strategy mask, link penalties).
   /// load() throws CheckpointError when the saved matrix size or the
@@ -99,10 +104,17 @@ class ProbabilityMatrix {
   template <class Self, class Ar>
   static void io(Self& s, Ar& ar);
 
+  /// One link penalty of an ordered (near, far) entry.
+  struct Penalty {
+    int strategy = 0;
+    double factor = 1.0;
+  };
+
   double dir_prob(int near, int far, int* best_vp, int* best_tgt) const;
   void refresh_available();
-  std::size_t entry(int near, int far) const;  // index into penalized_
-  std::uint64_t penalty_key(int i, int j, int s) const;
+  std::size_t entry(int near, int far) const;  // index into penalty_list_
+  /// The factor of `strategy` at entry `at`, inserted at 1.0 when absent.
+  double& penalty(std::size_t at, int strategy);
   void refresh_success(std::size_t s);
 
   const MetroContext* ctx_;  // lint: allow(view-member) -- caller-owned context; the matrix lives inside the metro's pipeline scope
@@ -113,17 +125,21 @@ class ProbabilityMatrix {
   std::vector<std::array<int, traceroute::kTargetCategories>> tgt_counts_;
   std::array<double, traceroute::kNumStrategies> alpha_{}, beta_{};
   std::array<bool, traceroute::kNumStrategies> allowed_{};
-  std::unordered_map<std::uint64_t, double> penalties_;
+  // Link penalties, one list per ordered (near, far) entry in ascending
+  // strategy order: penalty_list_[entry] is 0 for an entry without any,
+  // else 1 + the index of its list in penalty_lists_.  Checkpointed as
+  // the ascending list of keys (entry * kNumStrategies + strategy).
+  std::vector<std::uint32_t> penalty_list_;
+  std::vector<std::vector<Penalty>> penalty_lists_;
+  std::uint64_t rises_ = 0;  // see rises(); not serialized
 
   // Derived caches, not serialized (rebuilt on construction and load):
   // alpha / (alpha + beta) per strategy, the candidate-pool factor per pool
-  // size, per ordered (near, far) entry whether penalties_ holds any
-  // penalty for it, and per local AS its non-empty VP and target
-  // categories in ascending order with their counts -- the only
-  // categories dir_prob can score.
+  // size, and per local AS its non-empty VP and target categories in
+  // ascending order with their counts -- the only categories dir_prob can
+  // score.
   std::array<double, traceroute::kNumStrategies> success_{};
   std::vector<double> pool_factor_;
-  std::vector<std::uint8_t> penalized_;
   template <std::size_t N>
   struct Available {
     std::size_t size = 0;

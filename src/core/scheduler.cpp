@@ -29,7 +29,9 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
       cfg_(cfg),
       rng_(cfg.seed),
       fail_streak_(ctx.size(), 0),
-      given_up_(ctx.size(), false) {
+      given_up_(ctx.size(), false),
+      entry_flags_(ctx.size() * ctx.size(), 0),
+      hopeless_(ctx.size(), 0) {
   MAC_REQUIRE(cfg.batch_size > 0, "batch_size=", cfg.batch_size);
   MAC_REQUIRE(cfg.epsilon >= 0.0 && cfg.epsilon <= 1.0,
               "epsilon=", cfg.epsilon);
@@ -79,7 +81,7 @@ std::size_t MeasurementScheduler::fill_rows_to(int target, std::size_t budget) {
       }
     }
     if (!any_deficient) break;
-    BatchResult got = run_batch(e, target);
+    BatchResult got = batch(e, target, true);
     issued += got.launched;
     if (got.selected == 0) break;  // nothing selectable anymore
     if (got.launched == 0) {
@@ -138,8 +140,8 @@ void MeasurementScheduler::finish_campaign(int target) {
   MAC_TRACE_COUNTER("scheduler.fill_fraction", degradation_.fill_fraction);
 }
 
-BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
-                                            int target) {
+BatchResult MeasurementScheduler::batch(const EstimatedMatrix& e, int target,
+                                        bool view) {
   const std::size_t n = ctx_->size();
   // Optimistic per-batch fill counts: selected measurements are assumed
   // successful while composing the batch (§3.3.1).
@@ -180,7 +182,7 @@ BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
         if (rng_.bernoulli(cfg_.epsilon))
           pick = pick_explore(sim_filled, e, batch_explored_rows);
         else if (!exploit_exhausted)
-          pick = pick_exploit(sim_filled, e, target, exploit_exhausted);
+          pick = pick_exploit(sim_filled, e, target, view, exploit_exhausted);
         break;
     }
     if (pick.i < 0) continue;
@@ -189,7 +191,7 @@ BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
       MAC_COUNT("scheduler.picks_exploration");
       batch_explored_rows[mac::checked_cast<std::size_t>(pick.i)] = 1;
       batch_explored_rows[mac::checked_cast<std::size_t>(pick.j)] = 1;
-      explored_entries_.insert(entry_key(pick.i, pick.j, n));
+      entry_flags_[entry_key(pick.i, pick.j, n)] |= kExplored;
     }
     sim_filled[mac::checked_cast<std::size_t>(pick.i)]++;
     sim_filled[mac::checked_cast<std::size_t>(pick.j)]++;
@@ -201,7 +203,7 @@ BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
 
 MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
     const std::vector<std::size_t>& sim_filled, const EstimatedMatrix& e,
-    int target, bool& no_row) {
+    int target, bool view, bool& no_row) {
   const std::size_t n = ctx_->size();
   // Deficient row with the fewest filled entries but at least one entry with
   // P above the threshold; ties broken at random.
@@ -223,14 +225,32 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
     no_row = true;
     return {};
   }
+  const auto row = mac::checked_cast<std::size_t>(best_row);
+  // A row found hopeless stays hopeless while no P_m entry rose, no view
+  // rebuild unfilled an entry, and no entry waits out a backoff: the scan
+  // below would give it up again (DESIGN.md §14).
+  if (view) {
+    if (hopeless_rises_ != pm_->rises() ||
+        hopeless_rebuilds_ != ms_->view_rebuilds()) {
+      std::fill(hopeless_.begin(), hopeless_.end(), 0);
+      hopeless_rises_ = pm_->rises();
+      hopeless_rebuilds_ = ms_->view_rebuilds();
+    }
+    const bool skip = hopeless_[row] != 0 && requeued_.empty();
+    MAC_COUNT_N("scheduler.exploit_scans_skipped", skip ? 1 : 0);
+    if (skip) {
+      given_up_[row] = true;
+      return {};
+    }
+  }
   // Unfilled entry in that row with the highest P, skipping entries waiting
   // out an infrastructure backoff.
   int best_j = -1;
   double best_p = cfg_.exploit_min_prob;
   bool skipped_backoff = false;
   for (std::size_t j = 0; j < n; ++j) {
-    if (mac::checked_cast<int>(j) == best_row) continue;
-    if (e.filled(mac::checked_cast<std::size_t>(best_row), j)) continue;
+    if (j == row) continue;
+    if (e.filled(row, j)) continue;
     if (under_backoff(best_row, mac::checked_cast<int>(j))) {
       skipped_backoff = true;
       continue;
@@ -247,8 +267,10 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
     // because of backoff the row is not hopeless -- it becomes exploitable
     // again once the infrastructure recovers -- so only give up when the
     // row is genuinely unmeasurable.
-    if (!skipped_backoff)
-      given_up_[mac::checked_cast<std::size_t>(best_row)] = true;
+    if (!skipped_backoff) {
+      given_up_[row] = true;
+      if (view) hopeless_[row] = 1;
+    }
     return {};
   }
   return {best_row, best_j, false};
@@ -260,31 +282,44 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_explore(
   const std::size_t n = ctx_->size();
   // Entry (i, j) minimizing filled(i)+filled(j) with a usable traceroute,
   // at most one exploration per row per batch and one per entry ever.
-  // Rows are scanned in increasing fill order and pairs in increasing
-  // fill-sum order (anti-diagonal sweep), so the first usable hit minimizes
-  // the sum without materializing all O(n^2) candidates.
+  // Rows are sorted by fill, and the pick is the usable pair of positions
+  // a < b with the least a + b, then the least a.  Only rows not explored
+  // in this batch take part.  A row-major search finds that pair: each a
+  // stops at its first usable b, or once a + b reaches the best sum so
+  // far, and the search ends once no later a can go below it
+  // (DESIGN.md §14).
   std::vector<std::size_t> rows(n);
   for (std::size_t i = 0; i < n; ++i) rows[i] = i;
   std::sort(rows.begin(), rows.end(), [&](std::size_t a, std::size_t b) {
     return sim_filled[a] < sim_filled[b];
   });
-  for (std::size_t s = 1; s < 2 * n - 1; ++s) {
-    for (std::size_t a = (s >= n ? s - n + 1 : 0); 2 * a < s; ++a) {
-      std::size_t b = s - a;
-      if (b >= n) continue;
-      std::size_t i = rows[a], j = rows[b];
-      if (batch_rows[i] != 0 || batch_rows[j] != 0) continue;
-      if (i > j) std::swap(i, j);
-      if (i == j || e.filled(i, j)) continue;
-      if (explored_entries_.count(entry_key(mac::checked_cast<int>(i),
-                                            mac::checked_cast<int>(j), n)) != 0)
+  std::vector<std::size_t> open;  // positions of the rows still open
+  for (std::size_t a = 0; a < n; ++a)
+    if (batch_rows[rows[a]] == 0) open.push_back(a);
+  Pick best;
+  std::size_t best_sum = 2 * n;
+  std::size_t visited = 0;
+  for (std::size_t x = 0; x + 1 < open.size(); ++x) {
+    const std::size_t a = open[x];
+    if (a + open[x + 1] >= best_sum) break;
+    for (std::size_t y = x + 1; y < open.size(); ++y) {
+      const std::size_t b = open[y];
+      if (a + b >= best_sum) break;
+      ++visited;
+      const std::size_t i = std::min(rows[a], rows[b]);
+      const std::size_t j = std::max(rows[a], rows[b]);
+      if (e.filled(i, j) || (entry_flags_[i * n + j] & kExplored) != 0)
         continue;
-      if (under_backoff(mac::checked_cast<int>(i), mac::checked_cast<int>(j))) continue;
-      if (pm_->entry_prob(mac::checked_cast<int>(i), mac::checked_cast<int>(j)) > 0.0)
-        return {mac::checked_cast<int>(i), mac::checked_cast<int>(j), true};
+      const int ii = mac::checked_cast<int>(i);
+      const int jj = mac::checked_cast<int>(j);
+      if (under_backoff(ii, jj) || pm_->entry_prob(ii, jj) <= 0.0) continue;
+      best = {ii, jj, true};
+      best_sum = a + b;
+      break;
     }
   }
-  return {};
+  MAC_COUNT_N("scheduler.explore_pairs_visited", visited);
+  return best;
 }
 
 MeasurementScheduler::Pick MeasurementScheduler::pick_random(
@@ -298,8 +333,8 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_random(
       continue;
     if (under_backoff(i, j)) continue;
     auto key = entry_key(i, j, n);
-    if (attempted_.count(key) != 0) continue;
-    attempted_.insert(key);
+    if ((entry_flags_[key] & kAttempted) != 0) continue;
+    entry_flags_[key] |= kAttempted;
     return {std::min(i, j), std::max(i, j), false};
   }
   return {};
@@ -315,8 +350,8 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_greedy(
     if (e.filled(mac::checked_cast<std::size_t>(i), mac::checked_cast<std::size_t>(j)))
       continue;
     if (under_backoff(i, j)) continue;
-    if (attempted_.count(key) != 0) continue;
-    attempted_.insert(key);
+    if ((entry_flags_[key] & kAttempted) != 0) continue;
+    entry_flags_[key] |= kAttempted;
     return {i, j, false};
   }
   return {};
@@ -404,10 +439,33 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
 }
 
 template <class Self, class Ar>
+void MeasurementScheduler::flag_keys(Self& s, Ar& ar, std::uint8_t flag) {
+  const std::size_t n = s.ctx_->size();
+  std::vector<std::uint64_t> keys;
+  if constexpr (!Ar::kLoading) {
+    for (std::size_t key = 0; key < s.entry_flags_.size(); ++key)
+      if ((s.entry_flags_[key] & flag) != 0) keys.push_back(key);
+  }
+  ar(keys);
+  // Each key indexes the flag matrix.  A repeated key sets its flag once,
+  // as a set would.
+  if constexpr (Ar::kLoading) {
+    for (std::uint64_t key : keys) {
+      if (n == 0 || key / n >= key % n)
+        throw util::checkpoint::CheckpointError(
+            "scheduler checkpoint has an entry key outside the metro");
+      s.entry_flags_[key] |= flag;
+    }
+  }
+}
+
+template <class Self, class Ar>
 void MeasurementScheduler::io(Self& s, Ar& ar) {
-  ar(s.rng_, s.history_, s.fail_streak_, s.given_up_, s.explored_entries_,
-     s.greedy_order_, s.greedy_cursor_, s.attempted_, s.sched_tick_,
-     s.requeued_);
+  ar(s.rng_, s.history_, s.fail_streak_, s.given_up_);
+  flag_keys(s, ar, kExplored);
+  ar(s.greedy_order_, s.greedy_cursor_);
+  flag_keys(s, ar, kAttempted);
+  ar(s.sched_tick_, s.requeued_);
   // fill_rows_to and execute index both vectors by every row of the metro.
   // Every loaded entry must lie inside the metro too: the CSV export reads
   // rows by history record, pick_greedy reads E_m at each greedy key, and a
@@ -451,6 +509,8 @@ void MeasurementScheduler::save(util::checkpoint::Encoder& enc) const {
 }
 
 void MeasurementScheduler::load(util::checkpoint::Decoder& dec) {
+  std::fill(entry_flags_.begin(), entry_flags_.end(), 0);
+  std::fill(hopeless_.begin(), hopeless_.end(), 0);
   io(*this, dec);
 }
 

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/measurement_system.hpp"
@@ -113,7 +112,9 @@ class MeasurementScheduler {
   std::size_t fill_rows_to(int target, std::size_t budget);
 
   /// Runs one batch against the current fill state.
-  BatchResult run_batch(const EstimatedMatrix& current, int target);
+  BatchResult run_batch(const EstimatedMatrix& current, int target) {
+    return batch(current, target, false);
+  }
 
   const std::vector<IssuedRecord>& history() const { return history_; }
 
@@ -141,12 +142,20 @@ class MeasurementScheduler {
  private:
   template <class Self, class Ar>
   static void io(Self& s, Ar& ar);
+  /// The entries carrying `flag`, as the ascending key list a set of
+  /// entry keys was checkpointed as.
+  template <class Self, class Ar>
+  static void flag_keys(Self& s, Ar& ar, std::uint8_t flag);
 
   struct Pick { int i = -1, j = -1; bool exploration = false; };
+  /// `view`: `e` is the measurement system's E_m view, as in fill_rows_to,
+  /// so pick_exploit may skip a row it has already found hopeless.
+  BatchResult batch(const EstimatedMatrix& e, int target, bool view);
   /// Sets `no_row` when no row qualifies.  That holds for the rest of the
   /// batch: `sim_filled` only grows and rows are only ever given up.
   Pick pick_exploit(const std::vector<std::size_t>& sim_filled,
-                    const EstimatedMatrix& e, int target, bool& no_row);
+                    const EstimatedMatrix& e, int target, bool view,
+                    bool& no_row);
   Pick pick_explore(const std::vector<std::size_t>& sim_filled,
                     const EstimatedMatrix& e,
                     const std::vector<char>& batch_rows);
@@ -167,10 +176,20 @@ class MeasurementScheduler {
   std::vector<IssuedRecord> history_;
   std::vector<int> fail_streak_;
   std::vector<bool> given_up_;
-  std::unordered_set<std::uint64_t> explored_entries_;  // lifetime 1 per entry
+  // Per entry key lo * n + hi (lo < hi): kExplored once the explore arm
+  // picked it (lifetime 1 per entry), kAttempted once pick_random or
+  // pick_greedy did (their de-dup).
+  static constexpr std::uint8_t kExplored = 1;
+  static constexpr std::uint8_t kAttempted = 2;
+  std::vector<std::uint8_t> entry_flags_;
   std::vector<std::pair<double, std::uint64_t>> greedy_order_;  // lazy, desc
   std::size_t greedy_cursor_ = 0;
-  std::unordered_set<std::uint64_t> attempted_;  // greedy/random de-dup
+  // Rows pick_exploit found hopeless on the E_m view, and the P_m rise and
+  // view rebuild counts they were found under.  A change of either count
+  // clears them (DESIGN.md §14).  Derived state, never serialized.
+  std::vector<char> hopeless_;
+  std::uint64_t hopeless_rises_ = 0;
+  std::uint64_t hopeless_rebuilds_ = 0;
 
   // Lifetime counts behind DegradationReport's counter fields; finish_campaign
   // copies them into degradation_.

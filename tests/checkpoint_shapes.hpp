@@ -42,24 +42,26 @@ using PhaseShape = std::tuple<
     // Rank loop.
     std::tuple<int, double, int, bool, std::string, int, double,
                std::vector<std::pair<int, double>>, u64, bool>,
-    // Scheduler: element 9 is the requeue queue.
+    // Scheduler: elements 4 and 7 are the explored and attempted entry
+    // keys, each an ascending list; element 9 is the requeue queue.
     std::tuple<std::string,
                std::vector<std::tuple<int, int, double, bool, bool, bool, bool,
                                       bool, bool, int, int, int, int>>,
-               std::vector<int>, std::vector<bool>, std::unordered_set<u64>,
+               std::vector<int>, std::vector<bool>, std::vector<u64>,
                std::vector<std::pair<double, u64>>, u64,
-               std::unordered_set<u64>, u64,
+               std::vector<u64>, u64,
                std::unordered_map<u64, std::pair<u64, int>>,
                std::array<u64, 5>,
                std::tuple<int, u64, u64, u64, double, u64, u64, u64, u64, u64,
                           u64, u64>>,
-    // Probability matrix: element 6 is the link penalties.
+    // Probability matrix: element 6 is the link penalties, an ascending
+    // (key, factor) list.
     std::tuple<u64, std::vector<std::array<int, traceroute::kVpCategories>>,
                std::vector<std::array<int, traceroute::kTargetCategories>>,
                std::array<double, traceroute::kNumStrategies>,
                std::array<double, traceroute::kNumStrategies>,
                std::array<bool, traceroute::kNumStrategies>,
-               std::unordered_map<u64, double>>>;
+               std::vector<std::pair<u64, double>>>>;
 
 template <class Shape>
 Shape decode_shape(const std::string& bytes) {

@@ -2,10 +2,12 @@
 // resumable run persists round-trips mid-run state byte for byte, a seeded
 // corpus of corrupted payloads decodes to a clean load or CheckpointError
 // and nothing else, a penalty, a scheduler entry or a metro id outside its
-// range is refused, and a phase blob from one metro is refused by another.
+// range is refused, a key repeated in a list loads as one entry, and a
+// phase blob from one metro is refused by another.
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -246,7 +248,7 @@ TEST(CheckpointStateTest, PenaltyOutsideTheMetroIsRejected) {
       [](const auto& a, const auto& b) { return a.first < b.first; });
   const double factor = first->second;
   penalties.erase(first);
-  penalties.emplace(n * n * traceroute::kNumStrategies, factor);
+  penalties.emplace_back(n * n * traceroute::kNumStrategies, factor);
   ck::Encoder enc;
   enc(ph);
 
@@ -258,8 +260,9 @@ TEST(CheckpointStateTest, PenaltyOutsideTheMetroIsRejected) {
 }
 
 // Scheduler entries name rows of the metro: the CSV export reads rows by
-// history record, pick_greedy reads E_m at each greedy key, and a requeue
-// failure count sizes a backoff shift.  Each must lie inside the metro.
+// history record, pick_greedy reads E_m at each greedy key, explored and
+// attempted keys index the n x n entry flags, and a requeue failure count
+// sizes a backoff shift.  Each must lie inside the metro.
 TEST(CheckpointStateTest, SchedulerEntryOutsideTheMetroIsRejected) {
   const Capture& c = capture();
   ASSERT_FALSE(c.phase.empty());
@@ -300,9 +303,21 @@ TEST(CheckpointStateTest, SchedulerEntryOutsideTheMetroIsRejected) {
                  })),
                  ck::CheckpointError)
         << "greedy key";
+    EXPECT_THROW(load_scheduler(patched([key](auto& sched) {
+                   std::get<4>(sched).push_back(key);
+                 })),
+                 ck::CheckpointError)
+        << "explored key";
+    EXPECT_THROW(load_scheduler(patched([key](auto& sched) {
+                   std::get<7>(sched).push_back(key);
+                 })),
+                 ck::CheckpointError)
+        << "attempted key";
   }
   EXPECT_NO_THROW(load_scheduler(patched([n](auto& sched) {
     std::get<5>(sched).emplace_back(0.5, 0 * n + 1);
+    std::get<4>(sched).push_back(0 * n + 1);
+    std::get<7>(sched).push_back(0 * n + 1);
   })));
   EXPECT_THROW(load_scheduler(patched([](auto& sched) {
                  auto& requeued = std::get<9>(sched);
@@ -316,6 +331,55 @@ TEST(CheckpointStateTest, SchedulerEntryOutsideTheMetroIsRejected) {
                ck::CheckpointError)
       << "negative requeue failure count";
   EXPECT_NO_THROW(load_scheduler(clean));
+}
+
+// The explored and attempted keys and the penalties were written from a
+// set and a map.  A key repeated in their lists loads as the set or map
+// would hold it: one flag, and the penalty's last factor.
+TEST(CheckpointStateTest, RepeatedKeyLoadsAsOneEntry) {
+  const Capture& c = capture();
+  ASSERT_FALSE(c.phase.empty());
+  const auto clean = decode_shape<PhaseShape>(c.phase);
+  auto encoded = [](const PhaseShape& ph) {
+    ck::Encoder enc;
+    enc(ph);
+    return enc.take();
+  };
+  auto resaved = [&](const PhaseShape& ph) {
+    FreshState fresh(c);
+    const std::string bytes = encoded(ph);
+    ck::Decoder dec(bytes);
+    fresh.rank_loop.load(dec);
+    fresh.sched.load(dec);
+    fresh.pm.load(dec);
+    EXPECT_TRUE(dec.done());
+    ck::Encoder enc;
+    fresh.rank_loop.save(enc);
+    fresh.sched.save(enc);
+    fresh.pm.save(enc);
+    return enc.take();
+  };
+
+  // `once` holds each key one time, in ascending order; `twice` lists
+  // some of them again, out of order.
+  PhaseShape once = clean;
+  PhaseShape twice = clean;
+  auto& explored = std::get<4>(std::get<1>(twice));
+  ASSERT_FALSE(explored.empty());
+  explored.push_back(explored.front());
+  std::set<u64> attempted(std::get<7>(std::get<1>(clean)).begin(),
+                          std::get<7>(std::get<1>(clean)).end());
+  attempted.insert(1);  // entry (0, 1)
+  std::get<7>(std::get<1>(once)).assign(attempted.begin(), attempted.end());
+  std::get<7>(std::get<1>(twice)) = std::get<7>(std::get<1>(once));
+  std::get<7>(std::get<1>(twice)).push_back(1);
+  auto& penalties = std::get<6>(std::get<2>(once));
+  ASSERT_FALSE(penalties.empty());
+  penalties.front().second *= 0.5;
+  std::get<6>(std::get<2>(twice)).push_back(penalties.front());
+
+  EXPECT_EQ(resaved(twice), encoded(once));
+  EXPECT_EQ(resaved(clean), c.phase);
 }
 
 // Evidence and consistency sets name metros by id, and the next E_m

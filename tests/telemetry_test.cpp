@@ -285,6 +285,12 @@ TEST(TelemetryPipelineCoverage, NamespacesAndPhaseSpans) {
 
   auto names = reg.metric_names();
   EXPECT_GE(names.size(), 25u);
+  // The scheduler counts the work its explore and exploit picks do, once
+  // per call.
+  for (const char* counter :
+       {"scheduler.explore_pairs_visited", "scheduler.exploit_scans_skipped"})
+    EXPECT_TRUE(std::find(names.begin(), names.end(), counter) != names.end())
+        << "missing counter " << counter;
   const std::vector<std::string> kNamespaces = {
       "als.", "scheduler.", "measurement.", "traceroute.", "bgp.",
       "pipeline."};
