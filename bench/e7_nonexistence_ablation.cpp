@@ -23,7 +23,6 @@ core::EstimatedMatrix build_with_policy(const core::MetroContext& ctx,
   if (policy == NegPolicy::kMetascritic) return w.ms->build_matrix(ctx);
   const auto& net = ctx.net();
   core::EstimatedMatrix e(ctx.size());
-  // Per-granularity consistency sets for the oblivious check.
   for (const auto& [key, ev] : w.ms->evidence().all()) {
     auto a = static_cast<topology::AsId>(key & 0xffffffffULL);
     auto b = static_cast<topology::AsId>(key >> 32);
@@ -36,14 +35,14 @@ core::EstimatedMatrix build_with_policy(const core::MetroContext& ctx,
             core::positive_rating(best));
     }
     if (policy == NegPolicy::kZeroNegative) continue;
-    if (!ev.transit.empty()) {
-      // kOblivious keeps the well-positioned filter (it is applied at ingest
-      // time) but ignores consistency; kFullNegative would also drop the
-      // well-positioned filter -- approximated here by treating *any*
-      // transit crossing recorded by the consistency tracker as negative
-      // evidence, which over-fills negatives the same way.
+    // kOblivious keeps the well-positioned filter but ignores consistency;
+    // kFullNegative also drops the well-positioned filter and takes every
+    // transit crossing as negative evidence.
+    const auto& crossed =
+        policy == NegPolicy::kFullNegative ? ev.crossings : ev.transit;
+    if (!crossed.empty()) {
       topology::GeoScope best = topology::GeoScope::kElsewhere;
-      for (auto tm : ev.transit) best = std::min(best, net.metro_scope(ctx.metro(), tm));
+      for (auto tm : crossed) best = std::min(best, net.metro_scope(ctx.metro(), tm));
       e.set(static_cast<std::size_t>(ia), static_cast<std::size_t>(ib),
             core::negative_rating(best));
     }

@@ -14,15 +14,28 @@ using topology::pair_key;
 void EvidenceStore::ingest(const traceroute::TraceResult& trace,
                            const traceroute::TraceObservations& obs,
                            const traceroute::WellPositionedTracker& wp) {
+  // Records E_m evidence for the pair, listing it on its first.
+  auto add = [this](std::uint64_t key, PairEvidence& ev,
+                    std::set<MetroId>& to, MetroId m) {
+    if (ev.direct.empty() && ev.transit.empty())
+      evidenced_.emplace_back(key, &ev);
+    to.insert(m);
+  };
   for (const auto& l : obs.links) {
     if (l.metro < 0) continue;
-    pairs_[pair_key(l.a, l.b)].direct.insert(l.metro);
+    const std::uint64_t key = pair_key(l.a, l.b);
+    PairEvidence& ev = pairs_[key];
+    add(key, ev, ev.direct, l.metro);
+    if (!ev.crossings.empty()) mixed_.insert(key);
   }
   for (const auto& t : obs.transits) {
     MetroId m = t.metro_b_side >= 0 ? t.metro_b_side : t.metro_a_side;
     if (m < 0) continue;
-    if (!wp.well_positioned(trace.vp_id, t.a, m)) continue;
-    pairs_[pair_key(t.a, t.b)].transit.insert(m);
+    const std::uint64_t key = pair_key(t.a, t.b);
+    PairEvidence& ev = pairs_[key];
+    ev.crossings.insert(m);
+    if (wp.well_positioned(trace.vp_id, t.a, m)) add(key, ev, ev.transit, m);
+    if (!ev.direct.empty()) mixed_.insert(key);
   }
 }
 
@@ -44,8 +57,8 @@ bool EvidenceStore::transit_at(AsId a, AsId b, MetroId m) const {
 std::vector<std::pair<std::uint64_t, const PairEvidence*>>
 EvidenceStore::sorted_pairs(const MetroContext& within) const {
   std::vector<std::pair<std::uint64_t, const PairEvidence*>> out;
-  for (const auto& [key, ev] : pairs_)  // lint: allow(unordered-iter) -- harvest only; sorted below before any consumer sees it
-    if (within.has_pair(key)) out.emplace_back(key, &ev);
+  for (const auto& [key, ev] : evidenced_)
+    if (within.has_pair(key)) out.emplace_back(key, ev);
   std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
     return x.first < y.first;
   });
@@ -61,6 +74,102 @@ std::vector<std::uint64_t> EvidenceStore::sorted_keys() const {
   return keys;
 }
 
+bool EvidenceStore::pair_inconsistent(const topology::Internet& net, AsId a,
+                                      AsId b, GeoScope g) const {
+  const PairEvidence* ev = find(a, b);
+  if (ev == nullptr) return false;
+  for (MetroId d : ev->direct)
+    for (MetroId t : ev->crossings)
+      if (mac::enum_cast<int>(net.metro_scope(d, t)) <= mac::enum_cast<int>(g))
+        return true;
+  return false;
+}
+
+namespace {
+
+struct BadPair {
+  int a, b;
+};
+
+/// Iteratively drops the AS involved in the most live inconsistent pairs
+/// (ties: lowest local index) until none is left; returns the survivors.
+std::vector<bool> eliminate(const std::vector<BadPair>& bad, std::size_t n) {
+  std::vector<bool> alive(n, true);
+  std::vector<int> count(n, 0);
+  for (const BadPair& p : bad) {
+    ++count[mac::checked_cast<std::size_t>(p.a)];
+    ++count[mac::checked_cast<std::size_t>(p.b)];
+  }
+  while (true) {
+    int worst = -1, worst_count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!alive[i]) continue;
+      if (count[i] > worst_count) {
+        worst_count = count[i];
+        worst = mac::checked_cast<int>(i);
+      }
+    }
+    if (worst < 0 || worst_count == 0) break;
+    alive[mac::checked_cast<std::size_t>(worst)] = false;
+    for (const BadPair& p : bad) {
+      if (p.a == worst && alive[mac::checked_cast<std::size_t>(p.b)])
+        --count[mac::checked_cast<std::size_t>(p.b)];
+      if (p.b == worst && alive[mac::checked_cast<std::size_t>(p.a)])
+        --count[mac::checked_cast<std::size_t>(p.a)];
+    }
+    count[mac::checked_cast<std::size_t>(worst)] = 0;
+  }
+  return alive;
+}
+
+}  // namespace
+
+ConsistentSets EvidenceStore::consistent_sets(const MetroContext& ctx) const {
+  // A mixed pair is inconsistent at every granularity at least as coarse
+  // as the closest (direct, crossing) metro pair it holds.  mixed_ is
+  // ordered, so the pairs come in ascending key order.  has_pair() reads
+  // a key's halves unsigned, so an AS outside the world is never local.
+  struct Mixed {
+    BadPair pair;
+    GeoScope finest;
+  };
+  const auto& net = ctx.net();
+  std::vector<Mixed> mixed;
+  for (std::uint64_t key : mixed_) {
+    if (!ctx.has_pair(key)) continue;
+    const PairEvidence& ev = pairs_.at(key);
+    GeoScope finest = GeoScope::kElsewhere;
+    for (MetroId d : ev.direct)
+      for (MetroId t : ev.crossings)
+        finest = std::min(finest, net.metro_scope(d, t));
+    mixed.push_back({{ctx.local(mac::checked_cast<AsId>(key & 0xffffffffULL)),
+                      ctx.local(mac::checked_cast<AsId>(key >> 32))},
+                     finest});
+  }
+
+  ConsistentSets sets;
+  std::vector<BadPair> bad;
+  for (std::size_t g = 0; g < sets.size(); ++g) {
+    bad.clear();
+    for (const Mixed& m : mixed)
+      if (mac::enum_cast<std::size_t>(m.finest) <= g) bad.push_back(m.pair);
+    sets[g] = eliminate(bad, ctx.size());
+  }
+  return sets;
+}
+
+bool EvidenceStore::metros_below(std::size_t count) const {
+  auto below = [count](const std::set<MetroId>& ids) {
+    return ids.empty() ||
+           (*ids.begin() >= 0 &&
+            mac::checked_cast<std::size_t>(*ids.rbegin()) < count);
+  };
+  for (const auto& [key, ev] : pairs_)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+    if (!below(ev.direct) || !below(ev.transit) || !below(ev.crossings))
+      return false;
+  return true;
+}
+
 template <class Self, class Ar>
 void EvidenceStore::io(Self& s, Ar& ar) {
   ar(s.pairs_);
@@ -70,7 +179,16 @@ void EvidenceStore::save(util::checkpoint::Encoder& enc) const {
   io(*this, enc);
 }
 
-void EvidenceStore::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
+void EvidenceStore::load(util::checkpoint::Decoder& dec) {
+  evidenced_.clear();
+  mixed_.clear();
+  io(*this, dec);
+  for (const auto& [key, ev] : pairs_) {  // lint: allow(unordered-iter) -- rebuilds the derived lists; sorted_pairs sorts, std::set orders
+    if (!ev.direct.empty() || !ev.transit.empty())
+      evidenced_.emplace_back(key, &ev);
+    if (!ev.direct.empty() && !ev.crossings.empty()) mixed_.insert(key);
+  }
+}
 
 namespace {
 
@@ -110,13 +228,6 @@ void fill_pair(EstimatedMatrix& e, const MetroContext& ctx, std::size_t ia,
 }
 
 }  // namespace
-
-EstimatedMatrix build_estimated_matrix(
-    const MetroContext& ctx, const EvidenceStore& evidence,
-    const traceroute::ConsistencyTracker& consistency) {
-  return build_estimated_matrix(ctx, evidence,
-                                consistency.consistent_sets(ctx.ases()));
-}
 
 EstimatedMatrix build_estimated_matrix(const MetroContext& ctx,
                                        const EvidenceStore& evidence,

@@ -1,13 +1,24 @@
 // Global evidence store: every direct-link and transit observation collected
-// across all traceroutes, from which the per-metro estimated matrix E_m is
-// derived with geographic transferability (§3.4).
+// across all traceroutes, one record per AS pair, from which the per-metro
+// estimated matrix E_m (§3.4) and the consistent-routing sets (Appx. D.5)
+// are both derived.
 //
-// Transit observations are only retained when they come from a
-// well-positioned vantage point; the negative fill additionally requires
-// both ASes to route consistently at the relevant granularity at E_m build
-// time.
+// A transit crossing is recorded twice in its pair's record: always as a
+// crossing, the input of the consistency analysis, and as negative E_m
+// evidence only when it comes from a well-positioned vantage point.  The
+// negative fill additionally requires both ASes to route consistently at
+// the relevant granularity at E_m build time.
+//
+// An AS routes consistently toward a peer at a granularity if observations
+// never mix direct interconnections and transit crossings within that
+// granularity.  ASes participating in inconsistent pairs are eliminated
+// iteratively (highest inconsistency count first) until the remaining
+// submatrix is consistent -- only those ASes support non-existence inference
+// and geographic transferability.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -26,19 +37,32 @@ namespace metas::core {
 
 /// Accumulated evidence about one AS pair.
 struct PairEvidence {
-  std::set<MetroId> direct;    // metros with a witnessed interconnection
-  std::set<MetroId> transit;   // metros with a well-positioned transit crossing
+  std::set<MetroId> direct;     // metros with a witnessed interconnection
+  std::set<MetroId> transit;    // crossings seen from a well-positioned VP
+  std::set<MetroId> crossings;  // every transit crossing
 
   /// Checkpoint field list (util/checkpoint.hpp).
   template <class Self, class Ar>
-  static void io(Self& ev, Ar& ar) { ar(ev.direct, ev.transit); }
+  static void io(Self& ev, Ar& ar) { ar(ev.direct, ev.transit, ev.crossings); }
 };
+
+/// Membership flags per granularity, indexed by GeoScope: flag i says
+/// whether the metro's local AS i routes consistently at that granularity
+/// (true = usable for transfer / non-existence inference).
+using ConsistentSets = std::array<std::vector<bool>, topology::kNumGeoScopes>;
 
 class EvidenceStore {
  public:
-  /// Ingests the observations of one traceroute. Transit observations are
-  /// kept only if `wp` says the issuing vantage point was well positioned for
-  /// the near-side AS at the crossing metro.
+  EvidenceStore() = default;
+  // The derived list points into the map: a copy's list would point into
+  // the original.
+  EvidenceStore(const EvidenceStore&) = delete;
+  EvidenceStore& operator=(const EvidenceStore&) = delete;
+
+  /// Ingests the observations of one traceroute.  Every geolocated
+  /// crossing is kept in `crossings`; it is also kept in `transit` if `wp`
+  /// says the issuing vantage point was well positioned for the near-side
+  /// AS at the crossing metro.
   void ingest(const traceroute::TraceResult& trace,
               const traceroute::TraceObservations& obs,
               const traceroute::WellPositionedTracker& wp);
@@ -59,13 +83,32 @@ class EvidenceStore {
   /// so no consumer depends on unordered iteration order (tools/lint.py
   /// R10).
   std::vector<std::uint64_t> sorted_keys() const;
-  /// The pairs with both ends at `within`, in ascending key order, each
-  /// with its evidence, so no caller looks a key up twice.  O(P + K log K)
-  /// for K kept pairs; cache the result when looping.
+  /// The pairs with both ends at `within` and E_m evidence (a direct or a
+  /// well-positioned transit metro), in ascending key order, each with its
+  /// evidence, so no caller looks a key up twice.  O(E + K log K) for E
+  /// pairs with E_m evidence and K kept; pairs with only crossings are not
+  /// visited.  Cache the result when looping.
   std::vector<std::pair<std::uint64_t, const PairEvidence*>> sorted_pairs(
       const MetroContext& within) const;
 
+  /// True if the pair mixes direct evidence and a crossing within `g`
+  /// (i.e., a direct metro and a crossing metro that are `g`-close).
+  bool pair_inconsistent(const topology::Internet& net, AsId a, AsId b,
+                         topology::GeoScope g) const;
+
+  /// For every granularity, iteratively eliminates the metro's ASes with
+  /// the most inconsistent pairs at that granularity.  One pass over the
+  /// mixed pairs (direct evidence and a crossing both present) inside the
+  /// metro finds each pair's finest inconsistent scope.
+  ConsistentSets consistent_sets(const MetroContext& ctx) const;
+
+  /// True if every metro id in the store lies in [0, count).  Decoded
+  /// evidence is checked with it before any id reaches
+  /// Internet::metro_scope, an unchecked index into `metros`.
+  bool metros_below(std::size_t count) const;
+
   /// Checkpoint serialization in sorted-key order (byte-stable across runs).
+  /// load() rebuilds the derived pair lists.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
@@ -74,19 +117,20 @@ class EvidenceStore {
   static void io(Self& s, Ar& ar);
 
   std::unordered_map<std::uint64_t, PairEvidence> pairs_;
+  // Derived, not serialized.  The pairs with E_m evidence, each with its
+  // record, in the order they gained it: the list a full E_m build scans.
+  std::vector<std::pair<std::uint64_t, const PairEvidence*>> evidenced_;
+  // Keys of the pairs holding both direct evidence and a crossing -- the
+  // only pairs that can be inconsistent.
+  std::set<std::uint64_t> mixed_;
 };
 
-using ConsistentSets = traceroute::ConsistencyTracker::ConsistentSets;
-
-/// Derives E_m for a metro from global evidence (§3.4):
+/// Derives E_m for a metro from global evidence (§3.4), under the metro's
+/// consistent sets (EvidenceStore::consistent_sets):
 ///  - positive fill: best geographic scope of any direct observation;
 ///  - negative fill: closest transit scope, only when both ASes are routing
 ///    consistently at that granularity.
 /// When both exist the larger magnitude wins, the positive on a tie.
-EstimatedMatrix build_estimated_matrix(
-    const MetroContext& ctx, const EvidenceStore& evidence,
-    const traceroute::ConsistencyTracker& consistency);
-/// Same, from the metro's consistent sets computed by the caller.
 EstimatedMatrix build_estimated_matrix(const MetroContext& ctx,
                                        const EvidenceStore& evidence,
                                        const ConsistentSets& consistent);

@@ -22,8 +22,7 @@ MeasurementSystem::MeasurementSystem(const topology::Internet& net,
       engine_(&engine),
       vps_(std::move(vps)),
       targets_(std::move(targets)),
-      rng_(seed),
-      consistency_(net) {
+      rng_(seed) {
   rels_.providers_of = &net.providers;
   targets_by_as_.assign(net.num_ases(), {});
   for (std::size_t t = 0; t < targets_.size(); ++t)
@@ -34,7 +33,6 @@ traceroute::TraceObservations MeasurementSystem::process_trace(
     const traceroute::TraceResult& trace) {
   auto obs = traceroute::extract_observations(trace, rels_, rng_);
   evidence_.ingest(trace, obs, wp_);
-  consistency_.ingest(obs);
   if (view_) {
     for (const auto& l : obs.links)
       observed_.push_back(topology::pair_key(l.a, l.b));
@@ -286,13 +284,14 @@ std::vector<int> MeasurementSystem::target_category_counts(AsId j,
 }
 
 EstimatedMatrix MeasurementSystem::build_matrix(const MetroContext& ctx) const {
-  return build_estimated_matrix(ctx, evidence_, consistency_);
+  return build_estimated_matrix(ctx, evidence_,
+                                evidence_.consistent_sets(ctx));
 }
 
 const EstimatedMatrix& MeasurementSystem::matrix(const MetroContext& ctx) {
   const bool same_metro = view_ && view_->metro == ctx.metro();
   if (same_metro && observed_.empty()) return view_->e;
-  ConsistentSets consistent = consistency_.consistent_sets(ctx.ases());
+  ConsistentSets consistent = evidence_.consistent_sets(ctx);
   if (same_metro && consistent == view_->consistent) {
     // Evidence only grows, and only for observed pairs; under unchanged
     // consistent sets no other entry can move.
@@ -322,7 +321,7 @@ EstimatedMatrix MeasurementSystem::take_matrix(const MetroContext& ctx) {
 
 template <class Self, class Ar>
 void MeasurementSystem::io(Self& s, Ar& ar) {
-  ar(s.evidence_, s.consistency_, s.wp_, s.rng_, s.health_clock_,
+  ar(s.evidence_, s.wp_, s.rng_, s.health_clock_,
      s.vp_stats_, s.vp_health_);
 }
 
@@ -335,9 +334,7 @@ void MeasurementSystem::load(util::checkpoint::Decoder& dec) {
   observed_.clear();
   ++view_rebuilds_;
   io(*this, dec);
-  const std::size_t metros = net_->metros.size();
-  if (!traceroute::metros_below(evidence_.all(), metros) ||
-      !consistency_.metros_below(metros))
+  if (!evidence_.metros_below(net_->metros.size()))
     throw util::checkpoint::CheckpointError(
         "MeasurementSystem: metro id outside the world");
 }

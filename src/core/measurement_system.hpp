@@ -97,7 +97,6 @@ class MeasurementSystem {
   std::uint64_t view_rebuilds() const { return view_rebuilds_; }
 
   const EvidenceStore& evidence() const { return evidence_; }
-  const traceroute::ConsistencyTracker& consistency() const { return consistency_; }
   const traceroute::WellPositionedTracker& well_positioned() const { return wp_; }
   std::size_t traceroutes_issued() const { return engine_->issued(); }
   const std::vector<traceroute::VantagePoint>& vps() const { return vps_; }
@@ -116,9 +115,10 @@ class MeasurementSystem {
   double vp_score(int vp_id, AsId i) const;
 
   /// Checkpoint serialization of all mutable measurement-plane state
-  /// (evidence, trackers, VP statistics/health, the RNG stream position and
-  /// the health clock).  The Internet, engine wiring, VP/target inventories
-  /// and resilience policy are configuration, reconstructed on resume.
+  /// (evidence, the well-positioned tracker, VP statistics/health, the RNG
+  /// stream position and the health clock).  The Internet, engine wiring,
+  /// VP/target inventories and resilience policy are configuration,
+  /// reconstructed on resume.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
@@ -126,10 +126,10 @@ class MeasurementSystem {
   template <class Self, class Ar>
   static void io(Self& s, Ar& ar);
 
-  /// Ingests a completed trace's observations into the evidence and
-  /// consistency trackers and, while a view exists, records their pair
-  /// keys for it.  The caller updates the well-positioned tracker after
-  /// its own checks, which must see the state before this trace.
+  /// Ingests a completed trace's observations into the evidence store
+  /// and, while a view exists, records their pair keys for it.  The
+  /// caller updates the well-positioned tracker after its own checks,
+  /// which must see the state before this trace.
   traceroute::TraceObservations process_trace(
       const traceroute::TraceResult& trace);
 
@@ -147,7 +147,6 @@ class MeasurementSystem {
   util::Rng rng_;
 
   EvidenceStore evidence_;
-  traceroute::ConsistencyTracker consistency_;
   traceroute::WellPositionedTracker wp_;
   traceroute::PublicRelationships rels_;
 

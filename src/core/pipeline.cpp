@@ -82,7 +82,6 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
     rank_opts.resume = &resume_state;
     MAC_COUNT("pipeline.resumes");
   }
-  std::size_t checkpoints_written = 0;
   if (opts.checkpoint) {
     rank_opts.on_iteration = [&](const RankLoopState& st) {
       // Rank boundary: serialize everything the next process needs to
@@ -93,7 +92,6 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
       scheduler.save(enc);
       pm.save(enc);
       opts.checkpoint(enc.take());
-      ++checkpoints_written;
       MAC_COUNT("pipeline.checkpoints_written");
       // Timeline mark: where each rank-boundary checkpoint landed relative
       // to the surrounding ALS / scheduler spans.
@@ -153,16 +151,6 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   }
 
   if (priors_ != nullptr) pm.export_priors(*priors_);
-
-  // Crash-safety accounting: why (if at all) the run was cut short, what
-  // the deadline budget cost, and how many snapshots were persisted.
-  if (opts.control != nullptr) {
-    res.degradation.cancelled =
-        opts.control->token != nullptr && opts.control->token->cancelled();
-    res.degradation.deadline_expired = opts.control->budget.expired();
-    res.degradation.budget_consumed_ms = opts.control->budget.consumed_ms();
-  }
-  res.degradation.checkpoints_written = checkpoints_written;
 
   MAC_COUNT("pipeline.runs_completed");
   MAC_GAUGE_SET("pipeline.threshold", res.threshold);

@@ -72,6 +72,23 @@ double RankEstimator::holdout_mse(const EstimatedMatrix& e, int rank,
   return s / reps;
 }
 
+bool RankEstimator::record_candidate(int rank, double mse, double& best,
+                                     int& no_improve,
+                                     RankEstimateResult& res) const {
+  res.history.emplace_back(rank, mse);
+  const double needed = best > 1e29 ? 0.0  // first candidate always accepted
+                                     : std::max(cfg_.min_improvement,
+                                                cfg_.rel_improvement * best);
+  if (mse < best - needed) {
+    best = mse;
+    res.best_rank = rank;
+    res.best_mse = mse;
+    no_improve = 0;
+    return false;
+  }
+  return ++no_improve >= cfg_.patience;
+}
+
 template <class Self, class Ar>
 void RankLoopState::io(Self& s, Ar& ar) {
   auto& p = s.partial;
@@ -130,19 +147,7 @@ RankEstimateResult RankEstimator::run(MeasurementScheduler* scheduler,
     const EstimatedMatrix& e = ms.matrix(*ctx_);
     double mse = holdout_mse(e, r, rng);
     MAC_HISTOGRAM("pipeline.rank_holdout_mse", mse);
-    res.history.emplace_back(r, mse);
-    double needed = best > 1e29 ? 0.0  // first candidate always accepted
-                                : std::max(cfg_.min_improvement,
-                                           cfg_.rel_improvement * best);
-    bool stop = false;
-    if (mse < best - needed) {
-      best = mse;
-      res.best_rank = r;
-      res.best_mse = mse;
-      no_improve = 0;
-    } else if (++no_improve >= cfg_.patience) {
-      stop = true;
-    }
+    const bool stop = record_candidate(r, mse, best, no_improve, res);
     if (opts.on_iteration) {
       // Rank boundary: hand the caller everything a resume at this exact
       // point needs, including whether the loop already decided to stop
@@ -169,21 +174,9 @@ RankEstimateResult RankEstimator::run_static(const EstimatedMatrix& e) {
   RankEstimateResult res;
   double best = 1e30;
   int no_improve = 0;
-  for (int r = 1; r <= cfg_.max_rank; ++r) {
-    double mse = holdout_mse(e, r, rng);
-    res.history.emplace_back(r, mse);
-    double needed = best > 1e29 ? 0.0  // first candidate always accepted
-                                : std::max(cfg_.min_improvement,
-                                           cfg_.rel_improvement * best);
-    if (mse < best - needed) {
-      best = mse;
-      res.best_rank = r;
-      res.best_mse = mse;
-      no_improve = 0;
-    } else if (++no_improve >= cfg_.patience) {
+  for (int r = 1; r <= cfg_.max_rank; ++r)
+    if (record_candidate(r, holdout_mse(e, r, rng), best, no_improve, res))
       break;
-    }
-  }
   return res;
 }
 

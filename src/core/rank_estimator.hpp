@@ -94,6 +94,13 @@ class RankEstimator {
                      util::Rng& rng) const;
   double holdout_mse_once(const EstimatedMatrix& e, int rank,
                           util::Rng& rng) const;
+  /// The §3.2 acceptance rule, shared by both loops: records the
+  /// candidate's holdout MSE and accepts it when it beats `best` by
+  /// max(min_improvement, rel_improvement * best); the first candidate is
+  /// always accepted.  Returns true once `patience` candidates in a row
+  /// missed, when the loop stops.
+  bool record_candidate(int rank, double mse, double& best, int& no_improve,
+                        RankEstimateResult& res) const;
 
   const MetroContext* ctx_;  // lint: allow(view-member) -- caller-owned context; estimators are transient within one metro run
   const FeatureMatrix* features_;  // lint: allow(view-member) -- caller-owned factor matrix; read-only for the estimator's short life

@@ -91,14 +91,9 @@ struct DegradationReport {
   std::size_t quarantined_vps = 0; // VPs sidelined when the campaign ended
   std::size_t dead_vps = 0;        // permanently churned VPs
 
-  // Crash-safety accounting (filled in by the pipeline, not the scheduler):
-  // how the run was cut short and what was preserved.  All fields stay at
-  // their defaults on an uninterrupted run without checkpoint/deadline flags.
-  std::size_t phases_truncated = 0;   // pipeline phases stopped early
-  bool cancelled = false;             // CancelToken tripped (SIGINT/SIGTERM)
-  bool deadline_expired = false;      // --deadline-ms budget exhausted
-  std::uint64_t budget_consumed_ms = 0;  // wall time consumed of the budget
-  std::size_t checkpoints_written = 0;   // snapshots persisted during run()
+  // Pipeline phases a stop cut short (filled in by the pipeline, not the
+  // scheduler); 0 on an uninterrupted run.
+  std::size_t phases_truncated = 0;
 };
 
 class MeasurementScheduler {

@@ -8,7 +8,7 @@
 //
 // Checkpoints (DESIGN.md §12).  With a checkpoint path the runner writes a
 // generation at every rank boundary and at every metro completion.  The
-// payload (format 1) is the run fingerprint, the completed-metro summaries,
+// payload (format 2) is the run fingerprint, the completed-metro summaries,
 // the priors, the next metro index, the measurement plane, the traceroute
 // engine, the fault injector and the in-progress phase blob, the last two
 // behind presence flags.  A metro that a stop cut short is never recorded

@@ -62,8 +62,6 @@ class BorderMapper {
   /// unresponsive hops yield kInvalidAs placeholders).
   std::vector<topology::AsId> as_path(const IpTraceResult& trace) const;
 
-  std::size_t interfaces_seen() const { return votes_.size(); }
-
  private:
   const PrefixTable* announced_;  // lint: allow(view-member) -- caller-owned table bound at construction; mappers are scoped inside one pipeline run
   std::unordered_map<Ip, topology::AsId> known_;

@@ -1,23 +1,12 @@
-// Consistent-routing detection and well-positioned-vantage-point tracking
-// (§3.4, Appx. D.5).
-//
-// An AS routes consistently toward a peer at a granularity if observations
-// never mix direct interconnections and transit crossings within that
-// granularity.  ASes participating in inconsistent pairs are eliminated
-// iteratively (highest inconsistency count first) until the remaining
-// submatrix is consistent -- only those ASes support non-existence inference
-// and geographic transferability.
+// Well-positioned-vantage-point tracking (§3.4).  The consistent-routing
+// analysis reads the pair records of core::EvidenceStore.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
-#include "topology/internet.hpp"
-#include "traceroute/observations.hpp"
+#include "traceroute/engine.hpp"
 #include "util/numeric.hpp"
 
 namespace metas::util::checkpoint {
@@ -26,77 +15,6 @@ class Decoder;
 }  // namespace metas::util::checkpoint
 
 namespace metas::traceroute {
-
-/// True if every metro id in the direct and transit sets of a pair map
-/// lies in [0, count).  Decoded evidence is checked with it before any id
-/// reaches Internet::metro_scope, an unchecked index into `metros`.
-template <class PairMap>
-bool metros_below(const PairMap& pairs, std::size_t count) {
-  auto below = [count](const std::set<topology::MetroId>& ids) {
-    return ids.empty() ||
-           (*ids.begin() >= 0 &&
-            mac::checked_cast<std::size_t>(*ids.rbegin()) < count);
-  };
-  for (const auto& [key, ev] : pairs)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
-    if (!below(ev.direct) || !below(ev.transit)) return false;
-  return true;
-}
-
-class ConsistencyTracker {
- public:
-  explicit ConsistencyTracker(const topology::Internet& net) : net_(&net) {}
-
-  /// Records observations from one traceroute.
-  void ingest(const TraceObservations& obs);
-
-  /// True if the pair mixes direct and transit evidence within `g`
-  /// (i.e., a direct metro and a transit metro that are `g`-close).
-  bool pair_inconsistent(topology::AsId a, topology::AsId b,
-                         topology::GeoScope g) const;
-
-  /// Membership flags per granularity, indexed by GeoScope: flag i says
-  /// whether `universe[i]` routes consistently at that granularity (true =
-  /// usable for transfer / non-existence inference).
-  using ConsistentSets =
-      std::array<std::vector<bool>, topology::kNumGeoScopes>;
-
-  /// For every granularity, iteratively eliminates the universe ASes with
-  /// the most inconsistent pairs at that granularity.  One pass over the
-  /// mixed pairs (direct and transit evidence both present) inside the
-  /// universe finds each pair's finest inconsistent scope.
-  ConsistentSets consistent_sets(
-      const std::vector<topology::AsId>& universe) const;
-
-  std::size_t pairs_tracked() const { return pair_data_.size(); }
-
-  /// True if every metro id in the tracked evidence lies in [0, count).
-  bool metros_below(std::size_t count) const;
-
-  /// Checkpoint serialization in sorted-key order (byte-stable across runs).
-  /// load() rebuilds the derived mixed-pair set.
-  void save(util::checkpoint::Encoder& enc) const;
-  void load(util::checkpoint::Decoder& dec);
-
- private:
-  struct PairEvidence {
-    std::set<topology::MetroId> direct;
-    std::set<topology::MetroId> transit;
-
-    template <class Self, class Ar>
-    static void io(Self& ev, Ar& ar) { ar(ev.direct, ev.transit); }
-  };
-  template <class Self, class Ar>
-  static void io(Self& s, Ar& ar);
-
-  bool metros_close(topology::MetroId a, topology::MetroId b,
-                    topology::GeoScope g) const;
-
-  const topology::Internet* net_;  // lint: allow(view-member) -- the World owns the Internet and every checker scoped inside a run of it
-  std::unordered_map<std::uint64_t, PairEvidence> pair_data_;
-  // Derived, not serialized: keys of the pairs holding both direct and
-  // transit evidence -- the only pairs that can be inconsistent.
-  std::set<std::uint64_t> mixed_;
-};
 
 /// Tracks which (AS, metro) interfaces each vantage point has traversed.
 /// A VP is well positioned for (i, m) if it has never issued a measurement or

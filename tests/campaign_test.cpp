@@ -34,7 +34,7 @@ using testing::PlaneShape;
 using testing::PriorsShape;
 using testing::u64;
 
-// The campaign's own fields of a format-1 payload.
+// The campaign's own fields of a format-2 payload.
 using FingerprintShape =
     std::tuple<u64, std::string, bool, std::string, bool, double, double,
                double, double, double, double, double, double, u64>;

@@ -1,4 +1,4 @@
-// The format-1 checkpoint payload's library types, spelled as container
+// The format-2 checkpoint payload's library types, spelled as container
 // shapes apart from the library's own field lists.  A real payload must
 // decode into these shapes exactly, so tests read and patch its fields
 // through them instead of at byte offsets.
@@ -26,10 +26,10 @@ using u64 = std::uint64_t;
 using PriorsShape =
     std::tuple<std::array<double, traceroute::kNumStrategies>,
                std::array<double, traceroute::kNumStrategies>, int>;
-using MetroSets = std::pair<std::set<int>, std::set<int>>;
+// One evidence record per AS pair: direct, transit and crossing metros.
+using MetroSets = std::tuple<std::set<int>, std::set<int>, std::set<int>>;
 using PlaneShape = std::tuple<
     std::unordered_map<u64, MetroSets>,                                // evidence
-    std::unordered_map<u64, MetroSets>,                                // consistency
     std::unordered_map<int, std::pair<u64, std::unordered_set<u64>>>,  // well-positioned
     std::string, u64,                                                  // RNG, health clock
     std::unordered_map<u64, std::pair<int, int>>,                      // VP statistics

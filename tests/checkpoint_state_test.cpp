@@ -85,7 +85,7 @@ Capture::Capture() {
     const auto p = decode_shape<PlaneShape>(ms_bytes);
     const auto f = decode_shape<FaultShape>(fault_bytes);
     const auto ph = decode_shape<PhaseShape>(blob);
-    if (std::get<6>(p).empty() || std::get<4>(f).empty() ||
+    if (std::get<5>(p).empty() || std::get<4>(f).empty() ||
         std::get<5>(f).empty() || std::get<9>(std::get<1>(ph)).empty() ||
         std::get<6>(std::get<2>(ph)).empty())
       return;
@@ -146,7 +146,7 @@ TEST(CheckpointStateTest, EveryTypeRoundTripsMidRunStateByteIdentically) {
   const Capture& c = capture();
   ASSERT_FALSE(c.phase.empty())
       << "no rank boundary had every captured map non-empty";
-  EXPECT_FALSE(std::get<6>(decode_shape<PlaneShape>(c.plane)).empty())
+  EXPECT_FALSE(std::get<5>(decode_shape<PlaneShape>(c.plane)).empty())
       << "VP health map";
   const auto f = decode_shape<FaultShape>(c.faults);
   EXPECT_FALSE(std::get<4>(f).empty()) << "fault injector VP chains";
@@ -382,23 +382,34 @@ TEST(CheckpointStateTest, RepeatedKeyLoadsAsOneEntry) {
   EXPECT_EQ(resaved(clean), c.phase);
 }
 
-// Evidence and consistency sets name metros by id, and the next E_m
-// rebuild hands those ids to Internet::metro_scope, an unchecked metros[]
-// index.  A decoded id outside the world must be refused on load.
+// Evidence records name metros by id, and the next E_m rebuild or
+// consistent-set pass hands those ids to Internet::metro_scope, an
+// unchecked metros[] index.  A decoded id outside the world, in any of a
+// record's three sets, must be refused on load.
 TEST(CheckpointStateTest, MetroIdOutsideTheWorldIsRejected) {
   const Capture& c = capture();
-  // Swaps the largest id in the smallest-keyed pair's first non-empty
-  // metro set for `bad`.
-  auto patch = [](auto& pairs, int bad) {
-    ASSERT_FALSE(pairs.empty());
-    auto& sets = std::min_element(pairs.begin(), pairs.end(),
-                                  [](const auto& x, const auto& y) {
-                                    return x.first < y.first;
-                                  })->second;
-    auto& ids = sets.first.empty() ? sets.second : sets.first;
-    ASSERT_FALSE(ids.empty());
-    ids.erase(std::prev(ids.end()));
-    ids.insert(bad);
+  const char* const kSets[] = {"direct", "transit", "crossings"};
+  auto set_of = [](testing::MetroSets& sets, int k) -> std::set<int>& {
+    return k == 0 ? std::get<0>(sets) : k == 1 ? std::get<1>(sets)
+                                               : std::get<2>(sets);
+  };
+  // Swaps the largest id of set k in the smallest-keyed pair whose set k
+  // is non-empty for `bad`.
+  auto patched = [&](int k, int bad) {
+    auto plane = decode_shape<PlaneShape>(c.plane);
+    std::set<int>* ids = nullptr;
+    u64 first = ~u64{0};
+    for (auto& [key, sets] : std::get<0>(plane)) {
+      if (set_of(sets, k).empty() || key > first) continue;
+      first = key;
+      ids = &set_of(sets, k);
+    }
+    EXPECT_NE(ids, nullptr) << "no pair has " << kSets[k] << " metros";
+    if (ids != nullptr) {
+      ids->erase(std::prev(ids->end()));
+      ids->insert(bad);
+    }
+    return plane;
   };
   auto load_plane = [&](const PlaneShape& plane) {
     ck::Encoder enc;
@@ -409,12 +420,9 @@ TEST(CheckpointStateTest, MetroIdOutsideTheWorldIsRejected) {
   };
   for (int bad : {static_cast<int>(c.world.net.metros.size()), -1}) {
     SCOPED_TRACE(bad);
-    auto evidence = decode_shape<PlaneShape>(c.plane);
-    patch(std::get<0>(evidence), bad);
-    EXPECT_THROW(load_plane(evidence), ck::CheckpointError);
-    auto consistency = decode_shape<PlaneShape>(c.plane);
-    patch(std::get<1>(consistency), bad);
-    EXPECT_THROW(load_plane(consistency), ck::CheckpointError);
+    for (int k = 0; k < 3; ++k)
+      EXPECT_THROW(load_plane(patched(k, bad)), ck::CheckpointError)
+          << kSets[k];
   }
   EXPECT_NO_THROW(load_plane(decode_shape<PlaneShape>(c.plane)));
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evidence.hpp"
 #include "topology/generator.hpp"
 
 namespace metas::traceroute {
@@ -15,7 +16,9 @@ using topology::GeoScope;
 using topology::MetroId;
 
 // A fixed small world whose metro/country/continent layout the tests rely
-// on: 2 metros per country, 2 countries per continent.
+// on: 2 metros per country, 2 countries per continent.  The consistent-set
+// analysis reads the pair records of core::EvidenceStore; a VP that never
+// issued is well positioned, so every crossing here is also E_m evidence.
 class ConsistencyTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -29,31 +32,35 @@ class ConsistencyTest : public ::testing::Test {
   }
   static void TearDownTestSuite() { net_.reset(); }
 
-  static TraceObservations direct_obs(AsId a, AsId b, MetroId m) {
+  void direct(AsId a, AsId b, MetroId m) {
     TraceObservations o;
     o.links.push_back({a, b, m, false});
-    return o;
+    store_.ingest(TraceResult{}, o, wp_);
   }
-  static TraceObservations transit_obs(AsId a, AsId b, MetroId m) {
+  void transit(AsId a, AsId b, MetroId m) {
     TraceObservations o;
     o.transits.push_back({a, b, 99, m, m});
-    return o;
+    store_.ingest(TraceResult{}, o, wp_);
   }
+  bool inconsistent(AsId a, AsId b, GeoScope g) const {
+    return store_.pair_inconsistent(*net_, a, b, g);
+  }
+
   static std::unique_ptr<topology::Internet> net_;
+  core::EvidenceStore store_;
+  WellPositionedTracker wp_;
 };
 std::unique_ptr<topology::Internet> ConsistencyTest::net_;
 
 TEST_F(ConsistencyTest, NoEvidenceIsConsistent) {
-  ConsistencyTracker t(*net_);
-  EXPECT_FALSE(t.pair_inconsistent(1, 2, GeoScope::kSameMetro));
+  EXPECT_FALSE(inconsistent(1, 2, GeoScope::kSameMetro));
 }
 
 TEST_F(ConsistencyTest, SameMetroMixMakesInconsistent) {
-  ConsistencyTracker t(*net_);
-  t.ingest(direct_obs(1, 2, 0));
-  t.ingest(transit_obs(1, 2, 0));
-  EXPECT_TRUE(t.pair_inconsistent(1, 2, GeoScope::kSameMetro));
-  EXPECT_TRUE(t.pair_inconsistent(1, 2, GeoScope::kElsewhere));
+  direct(1, 2, 0);
+  transit(1, 2, 0);
+  EXPECT_TRUE(inconsistent(1, 2, GeoScope::kSameMetro));
+  EXPECT_TRUE(inconsistent(1, 2, GeoScope::kElsewhere));
 }
 
 TEST_F(ConsistencyTest, GranularityHierarchy) {
@@ -61,39 +68,39 @@ TEST_F(ConsistencyTest, GranularityHierarchy) {
   // metros_per_country = 2): consistent at metro granularity, inconsistent
   // at country and coarser. This mirrors the paper's NY/Seattle/Toronto
   // example.
-  ConsistencyTracker t(*net_);
-  t.ingest(direct_obs(3, 4, 0));
-  t.ingest(transit_obs(3, 4, 1));
-  EXPECT_FALSE(t.pair_inconsistent(3, 4, GeoScope::kSameMetro));
-  EXPECT_TRUE(t.pair_inconsistent(3, 4, GeoScope::kSameCountry));
-  EXPECT_TRUE(t.pair_inconsistent(3, 4, GeoScope::kElsewhere));
+  direct(3, 4, 0);
+  transit(3, 4, 1);
+  EXPECT_FALSE(inconsistent(3, 4, GeoScope::kSameMetro));
+  EXPECT_TRUE(inconsistent(3, 4, GeoScope::kSameCountry));
+  EXPECT_TRUE(inconsistent(3, 4, GeoScope::kElsewhere));
 }
 
 TEST_F(ConsistencyTest, ConsistentSetEliminatesWorstOffenders) {
-  ConsistencyTracker t(*net_);
-  // AS 7 is inconsistent with both 8 and 9; 8 and 9 are otherwise clean.
-  t.ingest(direct_obs(7, 8, 0));
-  t.ingest(transit_obs(7, 8, 0));
-  t.ingest(direct_obs(7, 9, 0));
-  t.ingest(transit_obs(7, 9, 0));
-  std::vector<AsId> universe{7, 8, 9, 10};
-  auto alive = t.consistent_sets(
-      universe)[mac::enum_cast<std::size_t>(GeoScope::kSameMetro)];
-  EXPECT_FALSE(alive[0]);  // 7 eliminated
+  const core::MetroContext ctx(*net_, 0);
+  ASSERT_GE(ctx.size(), 4u);
+  // Local AS 0 is inconsistent with both 1 and 2; 1 and 2 are otherwise
+  // clean.
+  direct(ctx.as_at(0), ctx.as_at(1), 0);
+  transit(ctx.as_at(0), ctx.as_at(1), 0);
+  direct(ctx.as_at(0), ctx.as_at(2), 0);
+  transit(ctx.as_at(0), ctx.as_at(2), 0);
+  auto alive = store_.consistent_sets(
+      ctx)[mac::enum_cast<std::size_t>(GeoScope::kSameMetro)];
+  EXPECT_FALSE(alive[0]);  // eliminated
   EXPECT_TRUE(alive[1]);
   EXPECT_TRUE(alive[2]);
   EXPECT_TRUE(alive[3]);
 }
 
 TEST_F(ConsistencyTest, OnlyDirectOrOnlyTransitStaysConsistent) {
-  ConsistencyTracker t(*net_);
-  t.ingest(direct_obs(1, 2, 0));
-  t.ingest(direct_obs(1, 2, 3));
-  t.ingest(transit_obs(4, 5, 0));
-  t.ingest(transit_obs(4, 5, 1));
-  std::vector<AsId> universe{1, 2, 4, 5};
-  auto alive = t.consistent_sets(
-      universe)[mac::enum_cast<std::size_t>(GeoScope::kElsewhere)];
+  const core::MetroContext ctx(*net_, 0);
+  ASSERT_GE(ctx.size(), 4u);
+  direct(ctx.as_at(0), ctx.as_at(1), 0);
+  direct(ctx.as_at(0), ctx.as_at(1), 3);
+  transit(ctx.as_at(2), ctx.as_at(3), 0);
+  transit(ctx.as_at(2), ctx.as_at(3), 1);
+  auto alive = store_.consistent_sets(
+      ctx)[mac::enum_cast<std::size_t>(GeoScope::kElsewhere)];
   for (bool a : alive) EXPECT_TRUE(a);
 }
 

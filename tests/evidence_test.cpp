@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -54,6 +55,20 @@ class EvidenceTest : public ::testing::Test {
     return t;
   }
 
+  // A trace from the stub's VP that traverses only AS 7 at metro 3.  Once
+  // it is ingested, the VP is no longer well positioned at metro 0.
+  static traceroute::TraceResult trace_elsewhere() {
+    traceroute::TraceResult prior = trace_stub();
+    prior.src_as = 7;
+    prior.src_metro = 3;
+    traceroute::Hop h;
+    h.as = 7;
+    h.observed_ingress = 3;
+    h.responsive = true;
+    prior.hops = {h};
+    return prior;
+  }
+
   static std::unique_ptr<topology::Internet> net_;
 };
 std::unique_ptr<topology::Internet> EvidenceTest::net_;
@@ -62,13 +77,12 @@ TEST_F(EvidenceTest, DirectObservationFillsByScope) {
   auto [a, b] = two_ases_at_metro0();
   EvidenceStore ev;
   traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 1, false});  // same country as metro 0
   ev.ingest(trace_stub(), obs, wp);
 
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ev.consistent_sets(ctx));
   int ia = ctx.local(a), ib = ctx.local(b);
   ASSERT_GE(ia, 0);
   ASSERT_GE(ib, 0);
@@ -80,13 +94,12 @@ TEST_F(EvidenceTest, ClosestDirectObservationWins) {
   auto [a, b] = two_ases_at_metro0();
   EvidenceStore ev;
   traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 4, false});  // other continent: 0.1
   obs.links.push_back({a, b, 2, false});  // same continent: 0.4
   ev.ingest(trace_stub(), obs, wp);
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ev.consistent_sets(ctx));
   EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), 0.4);
 }
 
@@ -94,12 +107,11 @@ TEST_F(EvidenceTest, TransitFromWellPositionedVpGivesNegative) {
   auto [a, b] = two_ases_at_metro0();
   EvidenceStore ev;
   traceroute::WellPositionedTracker wp;  // VP never issued: well positioned
-  traceroute::ConsistencyTracker ct(*net_);
   traceroute::TraceObservations obs;
   obs.transits.push_back({a, b, 99, 0, 0});  // transit at the metro itself
   ev.ingest(trace_stub(), obs, wp);
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ev.consistent_sets(ctx));
   EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), -1.0);
 }
 
@@ -107,26 +119,14 @@ TEST_F(EvidenceTest, TransitFromPoorlyPositionedVpIgnored) {
   auto [a, b] = two_ases_at_metro0();
   EvidenceStore ev;
   traceroute::WellPositionedTracker wp;
-  // The VP has issued a measurement that did NOT traverse (a, metro 0), so
-  // it is no longer well positioned for a at 0.
-  traceroute::TraceResult prior;
-  prior.vp_id = 42;
-  prior.src_as = 7;
-  prior.src_metro = 3;
-  traceroute::Hop h;
-  h.as = 7;
-  h.observed_ingress = 3;
-  h.responsive = true;
-  prior.hops = {h};
-  wp.ingest(prior);
+  wp.ingest(trace_elsewhere());
 
   traceroute::TraceObservations obs;
   obs.transits.push_back({a, b, 99, 0, 0});
   traceroute::TraceResult t = trace_stub();
   ev.ingest(t, obs, wp);
   MetroContext ctx(*net_, 0);
-  traceroute::ConsistencyTracker ct(*net_);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ev.consistent_sets(ctx));
   EXPECT_FALSE(e.filled(ctx.local(a), ctx.local(b)));
 }
 
@@ -134,30 +134,62 @@ TEST_F(EvidenceTest, InconsistentPairGetsNoNegative) {
   auto [a, b] = two_ases_at_metro0();
   EvidenceStore ev;
   traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 1, false});    // direct at metro 1
   obs.transits.push_back({a, b, 99, 1, 1}); // transit at metro 1 too
   ev.ingest(trace_stub(), obs, wp);
-  ct.ingest(obs);
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ev.consistent_sets(ctx));
   // The pair is inconsistent at country granularity, so the only fill is the
   // positive same-country transfer.
   EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), 0.7);
+}
+
+// A crossing from a VP that is not well positioned is no E_m negative, yet
+// it is still a crossing: beside a direct observation at the same metro it
+// makes the pair inconsistent.
+TEST_F(EvidenceTest, UnvettedCrossingCountsForConsistencyOnly) {
+  MetroContext ctx(*net_, 0);
+  const AsId a = ctx.as_at(0), b = ctx.as_at(1), c = ctx.as_at(2);
+  EvidenceStore ev;
+  traceroute::WellPositionedTracker wp;
+  wp.ingest(trace_elsewhere());
+  traceroute::TraceObservations obs;
+  obs.links.push_back({a, b, 0, false});
+  obs.transits.push_back({a, b, 99, 0, 0});
+  obs.transits.push_back({b, c, 99, 0, 0});
+  ev.ingest(trace_stub(), obs, wp);
+
+  EXPECT_EQ(ev.find(a, b)->crossings, std::set<MetroId>{0});
+  EXPECT_FALSE(ev.transit_at(a, b, 0));
+  EXPECT_FALSE(ev.transit_at(b, c, 0));
+  EXPECT_TRUE(ev.pair_inconsistent(*net_, a, b, topology::GeoScope::kSameMetro));
+  EXPECT_FALSE(ev.pair_inconsistent(*net_, b, c, topology::GeoScope::kElsewhere));
+  // One bad pair at every granularity: its lower local index, a, goes.
+  const ConsistentSets sets = ev.consistent_sets(ctx);
+  for (const auto& alive : sets) {
+    EXPECT_FALSE(alive[0]);
+    EXPECT_TRUE(alive[1]);
+    EXPECT_TRUE(alive[2]);
+  }
+  // b and c stay consistent, so only the well-positioned filter keeps the
+  // (b, c) crossing out of E_m.
+  const EstimatedMatrix e = build_estimated_matrix(ctx, ev, sets);
+  EXPECT_DOUBLE_EQ(e.value(0, 1), 1.0);
+  EXPECT_FALSE(e.filled(1, 2));
+  EXPECT_EQ(e.total_filled(), 1u);
 }
 
 TEST_F(EvidenceTest, MixedEvidenceKeepsBiggerAbsolute) {
   auto [a, b] = two_ases_at_metro0();
   EvidenceStore ev;
   traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
   traceroute::TraceObservations obs;
   obs.links.push_back({a, b, 4, false});     // weak positive 0.1
   obs.transits.push_back({a, b, 99, 0, 0});  // strong negative -1
   ev.ingest(trace_stub(), obs, wp);
   MetroContext ctx(*net_, 0);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ev.consistent_sets(ctx));
   EXPECT_DOUBLE_EQ(e.value(ctx.local(a), ctx.local(b)), -1.0);
 }
 
@@ -165,7 +197,6 @@ TEST_F(EvidenceTest, PairsOutsideMetroIgnored) {
   // Evidence about a pair with no presence at metro 0 must not crash or fill.
   EvidenceStore ev;
   traceroute::WellPositionedTracker wp;
-  traceroute::ConsistencyTracker ct(*net_);
   // Find an AS absent from metro 0.
   AsId outsider = topology::kInvalidAs;
   MetroContext ctx(*net_, 0);
@@ -175,7 +206,7 @@ TEST_F(EvidenceTest, PairsOutsideMetroIgnored) {
   traceroute::TraceObservations obs;
   obs.links.push_back({outsider, ctx.as_at(0), 1, false});
   ev.ingest(trace_stub(), obs, wp);
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ev.consistent_sets(ctx));
   EXPECT_EQ(e.total_filled(), 0u);
 }
 
@@ -213,36 +244,34 @@ TEST_F(EvidenceTest, MetroContextLocalRejectsIdsOutsideTheWorld) {
 }
 
 // Pair keys naming an AS outside the world can only come from a corrupted
-// checkpoint.  Both stores must keep such a pair non-local: E_m ignores it
+// checkpoint.  The store must keep such a pair non-local: E_m ignores it
 // and it eliminates nobody from the consistent sets.
 TEST_F(EvidenceTest, PairsNamingAsesOutsideTheWorldStayNonLocal) {
   MetroContext ctx(*net_, 0);
   const auto a = static_cast<std::uint64_t>(ctx.as_at(0));
   const auto b = static_cast<std::uint64_t>(ctx.as_at(1));
   const auto n = static_cast<std::uint64_t>(net_->num_ases());
-  using MetroSets = std::pair<std::set<int>, std::set<int>>;
+  using MetroSets = std::tuple<std::set<int>, std::set<int>, std::set<int>>;
   // Every pair is mixed at metro 0; only (a, b) lies inside the world.
   const std::unordered_map<std::uint64_t, MetroSets> pairs{
-      {(b << 32) | a, {{0}, {}}},
-      {(n << 32) | a, {{0}, {0}}},
-      {(0xffffffffULL << 32) | a, {{0}, {0}}},
-      {(b << 32) | 0xfffffff0ULL, {{0}, {0}}},
-      {(a << 32) | 0x80000000ULL, {{0}, {0}}},
+      {(b << 32) | a, {{0}, {}, {}}},
+      {(n << 32) | a, {{0}, {0}, {0}}},
+      {(0xffffffffULL << 32) | a, {{0}, {0}, {0}}},
+      {(b << 32) | 0xfffffff0ULL, {{0}, {0}, {0}}},
+      {(a << 32) | 0x80000000ULL, {{0}, {0}, {0}}},
   };
   util::checkpoint::Encoder enc;
   enc(pairs);
   EvidenceStore ev;
-  traceroute::ConsistencyTracker ct(*net_);
-  util::checkpoint::Decoder dec_ev(enc.data()), dec_ct(enc.data());
-  ev.load(dec_ev);
-  ct.load(dec_ct);
+  util::checkpoint::Decoder dec(enc.data());
+  ev.load(dec);
 
   const auto local = ev.sorted_pairs(ctx);
   ASSERT_EQ(local.size(), 1u);
   EXPECT_EQ(local[0].first, (b << 32) | a);
-  for (const auto& alive : ct.consistent_sets(ctx.ases()))
+  for (const auto& alive : ev.consistent_sets(ctx))
     EXPECT_TRUE(std::all_of(alive.begin(), alive.end(), [](bool x) { return x; }));
-  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ct);
+  EstimatedMatrix e = build_estimated_matrix(ctx, ev, ev.consistent_sets(ctx));
   EXPECT_EQ(e.total_filled(), 1u);
   EXPECT_DOUBLE_EQ(e.value(0, 1), 1.0);
 }
@@ -285,15 +314,16 @@ TEST_F(EvidenceTest, RefreshRederivesAPairLikeAFullBuild) {
 /// with the most live inconsistent pairs (ties: lowest index), judging
 /// every pair of the metro with pair_inconsistent().
 std::vector<std::vector<bool>> reference_consistent(
-    const MetroContext& ctx, const traceroute::ConsistencyTracker& ct) {
+    const MetroContext& ctx, const EvidenceStore& ev) {
   const std::size_t n = ctx.size();
   std::vector<std::vector<bool>> sets;
   for (int g = 0; g < topology::kNumGeoScopes; ++g) {
     std::vector<std::vector<bool>> bad(n, std::vector<bool>(n, false));
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i + 1; j < n; ++j)
-        bad[i][j] = bad[j][i] = ct.pair_inconsistent(
-            ctx.as_at(i), ctx.as_at(j), static_cast<topology::GeoScope>(g));
+        bad[i][j] = bad[j][i] = ev.pair_inconsistent(
+            ctx.net(), ctx.as_at(i), ctx.as_at(j),
+            static_cast<topology::GeoScope>(g));
     std::vector<bool> alive(n, true);
     while (true) {
       std::size_t worst = n, worst_count = 0;
@@ -325,7 +355,7 @@ struct ReferenceEm {
 /// the negative one; the larger magnitude wins, the positive on a tie.
 ReferenceEm reference_em(const MetroContext& ctx, const MeasurementSystem& ms) {
   const std::size_t n = ctx.size();
-  const auto consistent = reference_consistent(ctx, ms.consistency());
+  const auto consistent = reference_consistent(ctx, ms.evidence());
   ReferenceEm ref{std::vector<double>(n * n, 0.0),
                   std::vector<bool>(n * n, false), 0};
   for (const auto& alive : consistent)
