@@ -8,6 +8,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,35 @@ inline std::vector<MetroRun> run_all_focus_metros(
     runs.push_back(std::move(run));
   }
   return runs;
+}
+
+/// A baseline strategy's completion, tuned post hoc (§4.2).
+struct PostHocCompletion {
+  int rank = 1;
+  std::optional<linalg::Matrix> ratings;  // empty when E_m has no entries
+  double threshold = 0.0;
+};
+
+/// The Table-2 baseline treatment of E_m: the rank that
+/// `RankEstimator::run_static` estimates on it, an ALS fit on every entry
+/// at that rank, and the threshold tuned on the same entries.
+inline PostHocCompletion post_hoc_completion(const core::MetroContext& ctx,
+                                             const core::EstimatedMatrix& e,
+                                             std::uint64_t rank_seed) {
+  const core::FeatureMatrix feats = core::encode_features(ctx);
+  core::RankEstimatorConfig rc;
+  rc.seed = rank_seed;
+  PostHocCompletion out;
+  out.rank = core::RankEstimator(ctx, feats, rc).run_static(e).best_rank;
+  const auto entries = core::rating_entries(e);
+  if (entries.empty()) return out;
+  core::AlsConfig ac;
+  ac.rank = out.rank;
+  core::AlsCompleter completer(ctx.size(), feats, ac);
+  completer.fit(entries);
+  out.threshold = core::tune_threshold(completer, entries);
+  out.ratings = completer.completed();
+  return out;
 }
 
 /// Total recorded time, in seconds, of every span named `name` (any depth)

@@ -58,20 +58,11 @@ ResilienceRow run_config(const std::string& label,
 
   // Post-hoc completion at a statically estimated rank (the Table-2 baseline
   // treatment), scored against the hidden truth.
-  core::FeatureMatrix feats = core::encode_features(ctx);
-  core::EstimatedMatrix e = w.ms->build_matrix(ctx);
-  core::RankEstimatorConfig rc;
-  rc.seed = seed + 12;
-  core::RankEstimator est(ctx, feats, rc);
-  core::AlsConfig ac;
-  ac.rank = est.run_static(e).best_rank;
-  core::AlsCompleter completer(ctx.size(), feats, ac);
-  auto entries = core::rating_entries(e);
-  if (entries.empty()) return row;
-  completer.fit(entries);
-  double lambda = core::tune_threshold(completer, entries);
-  auto m = eval::truth_metrics(eval::score_pairs(ctx, completer.completed()),
-                               lambda);
+  const bench::PostHocCompletion c =
+      bench::post_hoc_completion(ctx, w.ms->build_matrix(ctx), seed + 12);
+  if (!c.ratings) return row;
+  auto m = eval::truth_metrics(eval::score_pairs(ctx, *c.ratings),
+                               c.threshold);
   row.precision = m.precision;
   row.recall = m.recall;
   row.f = m.f_score;

@@ -40,7 +40,6 @@ StrategyResult run_strategy(const std::string& name,
   // between runs.
   eval::World w = eval::build_world(bench::bench_world_config());
   core::MetroContext ctx(w.net, metro);
-  core::FeatureMatrix feats = core::encode_features(ctx);
 
   StrategyResult res;
   res.name = name;
@@ -80,23 +79,14 @@ StrategyResult run_strategy(const std::string& name,
   }
   res.traces = w.ms->traceroutes_issued() - before;
 
-  core::EstimatedMatrix e = w.ms->build_matrix(ctx);
-  core::RankEstimatorConfig rc;
-  rc.seed = seed + 2;
-  core::RankEstimator est(ctx, feats, rc);
-  res.rank = est.run_static(e).best_rank;
-
-  core::AlsConfig ac;
-  ac.rank = res.rank;
-  core::AlsCompleter completer(ctx.size(), feats, ac);
-  auto entries = core::rating_entries(e);
-  if (entries.empty()) return res;
-  completer.fit(entries);
-  double lambda = core::tune_threshold(completer, entries);
+  const bench::PostHocCompletion c =
+      bench::post_hoc_completion(ctx, w.ms->build_matrix(ctx), seed + 2);
+  res.rank = c.rank;
+  if (!c.ratings) return res;
   core::ProbabilityMatrix pm_ref(ctx, *w.ms, nullptr);
-  auto pairs = eval::score_pairs(ctx, completer.completed(),
-                                 measurable_pairs(ctx, pm_ref));
-  auto m = eval::truth_metrics(pairs, lambda);
+  auto pairs =
+      eval::score_pairs(ctx, *c.ratings, measurable_pairs(ctx, pm_ref));
+  auto m = eval::truth_metrics(pairs, c.threshold);
   res.precision = m.precision;
   res.recall = m.recall;
   res.f = m.f_score;

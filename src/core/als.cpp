@@ -37,7 +37,8 @@ AlsCompleter::AlsCompleter(std::size_t n, const FeatureMatrix& features,
       throw std::invalid_argument("AlsCompleter: feature row size mismatch");
 }
 
-void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
+void AlsCompleter::fit(const std::vector<RatingEntry>& observed,
+                       const util::RunControl* control) {
   MAC_SPAN("als.fit");
   MAC_COUNT("als.fits_started");
   MAC_COUNT_N("als.observed_entries", observed.size());
@@ -92,7 +93,7 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed) {
     // Cooperative stop between sweeps: the first sweep always completes so
     // the factors are fitted, later ones may be cut by cancellation or a
     // deadline.  Without a control this is a no-op (identical iterations).
-    if (it > 0 && control_ != nullptr && control_->stop_requested()) {
+    if (it > 0 && control != nullptr && control->stop_requested()) {
       MAC_COUNT("als.fits_truncated");
       break;
     }

@@ -51,8 +51,12 @@ class AlsCompleter {
   /// is positive and finite, and feature_weight is non-negative and finite.
   AlsCompleter(std::size_t n, const FeatureMatrix& features, AlsConfig cfg);
 
-  /// Fits the factors on the given observed ratings.
-  void fit(const std::vector<RatingEntry>& observed);
+  /// Fits the factors on the given observed ratings.  `control` (may be
+  /// null) is polled between ALS sweeps: a stop finishes the sweep in
+  /// flight, and at least one full sweep always runs, so the factors are
+  /// usable after any interrupted fit.
+  void fit(const std::vector<RatingEntry>& observed,
+           const util::RunControl* control = nullptr);
 
   /// Completed rating for an AS pair, clamped to [-1, 1].
   double predict(std::size_t i, std::size_t j) const;
@@ -65,11 +69,6 @@ class AlsCompleter {
 
   const AlsConfig& config() const { return cfg_; }
   std::size_t num_ases() const { return n_; }
-
-  /// Installs a cooperative stop control polled between ALS sweeps (may be
-  /// null).  A stop finishes the sweep in flight; at least one full sweep
-  /// always runs, so the factors are usable after any interrupted fit.
-  void set_run_control(const util::RunControl* control) { control_ = control; }
 
   /// Iterations the last fit() actually ran (== cfg.iterations unless a
   /// stop control truncated the sweep loop).
@@ -107,7 +106,6 @@ class AlsCompleter {
   std::vector<std::size_t> obs_start_;
   std::vector<Observation> obs_;
   const FeatureMatrix* features_;  // lint: allow(view-member) -- caller-owned matrix bound at fit() time; solvers are transient helpers
-  const util::RunControl* control_ = nullptr;  // lint: allow(view-member) -- optional stop control owned by the pipeline's caller; may be null
   int iterations_run_ = 0;
   bool fitted_ = false;
 };

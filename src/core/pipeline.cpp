@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/checkpoint.hpp"
 #include "util/curves.hpp"
@@ -49,13 +50,38 @@ double tune_threshold(const AlsCompleter& completer,
   return best_t;
 }
 
+namespace {
+
+/// Throws CheckpointError unless a run under `cfg` can reach the resumed
+/// search: every rank in [1, max_rank] (`next_rank` one past it once the
+/// search finished), and a miss count in [0, max(patience, 1)].  The
+/// scheduler fills rows to `next_rank` and the final completion fits at
+/// `best_rank`, so an impossible rank would reach them as an invalid ALS
+/// rank or an allocation of any size.
+void check_resumed(const RankSearch& s, const RankEstimatorConfig& cfg) {
+  const RankEstimateResult& r = s.result;
+  auto in_range = [&](int rank) { return rank >= 1 && rank <= cfg.max_rank; };
+  bool ok = s.next_rank >= 1 &&
+            s.next_rank <= cfg.max_rank + (s.finished ? 1 : 0) &&
+            in_range(r.best_rank) && s.no_improve >= 0 &&
+            s.no_improve <= std::max(cfg.patience, 1);
+  for (const auto& [rank, mse] : r.history) ok = ok && in_range(rank);
+  if (!ok)
+    throw util::checkpoint::CheckpointError(
+        "rank search out of range: next rank " + std::to_string(s.next_rank) +
+        ", best rank " + std::to_string(r.best_rank) + ", misses " +
+        std::to_string(s.no_improve) + ", max rank " +
+        std::to_string(cfg.max_rank));
+}
+
+}  // namespace
+
 PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   MAC_SPAN("pipeline.run");
   MAC_COUNT("pipeline.runs_started");
   util::Rng rng(cfg_.seed);
 
   PipelineResult res;
-  res.estimated = EstimatedMatrix(ctx_->size());
 
   // Feature side-information for the hybrid completer.
   FeatureMatrix features = [&] {
@@ -64,46 +90,57 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   }();
 
   // Probability matrix seeded from the hierarchical pool; scheduler drives
-  // targeted measurement batches inside the rank-estimation loop.
+  // targeted measurement batches inside the rank search.
   ProbabilityMatrix pm(*ctx_, *ms_, priors_);
   MeasurementScheduler scheduler(*ctx_, *ms_, pm, cfg_.scheduler);
+  RankEstimator estimator(*ctx_, features, cfg_.rank);
+  RankSearch search(cfg_.rank.seed);
 
-  // Resume: the phase blob overwrites the rank-loop locals, the scheduler
-  // and the probability matrix; the caller already restored the shared
+  // Resume: the phase blob overwrites the rank search, the scheduler and
+  // the probability matrix; the caller already restored the shared
   // measurement plane.
-  RankLoopState resume_state;
-  RankRunOptions rank_opts;
-  rank_opts.control = opts.control;
   if (opts.resume_blob != nullptr) {
     util::checkpoint::Decoder dec(*opts.resume_blob);
-    resume_state.load(dec);
-    scheduler.load(dec);
-    pm.load(dec);
-    rank_opts.resume = &resume_state;
+    dec(search, scheduler, pm);
+    check_resumed(search, cfg_.rank);
     MAC_COUNT("pipeline.resumes");
   }
-  if (opts.checkpoint) {
-    rank_opts.on_iteration = [&](const RankLoopState& st) {
-      // Rank boundary: serialize everything the next process needs to
-      // continue this pipeline mid-loop.
-      MAC_SPAN("pipeline.checkpoint");
-      util::checkpoint::Encoder enc;
-      st.save(enc);
-      scheduler.save(enc);
-      pm.save(enc);
-      opts.checkpoint(enc.take());
-      MAC_COUNT("pipeline.checkpoints_written");
-      // Timeline mark: where each rank-boundary checkpoint landed relative
-      // to the surrounding ALS / scheduler spans.
-      MAC_TRACE_INSTANT("pipeline.checkpoint_written");
-    };
-  }
 
-  RankEstimator estimator(*ctx_, features, cfg_.rank);
+  // §3.2: bring every row up to the candidate rank, then score it.  A
+  // candidate is the work unit: a stop ends the search between candidates,
+  // and a candidate whose measurement campaign a stop may have cut short
+  // is neither scored nor checkpointed, since an uninterrupted run never
+  // reaches that state.  A resume continues from the previous boundary.
+  const util::RunControl* control = opts.control;
+  auto stopped = [control] {
+    return control != nullptr && control->stop_requested();
+  };
   {
     MAC_SPAN("pipeline.rank_estimation");
-    res.rank_detail = estimator.run(&scheduler, *ms_, rank_opts);
+    while (!search.finished && !stopped()) {
+      MAC_SPAN("pipeline.rank_iteration");
+      MAC_COUNT("pipeline.rank_candidates_evaluated");
+      search.result.traceroutes_used += scheduler.fill_rows_to(
+          search.next_rank, cfg_.rank.budget_per_iteration, control);
+      if (stopped()) break;
+      const double mse = estimator.step(search, ms_->matrix(*ctx_));
+      MAC_HISTOGRAM("pipeline.rank_holdout_mse", mse);
+      if (opts.checkpoint) {
+        // Rank boundary: everything the next process needs to continue
+        // this pipeline mid-search.
+        MAC_SPAN("pipeline.checkpoint");
+        util::checkpoint::Encoder enc;
+        enc(search, scheduler, pm);
+        opts.checkpoint(enc.take());
+        MAC_COUNT("pipeline.checkpoints_written");
+        // Timeline mark: where each rank-boundary checkpoint landed relative
+        // to the surrounding ALS / scheduler spans.
+        MAC_TRACE_INSTANT("pipeline.checkpoint_written");
+      }
+    }
+    search.result.truncated = !search.finished;
   }
+  res.rank_detail = std::move(search.result);
   res.estimated_rank = res.rank_detail.best_rank;
   res.targeted_traceroutes = res.rank_detail.traceroutes_used;
   res.measurement_log = scheduler.history();
@@ -129,10 +166,9 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   // The final completion phases always run -- even under cancellation the
   // pipeline returns best-so-far ratings -- but their ALS sweeps yield to
   // the stop control between iterations.
-  completer.set_run_control(opts.control);
   {
     MAC_SPAN("pipeline.final_completion");
-    completer.fit(train);
+    completer.fit(train, control);
     if (completer.iterations_run() < als.iterations)
       ++res.degradation.phases_truncated;
   }
@@ -144,7 +180,7 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   {
     // Refit on everything for the published ratings.
     MAC_SPAN("pipeline.publish_ratings");
-    completer.fit(entries);
+    completer.fit(entries, control);
     if (completer.iterations_run() < als.iterations)
       ++res.degradation.phases_truncated;
     res.ratings = completer.completed();

@@ -1,12 +1,18 @@
 // End-to-end metAScritic pipeline for one metro (§3.5):
 //   1. derive E_m from the evidence already collected (public archives),
-//   2. iterate rank estimation with targeted measurement batches,
+//   2. search the effective rank (§3.2), bringing every row up to each
+//      candidate rank with targeted measurement batches before scoring it,
 //   3. final hybrid ALS completion at the estimated rank,
 //   4. pick the decision threshold lambda maximizing F-score on a held-out
 //      slice of E_m.
 #pragma once
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "core/rank_estimator.hpp"
+#include "core/scheduler.hpp"
 
 namespace metas::core {
 
@@ -37,16 +43,18 @@ struct PipelineResult {
 /// run with default options is byte-identical to the pre-checkpoint code.
 struct PipelineRunOptions {
   /// Cooperative stop control (SIGINT/SIGTERM token and/or deadline budget)
-  /// polled at phase and work-unit boundaries.
+  /// polled between rank candidates, measurement batches and ALS sweeps.
   const util::RunControl* control = nullptr;  // lint: allow(view-member) -- optional caller-owned stop control; outlives the run() call
   /// Invoked at every rank boundary with the serialized resumable phase
-  /// state (rank loop + scheduler + probability matrix).  The caller wraps
-  /// the blob with its own state and persists it atomically.
+  /// state (rank search + scheduler + probability matrix).  The caller
+  /// wraps the blob with its own state and persists it atomically.
   std::function<void(const std::string& phase_blob)> checkpoint;
   /// A phase blob from a previous run's `checkpoint` callback; the rank
-  /// loop continues from that boundary, draw-for-draw identical to an
+  /// search continues from that boundary, draw-for-draw identical to an
   /// uninterrupted run.  The surrounding MeasurementSystem / engine / fault
-  /// state must already be restored by the caller.
+  /// state must already be restored by the caller.  run() throws
+  /// CheckpointError when the blob does not decode to a state this metro
+  /// and config can reach.
   const std::string* resume_blob = nullptr;  // lint: allow(view-member) -- caller-owned blob read once at run() entry
 };
 

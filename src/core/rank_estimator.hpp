@@ -1,19 +1,19 @@
 // Iterative effective-rank estimation (§3.2).
 //
-// Starting from rank 1, each iteration (i) asks the scheduler to bring every
-// row of E_m up to the candidate rank, (ii) holds out a few entries per row,
-// (iii) completes the matrix at the candidate rank, and (iv) scores the MSE
-// on the held-out entries of rows that have more entries than the candidate
-// rank.  The estimate is the rank with the lowest MSE once several
-// iterations stop improving.
+// Starting from rank 1, each candidate rank is scored on E_m: a few entries
+// per row are held out, the matrix is completed at the candidate rank, and
+// the MSE is taken on the held-out entries of rows that have more entries
+// than the candidate rank.  The estimate is the rank with the lowest MSE
+// once several candidates stop improving.  The measured search (the
+// pipeline brings every row up to the candidate rank before each step) and
+// the post-hoc search on a fixed matrix (§4.2) advance the same RankSearch.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/als.hpp"
-#include "core/scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace metas::core {
 
@@ -34,40 +34,31 @@ struct RankEstimateResult {
   double best_mse = 0.0;
   std::vector<std::pair<int, double>> history;  // (rank, holdout MSE)
   std::size_t traceroutes_used = 0;
-  /// True when a cooperative stop cut the loop before its natural end.
+  /// True when a cooperative stop cut the search before its natural end.
   bool truncated = false;
 };
 
-/// Mid-loop snapshot of the rank-estimation iteration, captured at every
-/// rank boundary.  Restoring it and re-running `RankEstimator::run` with
-/// the same config and measurement state continues the loop exactly where
-/// it stopped, draw-for-draw.
-struct RankLoopState {
-  int next_rank = 1;       // candidate the loop evaluates next
+/// The live state of one §3.2 search, seeded with the config's `seed`.
+/// `RankEstimator::step` advances it one candidate at a time; a checkpoint
+/// stores it through `io`, so a search decoded at a candidate boundary
+/// continues draw-for-draw.
+struct RankSearch {
+  explicit RankSearch(std::uint64_t seed = 0) : rng(seed) {}
+
+  int next_rank = 1;       // candidate the search scores next
   double best = 1e30;      // best holdout MSE so far (1e30 = none yet)
-  int no_improve = 0;      // consecutive non-improving iterations
-  bool finished = false;   // loop already ended; `partial` is final
-  util::Rng rng{0};        // holdout RNG stream position
-  RankEstimateResult partial;
+  int no_improve = 0;      // consecutive candidates that missed
+  bool finished = false;   // the search ended; `result` is final
+  util::Rng rng;           // holdout RNG stream position
+  RankEstimateResult result;
 
-  void save(util::checkpoint::Encoder& enc) const;
-  void load(util::checkpoint::Decoder& dec);
-
- private:
+  /// Checkpoint field list (util/checkpoint.hpp): the phase blob's lead.
   template <class Self, class Ar>
-  static void io(Self& s, Ar& ar);
-};
-
-/// Optional controls for a resumable / cancellable estimation run.  The
-/// default options reproduce the legacy behaviour exactly.
-struct RankRunOptions {
-  const util::RunControl* control = nullptr;  // lint: allow(view-member) -- optional stop control owned by the pipeline's caller; may be null
-  /// Invoked after every completed rank iteration with the state a resume
-  /// at that boundary needs (the pipeline's checkpoint hook).  An iteration
-  /// whose measurement campaign a stop may have cut short is not completed:
-  /// the loop ends as truncated before scoring it.
-  std::function<void(const RankLoopState&)> on_iteration;
-  const RankLoopState* resume = nullptr;  // lint: allow(view-member) -- caller-owned snapshot read once at run() entry
+  static void io(Self& s, Ar& ar) {
+    auto& r = s.result;
+    ar(s.next_rank, s.best, s.no_improve, s.finished, s.rng, r.best_rank,
+       r.best_mse, r.history, r.traceroutes_used, r.truncated);
+  }
 };
 
 class RankEstimator {
@@ -76,31 +67,22 @@ class RankEstimator {
                 RankEstimatorConfig cfg)
       : ctx_(&ctx), features_(&features), cfg_(cfg) {}
 
-  /// Runs the estimation loop, driving `scheduler` for targeted
-  /// measurements. Pass a nullptr scheduler to estimate on a static matrix
-  /// (the post-hoc hyperparameter mode used by the baselines in §4.2).
-  /// `opts` adds cooperative cancellation, per-iteration checkpoint hooks
-  /// and mid-loop resume; the defaults change nothing.
-  RankEstimateResult run(MeasurementScheduler* scheduler,
-                         MeasurementSystem& ms,
-                         const RankRunOptions& opts = {});
+  /// Scores `search.next_rank` on `e` and applies the §3.2 acceptance
+  /// rule: the first candidate is always accepted, a later one must beat
+  /// the best MSE by max(min_improvement, rel_improvement * best).  The
+  /// search finishes after `patience` misses in a row or at `max_rank`.
+  /// Returns the candidate's holdout MSE.
+  double step(RankSearch& search, const EstimatedMatrix& e) const;
 
   /// Scores candidate ranks on a fixed matrix without new measurements:
   /// the post-hoc tuning mode of §4.2 for baseline strategies.
-  RankEstimateResult run_static(const EstimatedMatrix& e);
+  RankEstimateResult run_static(const EstimatedMatrix& e) const;
 
  private:
   double holdout_mse(const EstimatedMatrix& e, int rank,
                      util::Rng& rng) const;
   double holdout_mse_once(const EstimatedMatrix& e, int rank,
                           util::Rng& rng) const;
-  /// The §3.2 acceptance rule, shared by both loops: records the
-  /// candidate's holdout MSE and accepts it when it beats `best` by
-  /// max(min_improvement, rel_improvement * best); the first candidate is
-  /// always accepted.  Returns true once `patience` candidates in a row
-  /// missed, when the loop stops.
-  bool record_candidate(int rank, double mse, double& best, int& no_improve,
-                        RankEstimateResult& res) const;
 
   const MetroContext* ctx_;  // lint: allow(view-member) -- caller-owned context; estimators are transient within one metro run
   const FeatureMatrix* features_;  // lint: allow(view-member) -- caller-owned factor matrix; read-only for the estimator's short life

@@ -50,7 +50,8 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
   }
 }
 
-std::size_t MeasurementScheduler::fill_rows_to(int target, std::size_t budget) {
+std::size_t MeasurementScheduler::fill_rows_to(
+    int target, std::size_t budget, const util::RunControl* control) {
   MAC_REQUIRE(target >= 1, "target=", target);
   MAC_SPAN("scheduler.fill_rows_to");
   MAC_COUNT("scheduler.campaigns_run");
@@ -67,7 +68,7 @@ std::size_t MeasurementScheduler::fill_rows_to(int target, std::size_t budget) {
     // Cooperative stop: poll between batches so a cancellation or deadline
     // expiry finishes the current batch and degrades gracefully instead of
     // abandoning in-flight accounting.
-    if (control_ != nullptr && control_->stop_requested()) {
+    if (control != nullptr && control->stop_requested()) {
       MAC_COUNT("scheduler.campaigns_stopped_early");
       break;
     }

@@ -104,7 +104,11 @@ class MeasurementScheduler {
   /// Issues batches until every (non-given-up) row of the current estimated
   /// matrix has at least `target` filled entries, the budget is exhausted, or
   /// no further progress is possible. Returns probes launched (budget spent).
-  std::size_t fill_rows_to(int target, std::size_t budget);
+  /// `control` (may be null) is polled between batches: a stop finishes the
+  /// in-flight batch, runs the campaign's degradation accounting and
+  /// returns normally -- no partial batch is ever abandoned.
+  std::size_t fill_rows_to(int target, std::size_t budget,
+                           const util::RunControl* control = nullptr);
 
   /// Runs one batch against the current fill state.
   BatchResult run_batch(const EstimatedMatrix& current, int target) {
@@ -118,12 +122,6 @@ class MeasurementScheduler {
 
   /// Degradation summary; see DegradationReport for accumulation semantics.
   const DegradationReport& degradation() const { return degradation_; }
-
-  /// Installs a cooperative stop control polled between batches (may be
-  /// null).  A stop finishes the in-flight batch, runs the campaign's
-  /// degradation accounting, and returns normally with the budget spent so
-  /// far -- no partial batch is ever abandoned.
-  void set_run_control(const util::RunControl* control) { control_ = control; }
 
   /// Checkpoint serialization of all mutable scheduler state: the RNG
   /// stream, the issued-measurement log, per-row fail/give-up state, the
@@ -165,7 +163,6 @@ class MeasurementScheduler {
   const MetroContext* ctx_;  // lint: allow(view-member) -- caller-owned context; schedulers are per-metro and scoped inside the pipeline
   MeasurementSystem* ms_;  // lint: allow(view-member) -- caller-owned measurement system, same scope as ctx_
   ProbabilityMatrix* pm_;  // lint: allow(view-member) -- caller-owned matrix the scheduler reads/refines in place
-  const util::RunControl* control_ = nullptr;  // lint: allow(view-member) -- optional stop control owned by the pipeline's caller; may be null
   SchedulerConfig cfg_;
   util::Rng rng_;
   std::vector<IssuedRecord> history_;

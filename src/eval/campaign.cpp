@@ -97,17 +97,6 @@ Campaign::Campaign(CampaignConfig cfg)
   } else {
     metros_.push_back(world_.focus_metros.front());
   }
-
-  std::error_code ec;
-  std::filesystem::create_directories(cfg_.out_dir, ec);
-  if (ec)
-    throw CampaignError("cannot create output directory '" + cfg_.out_dir +
-                        "': " + ec.message());
-  if (!cfg_.checkpoint_path.empty()) {
-    const auto parent =
-        std::filesystem::path(cfg_.checkpoint_path).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  }
 }
 
 ResumePoint Campaign::resume() {
@@ -188,6 +177,18 @@ MetroSummary Campaign::publish(const core::MetroContext& ctx,
 
 CampaignOutcome Campaign::run(const util::RunControl* control,
                               const CampaignHooks& hooks) {
+  // The directories appear only once the campaign runs, so a refused
+  // resume leaves none behind.
+  std::error_code ec;
+  std::filesystem::create_directories(cfg_.out_dir, ec);
+  if (ec)
+    throw CampaignError("cannot create output directory '" + cfg_.out_dir +
+                        "': " + ec.message());
+  if (!cfg_.checkpoint_path.empty()) {
+    const auto parent =
+        std::filesystem::path(cfg_.checkpoint_path).parent_path();
+    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  }
   CampaignOutcome out;
   out.resumable = resumed_ && cfg_.resume_path == cfg_.checkpoint_path;
   const bool checkpointing = !cfg_.checkpoint_path.empty();

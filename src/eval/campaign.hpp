@@ -110,9 +110,8 @@ struct CampaignOutcome {
 
 class Campaign {
  public:
-  /// Builds the world of `cfg`, selects its metros and creates the output
-  /// and checkpoint directories.  Throws CampaignError on an unknown metro
-  /// or an output directory that cannot be made.
+  /// Builds the world of `cfg` and selects its metros.  Creates no file or
+  /// directory.  Throws CampaignError on an unknown metro.
   explicit Campaign(CampaignConfig cfg);
 
   /// Restores the newest good generation at `resume_path`.  Throws
@@ -121,10 +120,12 @@ class Campaign {
   /// must not run after a failed resume.
   ResumePoint resume();
 
-  /// Runs every metro not yet complete, once per campaign.  `control` (may
-  /// be null) stops the run at the next work-unit boundary; the metro in
-  /// flight still exports best-so-far results.  Throws CampaignError when
-  /// an export cannot be written or a resumed phase blob is corrupt.
+  /// Creates the output and checkpoint directories, then runs every metro
+  /// not yet complete, once per campaign.  `control` (may be null) stops
+  /// the run at the next work-unit boundary; the metro in flight still
+  /// exports best-so-far results.  Throws CampaignError when the output
+  /// directory cannot be made, an export cannot be written or a resumed
+  /// phase blob is corrupt.
   CampaignOutcome run(const util::RunControl* control = nullptr,
                       const CampaignHooks& hooks = {});
 

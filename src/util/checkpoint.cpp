@@ -55,12 +55,11 @@ std::string parent_dir(const std::string& path) {
   return path.substr(0, slash);
 }
 
-/// Writes `data` to a fresh temp file next to `path` and renames it over
-/// `path`.  On any failure the temp file is unlinked so no partial artifact
+/// Writes `data` to the fresh temp file `tmp`, fsynced when `fsync_file`.
+/// On any failure the temp file is unlinked so no partial artifact
 /// survives.
-bool write_and_rename(const std::string& path, std::string_view data,
-                      bool fsync_file) {
-  const std::string tmp = path + ".tmp";
+bool write_temp(const std::string& tmp, std::string_view data,
+                bool fsync_file) {
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
 
@@ -79,14 +78,21 @@ bool write_and_rename(const std::string& path, std::string_view data,
   }
   if (ok && fsync_file && ::fsync(fd) != 0) ok = false;
   if (::close(fd) != 0) ok = false;
-  if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
-  if (!ok) {
+  if (!ok) ::unlink(tmp.c_str());
+  return ok;
+}
+
+/// Renames the written temp file `tmp` over `path`, then persists the
+/// rename by fsyncing the directory when `fsync_dir`.
+bool publish(const std::string& tmp, const std::string& path,
+             bool fsync_dir) {
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
     ::unlink(tmp.c_str());
     return false;
   }
-  if (fsync_file) {
-    // Persist the rename itself: fsync the containing directory.  Failure
-    // here is non-fatal for correctness of the visible file, so ignore it.
+  if (fsync_dir) {
+    // Failure here is non-fatal for correctness of the visible file, so
+    // ignore it.
     const int dfd = ::open(parent_dir(path).c_str(), O_RDONLY | O_DIRECTORY);
     if (dfd >= 0) {
       ::fsync(dfd);
@@ -240,15 +246,19 @@ bool write_file(const std::string& path, std::string_view payload,
   put_u64(envelope, checksum64(payload));
   envelope.append(payload.data(), payload.size());
 
+  // The new generation is on disk before any old one moves, so a write
+  // that fails leaves every generation where it was.
+  const std::string tmp = path + ".tmp";
+  if (!write_temp(tmp, envelope, opts.fsync)) return false;
   // Rotate previous generations down (path.(k-2) -> path.(k-1), ...,
-  // path -> path.1) before the new write, oldest first so nothing is lost
-  // mid-rotation.  rename(2) failures on missing generations are expected.
+  // path -> path.1), oldest first so nothing is lost mid-rotation.
+  // rename(2) failures on missing generations are expected.
   for (int gen = opts.keep_last - 2; gen >= 0; --gen) {
     const std::string from = generation_path(path, gen);
     const std::string to = generation_path(path, gen + 1);
     ::rename(from.c_str(), to.c_str());
   }
-  return write_and_rename(path, envelope, opts.fsync);
+  return publish(tmp, path, opts.fsync);
 }
 
 std::optional<std::string> load_file(const std::string& path,
@@ -276,7 +286,9 @@ std::optional<std::string> load_file(const std::string& path,
 bool atomic_write_file(const std::string& path, std::string_view contents,
                        bool fsync_file) {
   MAC_REQUIRE(!path.empty(), "output path must be non-empty");
-  return write_and_rename(path, contents, fsync_file);
+  const std::string tmp = path + ".tmp";
+  return write_temp(tmp, contents, fsync_file) &&
+         publish(tmp, path, fsync_file);
 }
 
 }  // namespace metas::util::checkpoint

@@ -1,7 +1,7 @@
 // Crash-safe snapshot persistence: a versioned, checksummed binary envelope
-// written atomically (write temp + fsync + rename) with keep-last-k rotation,
-// plus the little-endian Encoder/Decoder the resumable pipeline state is
-// serialized through.
+// written atomically (write temp + fsync, then rotate and rename) with
+// keep-last-k rotation, plus the little-endian Encoder/Decoder the
+// resumable pipeline state is serialized through.
 //
 // Invariants (DESIGN.md §12):
 //   * A reader never observes a torn file: the payload becomes visible only
@@ -260,9 +260,10 @@ struct WriteOptions {
 };
 
 /// Atomically writes `payload` wrapped in the versioned, checksummed
-/// envelope to `path`, rotating previous generations down by one first.
-/// Returns false (leaving any previous generation untouched) when the
-/// destination cannot be written.
+/// envelope to `path`: the temp file is written (and fsynced) first, then
+/// previous generations rotate down by one and the temp file is renamed
+/// over `path`.  Returns false (leaving every previous generation
+/// untouched) when the temp file cannot be written.
 bool write_file(const std::string& path, std::string_view payload,
                 const WriteOptions& opts = {});
 

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -41,6 +42,12 @@ using FingerprintShape =
 using SummaryShape = std::tuple<std::string, u64, int, u64, double, u64,
                                 double, u64, u64, u64, u64, u64>;
 using EngineShape = std::pair<u64, u64>;  // probes issued, probes faulted
+// A payload without faults that has a phase blob.
+using PayloadShape =
+    std::tuple<FingerprintShape, std::vector<SummaryShape>, PriorsShape, u64,
+               PlaneShape, EngineShape, bool, bool, std::string>;
+// The rank search leading a phase blob.
+using RankSearchShape = std::tuple_element_t<0, testing::PhaseShape>;
 
 // A deadline clock that advances 1 ms per read, so a budget of N ms
 // expires at exactly the Nth stop poll after it is armed.
@@ -145,7 +152,7 @@ class CampaignCheckpointTest : public ::testing::Test {
   /// blob, found by decoding it field by field.
   struct PayloadMap {
     std::size_t metro_count = 0;  // the completed-metro count
-    std::size_t rank_rng = 0;     // the rank loop's RNG state string
+    std::size_t rank_rng = 0;     // the rank search's RNG state string
   };
   static PayloadMap map_payload(const std::string& payload) {
     PayloadMap at;
@@ -164,13 +171,30 @@ class CampaignCheckpointTest : public ::testing::Test {
     EXPECT_TRUE(has_phase);
     const std::string blob = dec.str();
     EXPECT_TRUE(dec.done()) << dec.remaining() << " bytes left over";
-    // The rank loop leads the blob: next rank, best MSE, patience count,
+    // The rank search leads the blob: next rank, best MSE, miss count,
     // finished flag, then the RNG state.
     ck::Decoder phase(blob);
-    std::tuple<int, double, int, bool> rank_loop;
-    phase(rank_loop);
+    std::tuple<int, double, int, bool> rank_search;
+    phase(rank_search);
     at.rank_rng = payload.size() - phase.remaining();
     return at;
+  }
+
+  /// `payload` with `patch` applied to its phase blob's rank search.
+  template <class Patch>
+  static std::string patch_rank_search(const std::string& payload,
+                                       Patch patch) {
+    auto shape = testing::decode_shape<PayloadShape>(payload);
+    EXPECT_FALSE(std::get<6>(shape)) << "fault injector present";
+    EXPECT_TRUE(std::get<7>(shape)) << "no phase blob";
+    auto phase = testing::decode_shape<testing::PhaseShape>(std::get<8>(shape));
+    patch(std::get<0>(phase));
+    ck::Encoder blob;
+    blob(phase);
+    std::get<8>(shape) = blob.take();
+    ck::Encoder enc;
+    enc(shape);
+    return enc.take();
   }
 
   fs::path dir_;
@@ -352,6 +376,63 @@ TEST_F(CampaignCheckpointTest, OverlongPhaseStringIsRefused) {
   const u64 len = payload.size() - at;
   std::memcpy(payload.data() + at, &len, sizeof len);
   expect_corrupt("overlong", payload);
+}
+
+// The pipeline fills rows to the resumed search's next rank and fits the
+// final completion at its best rank, so a rank no run reaches must be
+// refused before either: rank 0 or below is an invalid ALS rank, and a
+// huge one sizes the factor matrices.
+TEST_F(CampaignCheckpointTest, ImpossibleRankSearchIsRefused) {
+  const std::string payload = payload_in_metro("rank", 2);
+  ASSERT_EQ(patch_rank_search(payload, [](RankSearchShape&) {}), payload);
+  const int max_rank = core::RankEstimatorConfig{}.max_rank;
+  struct Case {
+    const char* what;
+    std::function<void(RankSearchShape&)> patch;
+  };
+  const std::vector<Case> cases = {
+      {"next rank 0", [](auto& s) { std::get<0>(s) = 0; }},
+      {"next rank -7", [](auto& s) { std::get<0>(s) = -7; }},
+      {"next rank past max_rank + 1",
+       [&](auto& s) {
+         std::get<0>(s) = max_rank + 2;
+         std::get<3>(s) = true;
+       }},
+      {"unfinished at max_rank + 1",
+       [&](auto& s) { std::get<0>(s) = max_rank + 1; }},
+      {"negative misses", [](auto& s) { std::get<2>(s) = -1; }},
+      {"misses past patience",
+       [](auto& s) { std::get<2>(s) = std::numeric_limits<int>::max(); }},
+      {"finished, best rank 0",
+       [](auto& s) {
+         std::get<3>(s) = true;
+         std::get<5>(s) = 0;
+       }},
+      {"finished, best rank 2e9",
+       [](auto& s) {
+         std::get<3>(s) = true;
+         std::get<5>(s) = 2'000'000'000;
+       }},
+      {"history rank 0",
+       [](auto& s) { std::get<7>(s).emplace_back(0, 0.5); }},
+      {"history rank past max_rank",
+       [&](auto& s) { std::get<7>(s).emplace_back(max_rank + 1, 0.5); }},
+  };
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE(cases[k].what);
+    expect_corrupt("rank" + std::to_string(k),
+                   patch_rank_search(payload, cases[k].patch));
+  }
+}
+
+// A refused resume leaves nothing behind: the output and checkpoint
+// directories are created only once the campaign runs.
+TEST_F(CampaignCheckpointTest, RefusedResumeCreatesNoDirectory) {
+  const eval::CampaignConfig cfg = resuming(config("refused"));
+  eval::Campaign campaign(cfg);
+  EXPECT_THROW(campaign.resume(), eval::CampaignError);
+  EXPECT_FALSE(fs::exists(cfg.out_dir));
+  EXPECT_FALSE(fs::exists(fs::path(cfg.checkpoint_path).parent_path()));
 }
 
 // A deadline past the end of the clock's range saturates instead of

@@ -39,7 +39,7 @@ using FaultShape = std::tuple<
     std::unordered_map<int, std::tuple<std::string, u64, bool, bool, double>>,  // VPs
     std::unordered_map<int, std::tuple<std::string, u64, bool>>>;              // metros
 using PhaseShape = std::tuple<
-    // Rank loop.
+    // Rank search.
     std::tuple<int, double, int, bool, std::string, int, double,
                std::vector<std::pair<int, double>>, u64, bool>,
     // Scheduler: elements 4 and 7 are the explored and attempted entry

@@ -126,7 +126,7 @@ struct FreshState {
     faults.load(dec);
     const std::string blob = dec.str();
     ck::Decoder phase(blob);
-    rank_loop.load(phase);
+    phase(rank_search);
     sched.load(phase);
     pm.load(phase);
   }
@@ -139,7 +139,7 @@ struct FreshState {
   core::MetroContext ctx;
   core::ProbabilityMatrix pm;
   core::MeasurementScheduler sched;
-  core::RankLoopState rank_loop;
+  core::RankSearch rank_search;
 };
 
 TEST(CheckpointStateTest, EveryTypeRoundTripsMidRunStateByteIdentically) {
@@ -164,12 +164,12 @@ TEST(CheckpointStateTest, EveryTypeRoundTripsMidRunStateByteIdentically) {
   EXPECT_EQ(round_trip(c.faults, fresh.faults), c.faults);
 
   ck::Decoder dec(c.phase);
-  fresh.rank_loop.load(dec);
+  dec(fresh.rank_search);
   fresh.sched.load(dec);
   fresh.pm.load(dec);
   EXPECT_TRUE(dec.done());
   ck::Encoder enc;
-  fresh.rank_loop.save(enc);
+  enc(fresh.rank_search);
   fresh.sched.save(enc);
   fresh.pm.save(enc);
   EXPECT_EQ(enc.data(), c.phase);
@@ -254,7 +254,7 @@ TEST(CheckpointStateTest, PenaltyOutsideTheMetroIsRejected) {
 
   FreshState fresh(c);
   ck::Decoder dec(enc.data());
-  fresh.rank_loop.load(dec);
+  dec(fresh.rank_search);
   fresh.sched.load(dec);
   EXPECT_THROW(fresh.pm.load(dec), ck::CheckpointError);
 }
@@ -273,7 +273,7 @@ TEST(CheckpointStateTest, SchedulerEntryOutsideTheMetroIsRejected) {
     enc(ph);
     FreshState fresh(c);
     ck::Decoder dec(enc.data());
-    fresh.rank_loop.load(dec);
+    dec(fresh.rank_search);
     fresh.sched.load(dec);
   };
   auto patched = [&](auto patch) {
@@ -349,12 +349,12 @@ TEST(CheckpointStateTest, RepeatedKeyLoadsAsOneEntry) {
     FreshState fresh(c);
     const std::string bytes = encoded(ph);
     ck::Decoder dec(bytes);
-    fresh.rank_loop.load(dec);
+    dec(fresh.rank_search);
     fresh.sched.load(dec);
     fresh.pm.load(dec);
     EXPECT_TRUE(dec.done());
     ck::Encoder enc;
-    fresh.rank_loop.save(enc);
+    enc(fresh.rank_search);
     fresh.sched.save(enc);
     fresh.pm.save(enc);
     return enc.take();

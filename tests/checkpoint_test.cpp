@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -146,6 +147,41 @@ TEST_F(CheckpointTest, RotationKeepsLastK) {
   EXPECT_EQ(*ck::load_file(p + ".1"), "gen 3");
   EXPECT_EQ(*ck::load_file(p + ".2"), "gen 2");
   EXPECT_FALSE(fs::exists(p + ".3"));
+}
+
+// The new generation is written before any old one rotates, so a write
+// that fails -- here the temp file's name is taken by a directory -- leaves
+// every generation where it was, and repeated failures never push the
+// newest good one out of load_file's reach.
+TEST_F(CheckpointTest, FailedWriteMovesNoGeneration) {
+  const std::string p = path("c");
+  auto generations = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::directory_iterator(dir_))
+      if (entry.is_regular_file())
+        files[entry.path().filename().string()] = read_raw(entry.path());
+    return files;
+  };
+  ck::WriteOptions wo;
+  wo.keep_last = 3;
+  wo.fsync = false;
+  for (const char* gen : {"A", "B", "C"})
+    ASSERT_TRUE(ck::write_file(p, gen, wo));
+  const auto before = generations();
+  ASSERT_EQ(before.size(), 3u);
+  fs::create_directory(p + ".tmp");
+  EXPECT_FALSE(ck::write_file(p, "D", wo));
+  EXPECT_EQ(generations(), before);
+  EXPECT_EQ(ck::load_file(p, nullptr, 1), "C");
+  EXPECT_EQ(ck::load_file(p + ".2", nullptr, 1), "A");
+
+  wo.keep_last = 20;
+  fs::remove(p + ".tmp");
+  for (int k = 0; k < 10; ++k)
+    ASSERT_TRUE(ck::write_file(p, "good " + std::to_string(k), wo));
+  fs::create_directory(p + ".tmp");
+  for (int k = 0; k < 8; ++k) EXPECT_FALSE(ck::write_file(p, "lost", wo));
+  EXPECT_EQ(ck::load_file(p), "good 9");
 }
 
 TEST_F(CheckpointTest, TruncatedFileFallsBackToPreviousGeneration) {

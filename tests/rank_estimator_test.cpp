@@ -2,11 +2,17 @@
 // partially observed matrix (the controlled experiment of Appx. E.5).
 #include "core/rank_estimator.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/scheduler.hpp"
 #include "test_world.hpp"
+#include "util/checkpoint.hpp"
 #include "util/rng.hpp"
 
 namespace metas::core {
@@ -114,9 +120,166 @@ TEST(RankEstimator, DrivenModeIssuesMeasurements) {
   cfg.patience = 2;
   cfg.budget_per_iteration = 200;
   RankEstimator est(ctx, feats, cfg);
-  RankEstimateResult res = est.run(&sched, *w.ms);
-  EXPECT_GE(res.best_rank, 1);
-  EXPECT_FALSE(res.history.empty());
+  // The pipeline's loop, without its stop polls and checkpoints: bring
+  // every row up to the candidate rank, then score the candidate.
+  RankSearch search(cfg.seed);
+  while (!search.finished) {
+    search.result.traceroutes_used +=
+        sched.fill_rows_to(search.next_rank, cfg.budget_per_iteration);
+    est.step(search, w.ms->matrix(ctx));
+  }
+  EXPECT_GT(search.result.traceroutes_used, 0u);
+  EXPECT_FALSE(sched.history().empty());
+  EXPECT_GE(search.result.best_rank, 1);
+  EXPECT_FALSE(search.result.history.empty());
+}
+
+RankEstimatorConfig planted_config() {
+  RankEstimatorConfig cfg;
+  cfg.max_rank = 12;
+  cfg.patience = 3;
+  cfg.als.feature_weight = 0.0;
+  cfg.als.confidence_weighting = false;
+  cfg.als.balance_classes = false;
+  return cfg;
+}
+
+std::string encoded(const RankSearch& search) {
+  util::checkpoint::Encoder enc;
+  enc(search);
+  return enc.take();
+}
+
+std::string encoded(const util::Rng& rng) {
+  util::checkpoint::Encoder enc;
+  enc(rng);
+  return enc.take();
+}
+
+// A checkpoint stores the search between two candidates.  Decoded into a
+// fresh RankSearch, the search must finish exactly as the uninterrupted
+// one does, whichever boundaries it crossed.
+TEST(RankEstimator, ResumedSearchMatchesAnUninterruptedOne) {
+  util::Rng rng(45);
+  const EstimatedMatrix e = planted_sample(40, 3, 0.7, rng);
+  MetroContext ctx = testing::shared_focus_context();
+  FeatureMatrix feats;
+  const RankEstimatorConfig cfg = planted_config();
+  const RankEstimator est(ctx, feats, cfg);
+
+  const RankEstimateResult want = est.run_static(e);
+  RankSearch uninterrupted(cfg.seed);
+  while (!uninterrupted.finished) {
+    // Each candidate draws its holdout splits further down one stream, so
+    // the position a checkpoint carries moves with every step.
+    const std::string before = encoded(uninterrupted.rng);
+    est.step(uninterrupted, e);
+    EXPECT_NE(encoded(uninterrupted.rng), before)
+        << "rank " << uninterrupted.next_rank - 1;
+  }
+  ASSERT_GE(want.history.size(), 3u);
+
+  for (std::size_t k = 1; k <= want.history.size(); ++k) {
+    SCOPED_TRACE("checkpoint every " + std::to_string(k) + " steps");
+    RankSearch search(cfg.seed);
+    while (!search.finished) {
+      for (std::size_t s = 0; s < k && !search.finished; ++s)
+        est.step(search, e);
+      const std::string bytes = encoded(search);
+      RankSearch resumed;
+      util::checkpoint::Decoder dec(bytes);
+      dec(resumed);
+      ASSERT_TRUE(dec.done());
+      ASSERT_EQ(encoded(resumed), bytes);
+      search = std::move(resumed);
+    }
+    EXPECT_EQ(encoded(search), encoded(uninterrupted));
+    const RankEstimateResult& got = search.result;
+    EXPECT_EQ(got.best_rank, want.best_rank);
+    EXPECT_EQ(got.best_mse, want.best_mse);  // bit for bit
+    EXPECT_EQ(got.history, want.history);
+    EXPECT_EQ(got.traceroutes_used, want.traceroutes_used);
+    EXPECT_EQ(got.truncated, want.truncated);
+  }
+}
+
+struct Replayed {
+  int best_rank = 0;
+  double best_mse = 0.0;
+  int stop_rank = 0;  // 0 = the rule never stopped
+};
+
+// The §3.2 acceptance rule, written out on its own: the first candidate is
+// accepted; a later one is accepted when it beats the best MSE by
+// max(min_improvement, rel_improvement * best); the search stops after
+// `patience` misses in a row or at max_rank.
+Replayed replay(const std::vector<std::pair<int, double>>& history,
+                const RankEstimatorConfig& cfg) {
+  Replayed r;
+  int misses = 0;
+  for (std::size_t k = 0; k < history.size(); ++k) {
+    const auto [rank, mse] = history[k];
+    const double margin =
+        std::max(cfg.min_improvement, cfg.rel_improvement * r.best_mse);
+    if (k == 0 || mse < r.best_mse - margin) {
+      r.best_rank = rank;
+      r.best_mse = mse;
+      misses = 0;
+    } else {
+      ++misses;
+    }
+    if (misses == cfg.patience || rank == cfg.max_rank) {
+      r.stop_rank = rank;
+      break;
+    }
+  }
+  return r;
+}
+
+TEST(RankEstimator, AcceptanceRuleMatchesAReplay) {
+  util::Rng rng(46);
+  const EstimatedMatrix planted = planted_sample(40, 3, 0.7, rng);
+  // One entry per row leaves nothing to hold out, so every candidate
+  // scores the same MSE: a tie, which is a miss.
+  EstimatedMatrix ties(40);
+  for (std::size_t i = 0; i + 1 < 40; i += 2) ties.set(i, i + 1, 0.5);
+  MetroContext ctx = testing::shared_focus_context();
+  FeatureMatrix feats;
+
+  struct Case {
+    const char* what;
+    const EstimatedMatrix* e;
+    int patience;
+    double rel_improvement;
+    double min_improvement;
+    int max_rank;
+  };
+  const std::vector<Case> cases = {
+      {"patience 1", &planted, 1, 0.02, 1e-4, 12},
+      {"patience 2", &planted, 2, 0.02, 1e-4, 12},
+      {"patience 4", &planted, 4, 0.02, 1e-4, 12},
+      {"no relative floor", &planted, 2, 0.0, 1e-4, 12},
+      {"max_rank before patience", &planted, 4, 0.02, 1e-4, 3},
+      {"ties", &ties, 2, 0.0, 0.0, 12},
+  };
+  bool max_rank_stopped = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    RankEstimatorConfig cfg = planted_config();
+    cfg.patience = c.patience;
+    cfg.rel_improvement = c.rel_improvement;
+    cfg.min_improvement = c.min_improvement;
+    cfg.max_rank = c.max_rank;
+    const RankEstimateResult got =
+        RankEstimator(ctx, feats, cfg).run_static(*c.e);
+    ASSERT_FALSE(got.history.empty());
+    const Replayed want = replay(got.history, cfg);
+    EXPECT_EQ(got.best_rank, want.best_rank);
+    EXPECT_EQ(got.best_mse, want.best_mse);
+    EXPECT_EQ(got.history.back().first, want.stop_rank);
+    if (want.stop_rank == c.max_rank) max_rank_stopped = true;
+  }
+  EXPECT_TRUE(max_rank_stopped) << "no case ended at max_rank";
 }
 
 }  // namespace
