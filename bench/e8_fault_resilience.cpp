@@ -32,7 +32,7 @@ ResilienceRow run_config(const std::string& label,
                          std::uint64_t seed) {
   eval::WorldConfig wc = bench::bench_world_config(seed);
   wc.faults = faults;
-  wc.resilience.enabled = resilient;
+  wc.resilience = resilient;
   eval::World w = eval::build_world(wc);
 
   topology::MetroId metro = w.focus_metros.front();

@@ -39,10 +39,18 @@ int main() {
       best_f = f;
       best_lambda = lambda;
     }
+    // Appended into one string: g++ 12 flags "[" + std::string + ... with
+    // a false -Wrestrict inside libstdc++'s operator+.
+    auto interval = [](const auto& ci) {
+      std::string cell = "[";
+      cell += util::Table::fmt(ci.lo);
+      cell += ',';
+      cell += util::Table::fmt(ci.hi);
+      cell += ']';
+      return cell;
+    };
     t.add_row({util::Table::fmt(lambda, 1), util::Table::fmt(pci.point),
-               "[" + util::Table::fmt(pci.lo) + "," + util::Table::fmt(pci.hi) + "]",
-               util::Table::fmt(rci.point),
-               "[" + util::Table::fmt(rci.lo) + "," + util::Table::fmt(rci.hi) + "]",
+               interval(pci), util::Table::fmt(rci.point), interval(rci),
                util::Table::fmt(f), util::Table::fmt(new_links)});
   }
   t.print(std::cout);

@@ -86,7 +86,7 @@ BENCHMARK(BM_AlsFitFeatures)->Name("BM_AlsFit")->Args({190, 16, 33});
 // second-of-fitting as the `checkpoint_overhead` counter.  One write per
 // two fits matches the pipeline's real checkpoint granularity
 // conservatively: its boundary is one rank iteration, which runs
-// holdout_repeats (2) ALS fits plus a measurement batch per write.  The CI
+// two holdout ALS fits plus a measurement batch per write.  The CI
 // checkpoint-overhead gate reads the counter directly, so machine drift
 // between benchmarks or runs cannot masquerade as overhead.  Only the
 // 300/16 configuration is gated: its fit time is representative of the

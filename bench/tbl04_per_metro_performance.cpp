@@ -89,8 +89,13 @@ int main() {
       } else {
         double precision =
             tp + fp == 0 ? 0.0 : static_cast<double>(tp) / (tp + fp);
-        row.push_back("P" + util::Table::fmt(precision) + "/R" +
-                      util::Table::fmt(recall));
+        // Appended into one string: g++ 12 flags "P" + std::string + ...
+        // with a false -Wrestrict inside libstdc++'s operator+.
+        std::string cell = "P";
+        cell += util::Table::fmt(precision);
+        cell += "/R";
+        cell += util::Table::fmt(recall);
+        row.push_back(std::move(cell));
       }
     }
     val.add_row(row);

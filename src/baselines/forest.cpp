@@ -10,6 +10,10 @@ namespace metas::baselines {
 
 namespace {
 
+constexpr std::size_t kMinLeaf = 4;
+constexpr double kFeatureSubsample = 0.7;  // features considered per split
+constexpr double kRowSubsample = 0.8;      // bootstrap fraction per tree
+
 double subset_mean(const std::vector<double>& y,
                    const std::vector<std::size_t>& rows) {
   double s = 0.0;
@@ -131,11 +135,10 @@ void RandomForest::fit(const std::vector<std::vector<double>>& x,
   for (auto& tree : trees_) {
     // Bootstrap sample of row indices.
     auto want = mac::trunc_cast<std::size_t>(
-        std::max(1.0, cfg_.row_subsample * static_cast<double>(x.size())));
+        std::max(1.0, kRowSubsample * static_cast<double>(x.size())));
     std::vector<std::size_t> rows(want);
     for (std::size_t k = 0; k < want; ++k) rows[k] = rng.index(x.size());
-    tree.fit(x, y, rows, cfg_.max_depth, cfg_.min_leaf, cfg_.feature_subsample,
-             rng);
+    tree.fit(x, y, rows, cfg_.max_depth, kMinLeaf, kFeatureSubsample, rng);
   }
 }
 

@@ -17,9 +17,6 @@ namespace metas::baselines {
 struct ForestConfig {
   int trees = 40;
   int max_depth = 6;
-  std::size_t min_leaf = 4;
-  double feature_subsample = 0.7;  // features considered per split
-  double row_subsample = 0.8;      // bootstrap fraction per tree
   std::uint64_t seed = 31;
 };
 

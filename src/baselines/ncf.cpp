@@ -9,6 +9,9 @@
 namespace metas::baselines {
 
 namespace {
+constexpr int kHiddenUnits = 24;
+constexpr double kLearningRate = 0.05;  // at epoch 0, then / (1 + 0.1 epoch)
+constexpr double kL2 = 1e-4;
 double relu(double x) { return x > 0.0 ? x : 0.0; }
 }  // namespace
 
@@ -18,7 +21,7 @@ NeuralCollabFilter::NeuralCollabFilter(int num_items, NcfConfig cfg)
     throw std::invalid_argument("NeuralCollabFilter: num_items <= 0");
   util::Rng rng(cfg.seed);
   auto d = mac::checked_cast<std::size_t>(cfg.embedding_dim);
-  auto h = mac::checked_cast<std::size_t>(cfg.hidden_units);
+  auto h = mac::checked_cast<std::size_t>(kHiddenUnits);
   emb_.assign(mac::checked_cast<std::size_t>(n_), std::vector<double>(d));
   for (auto& row : emb_)
     for (double& v : row) v = rng.normal(0.0, 0.1);
@@ -33,7 +36,7 @@ NeuralCollabFilter::NeuralCollabFilter(int num_items, NcfConfig cfg)
 double NeuralCollabFilter::forward(int i, int j,
                                    std::vector<double>* hidden_out) const {
   auto d = mac::checked_cast<std::size_t>(cfg_.embedding_dim);
-  auto h = mac::checked_cast<std::size_t>(cfg_.hidden_units);
+  auto h = mac::checked_cast<std::size_t>(kHiddenUnits);
   const auto& ei = emb_[mac::checked_cast<std::size_t>(i)];
   const auto& ej = emb_[mac::checked_cast<std::size_t>(j)];
   double z = b2_;
@@ -52,7 +55,7 @@ double NeuralCollabFilter::forward(int i, int j,
 void NeuralCollabFilter::fit(const std::vector<NcfEntry>& observed) {
   util::Rng rng(cfg_.seed + 1);
   auto d = mac::checked_cast<std::size_t>(cfg_.embedding_dim);
-  auto h = mac::checked_cast<std::size_t>(cfg_.hidden_units);
+  auto h = mac::checked_cast<std::size_t>(kHiddenUnits);
 
   std::vector<std::size_t> order(observed.size() * 2);
   for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
@@ -60,7 +63,7 @@ void NeuralCollabFilter::fit(const std::vector<NcfEntry>& observed) {
   std::vector<double> hidden(h);
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     rng.shuffle(order);
-    double lr = cfg_.learning_rate / (1.0 + 0.1 * epoch);
+    double lr = kLearningRate / (1.0 + 0.1 * epoch);
     for (std::size_t idx : order) {
       const NcfEntry& e = observed[idx / 2];
       int i = idx % 2 == 0 ? e.i : e.j;
@@ -80,22 +83,22 @@ void NeuralCollabFilter::fit(const std::vector<NcfEntry>& observed) {
         double act = relu(hidden[k]);
         double gw2 = gz * act;
         double ga = hidden[k] > 0.0 ? gz * w2_[k] : 0.0;
-        w2_[k] -= lr * (gw2 + cfg_.l2 * w2_[k]);
+        w2_[k] -= lr * (gw2 + kL2 * w2_[k]);
         if (!mac::exact_zero(ga)) {
           auto& w = w1_[k];
           for (std::size_t t = 0; t < d; ++t) {
             gei[t] += ga * w[t];
             gej[t] += ga * w[d + t];
-            w[t] -= lr * (ga * ei[t] + cfg_.l2 * w[t]);
-            w[d + t] -= lr * (ga * ej[t] + cfg_.l2 * w[d + t]);
+            w[t] -= lr * (ga * ei[t] + kL2 * w[t]);
+            w[d + t] -= lr * (ga * ej[t] + kL2 * w[d + t]);
           }
           b1_[k] -= lr * ga;
         }
       }
       b2_ -= lr * gz;
       for (std::size_t t = 0; t < d; ++t) {
-        ei[t] -= lr * (gei[t] + cfg_.l2 * ei[t]);
-        ej[t] -= lr * (gej[t] + cfg_.l2 * ej[t]);
+        ei[t] -= lr * (gei[t] + kL2 * ei[t]);
+        ej[t] -= lr * (gej[t] + kL2 * ej[t]);
       }
     }
   }

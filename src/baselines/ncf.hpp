@@ -15,10 +15,7 @@ namespace metas::baselines {
 
 struct NcfConfig {
   int embedding_dim = 12;
-  int hidden_units = 24;
   int epochs = 30;
-  double learning_rate = 0.05;
-  double l2 = 1e-4;
   std::uint64_t seed = 37;
 };
 

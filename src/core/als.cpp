@@ -61,14 +61,14 @@ void AlsCompleter::fit(const std::vector<RatingEntry>& observed,
   std::vector<std::size_t> next(obs_start_.begin(), obs_start_.end() - 1);
   double neg_boost = 1.0;
   if (cfg_.balance_classes && neg_w > 0.0 && pos_w > 0.0)
-    neg_boost = std::min(cfg_.balance_cap, std::max(1.0, pos_w / neg_w));
+    neg_boost = std::min(kBalanceCap, std::max(1.0, pos_w / neg_w));
   for (const RatingEntry& e : observed) {
     double w = 1.0;
     double target = e.value;
     if (cfg_.confidence_weighting) {
       // Connectivity mode: the rating magnitude is *confidence*, not signal
       // strength -- train against the sign and weight by the magnitude.
-      w = std::max(cfg_.confidence_floor, std::fabs(e.value));
+      w = std::max(kConfidenceFloor, std::fabs(e.value));
       target = e.value > 0.0 ? 1.0 : -1.0;
     }
     if (e.value < 0.0) w *= neg_boost;

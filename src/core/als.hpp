@@ -26,13 +26,14 @@ struct AlsConfig {
   /// Weight observations by |rating| (transferred low-confidence entries
   /// count less). Floor keeps weak entries from vanishing entirely.
   bool confidence_weighting = true;
-  double confidence_floor = 0.05;
   /// Reweight negative entries so both classes carry equal total weight
   /// (the "balanced" estimated connectivity matrix of Table 1); capped.
   bool balance_classes = true;
-  double balance_cap = 4.0;
   std::uint64_t seed = 7;
 };
+
+inline constexpr double kConfidenceFloor = 0.05;  // least confidence weight
+inline constexpr double kBalanceCap = 4.0;        // most negative-entry boost
 
 /// One observed entry of the (AS x AS) block in matrix coordinates.
 struct RatingEntry {

@@ -9,6 +9,10 @@ namespace metas::core {
 
 namespace {
 
+// Rating value for the absent entries of a one-hot group.  A weak negative
+// keeps "not that category" informative without dominating.
+constexpr double kOneHotAbsent = -0.2;
+
 // log1p -> z-score -> tanh, mapping a heavy-tailed positive quantity into
 // the rating range while preserving ordering.
 std::vector<double> squash_numeric(std::vector<double> raw) {
@@ -31,7 +35,7 @@ FeatureMatrix encode_features(const MetroContext& ctx,
   auto add_one_hot_group = [&](const std::string& prefix, int cardinality,
                                auto&& category_of) {
     for (int c = 0; c < cardinality; ++c) {
-      std::vector<double> row(n, cfg.one_hot_absent);
+      std::vector<double> row(n, kOneHotAbsent);
       for (std::size_t i = 0; i < n; ++i)
         if (category_of(net.ases[mac::checked_cast<std::size_t>(ctx.as_at(i))]) == c)
           row[i] = 1.0;

@@ -24,9 +24,6 @@ struct FeatureMatrix {
 };
 
 struct FeatureEncoderConfig {
-  /// Rating value for the absent entries of a one-hot group. A weak negative
-  /// keeps "not that category" informative without dominating.
-  double one_hot_absent = -0.2;
   bool include_country = true;
   bool include_class = true;
 };

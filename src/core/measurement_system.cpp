@@ -13,6 +13,13 @@ namespace metas::core {
 using traceroute::ProbeTarget;
 using traceroute::VantagePoint;
 
+// VP health while resilience is on, in targeted-measurement ticks (one per
+// run_targeted call): that clock advances even while probes are blocked,
+// so every backoff expires.  No wall-clock time is read.
+constexpr int kQuarantineThreshold = 3;  // consecutive faulted attempts
+constexpr std::uint64_t kBackoffBase = 32;
+constexpr std::uint64_t kBackoffCap = 8192;
+
 MeasurementSystem::MeasurementSystem(const topology::Internet& net,
                                      traceroute::TracerouteEngine& engine,
                                      std::vector<VantagePoint> vps,
@@ -80,7 +87,7 @@ bool MeasurementSystem::vp_usable(int vp_id) const {
   const traceroute::FaultInjector* inj = engine_->fault_injector();
   if (inj == nullptr || !inj->enabled()) return true;
   if (inj->dead(vp_id)) return false;
-  if (!resilience_.enabled) return true;
+  if (!resilience_) return true;
   auto it = vp_health_.find(vp_id);
   return it == vp_health_.end() || it->second.blocked_until <= health_clock_;
 }
@@ -93,21 +100,21 @@ void MeasurementSystem::note_vp_ok(int vp_id) {
 
 void MeasurementSystem::note_vp_fault(int vp_id,
                                       traceroute::ProbeStatus status) {
-  if (!resilience_.enabled) return;
+  if (!resilience_) return;
   VpHealth& h = vp_health_[vp_id];
   ++h.strikes;
   auto backoff = [&](int doublings, std::uint64_t base) {
     std::uint64_t d = base << std::min(doublings, 16);
-    return health_clock_ + std::min(d, resilience_.backoff_cap);
+    return health_clock_ + std::min(d, kBackoffCap);
   };
   if (status == traceroute::ProbeStatus::kRateLimited) {
     // Exponential backoff: the platform is telling us to slow down.
-    h.blocked_until = backoff(h.strikes - 1, resilience_.backoff_base);
+    h.blocked_until = backoff(h.strikes - 1, kBackoffBase);
     MAC_COUNT("measurement.backoffs_applied");
-  } else if (h.strikes >= resilience_.quarantine_threshold) {
+  } else if (h.strikes >= kQuarantineThreshold) {
     // Repeatedly failing VP: quarantine, doubling with every extra strike.
-    h.blocked_until = backoff(h.strikes - resilience_.quarantine_threshold,
-                              resilience_.backoff_base * 4);
+    h.blocked_until = backoff(h.strikes - kQuarantineThreshold,
+                              kBackoffBase * 4);
     // Cumulative quarantine *events*; the DegradationReport's
     // quarantined_vps is the distinct-VP state at campaign end.
     MAC_COUNT("measurement.vps_quarantined");
@@ -183,10 +190,7 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
   // the loop body runs exactly once, with the exact legacy rng draws.
   const traceroute::FaultInjector* inj = engine_->fault_injector();
   const bool faults_active = inj != nullptr && inj->enabled();
-  const int max_attempts =
-      faults_active && resilience_.enabled
-          ? std::max(1, resilience_.max_attempts)
-          : 1;
+  const int max_attempts = faults_active && resilience_ ? kMaxProbeAttempts : 1;
   std::vector<char> tried(cand_vps.size(), 0);
   traceroute::TraceResult trace;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {

@@ -34,22 +34,7 @@ struct MeasurementOutcome {
   bool infra_failure = false;
 };
 
-/// Failover / backoff / quarantine policy of the measurement plane.  All
-/// durations are targeted-measurement ticks (one per run_targeted call), a
-/// clock that keeps advancing even while probes are blocked, so backoffs
-/// always expire; nothing here reads wall-clock time.
-struct ResilienceConfig {
-  /// Off: no failover, backoff or quarantine, and the scheduler treats
-  /// infrastructure failures like uninformative results.
-  bool enabled = true;
-  /// Total probe attempts per targeted measurement (first try + failovers).
-  int max_attempts = 4;
-  /// Consecutive faulted attempts before a VP is quarantined.
-  int quarantine_threshold = 3;
-  /// Backoff after a rate-limited attempt, doubling per consecutive strike.
-  std::uint64_t backoff_base = 32;
-  std::uint64_t backoff_cap = 8192;
-};
+inline constexpr int kMaxProbeAttempts = 4;  // first try + failovers
 
 class MeasurementSystem {
  public:
@@ -101,8 +86,10 @@ class MeasurementSystem {
   std::size_t traceroutes_issued() const { return engine_->issued(); }
   const std::vector<traceroute::VantagePoint>& vps() const { return vps_; }
 
-  void set_resilience(const ResilienceConfig& rc) { resilience_ = rc; }
-  const ResilienceConfig& resilience() const { return resilience_; }
+  /// Resilience off: no failover, backoff or quarantine, and the scheduler
+  /// treats infrastructure failures like uninformative results.
+  void set_resilience(bool on) { resilience_ = on; }
+  bool resilience() const { return resilience_; }
 
   /// VPs currently sidelined (quarantine or rate-limit backoff).
   std::size_t quarantined_vps() const;
@@ -117,7 +104,7 @@ class MeasurementSystem {
   /// Checkpoint serialization of all mutable measurement-plane state
   /// (evidence, the well-positioned tracker, VP statistics/health, the RNG
   /// stream position and the health clock).  The Internet, engine wiring,
-  /// VP/target inventories and resilience policy are configuration,
+  /// VP/target inventories and the resilience flag are configuration,
   /// reconstructed on resume.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
@@ -153,7 +140,7 @@ class MeasurementSystem {
   // (vp_id, as) -> {attempts, confirmed}
   std::unordered_map<std::uint64_t, std::pair<int, int>> vp_stats_;
 
-  ResilienceConfig resilience_;
+  bool resilience_ = true;
   // Targeted-measurement clock: one tick per run_targeted call.  Backoff and
   // quarantine expiry are measured against this clock (not the injector's
   // probe clock, which freezes when nothing launches).

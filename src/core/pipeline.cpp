@@ -52,13 +52,18 @@ double tune_threshold(const AlsCompleter& completer,
 
 namespace {
 
-/// Throws CheckpointError unless a run under `cfg` can reach the resumed
-/// search: every rank in [1, max_rank] (`next_rank` one past it once the
-/// search finished), and a miss count in [0, max(patience, 1)].  The
-/// scheduler fills rows to `next_rank` and the final completion fits at
-/// `best_rank`, so an impossible rank would reach them as an invalid ALS
-/// rank or an allocation of any size.
-void check_resumed(const RankSearch& s, const RankEstimatorConfig& cfg) {
+/// Decodes a phase blob into the rank search, scheduler and P_m it was
+/// encoded from, then throws CheckpointError unless a run under `cfg` can
+/// reach the search: every rank in [1, max_rank] (`next_rank` one past it
+/// once the search finished), and a miss count in [0, max(patience, 1)].
+/// The scheduler fills rows to `next_rank` and the final completion fits
+/// at `best_rank`, so an impossible rank would reach them as an invalid
+/// ALS rank or an allocation of any size.
+void decode_phase(const std::string& blob, const RankEstimatorConfig& cfg,
+                  RankSearch& s, MeasurementScheduler& scheduler,
+                  ProbabilityMatrix& pm) {
+  util::checkpoint::Decoder dec(blob);
+  dec(s, scheduler, pm);
   const RankEstimateResult& r = s.result;
   auto in_range = [&](int rank) { return rank >= 1 && rank <= cfg.max_rank; };
   bool ok = s.next_rank >= 1 &&
@@ -75,6 +80,13 @@ void check_resumed(const RankSearch& s, const RankEstimatorConfig& cfg) {
 }
 
 }  // namespace
+
+void MetascriticPipeline::check_resume(const std::string& blob) const {
+  ProbabilityMatrix pm(*ctx_, *ms_, priors_);
+  MeasurementScheduler scheduler(*ctx_, *ms_, pm, cfg_.scheduler);
+  RankSearch search(cfg_.rank.seed);
+  decode_phase(blob, cfg_.rank, search, scheduler, pm);
+}
 
 PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   MAC_SPAN("pipeline.run");
@@ -100,9 +112,7 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   // the probability matrix; the caller already restored the shared
   // measurement plane.
   if (opts.resume_blob != nullptr) {
-    util::checkpoint::Decoder dec(*opts.resume_blob);
-    dec(search, scheduler, pm);
-    check_resumed(search, cfg_.rank);
+    decode_phase(*opts.resume_blob, cfg_.rank, search, scheduler, pm);
     MAC_COUNT("pipeline.resumes");
   }
 
@@ -153,14 +163,15 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   auto entries = rating_entries(res.estimated);
 
   // Hold out a slice for threshold tuning.
+  constexpr double kTuneFraction = 0.1;
   std::vector<RatingEntry> train, tune;
   for (const RatingEntry& e : entries) {
-    if (rng.uniform() < cfg_.holdout_fraction) tune.push_back(e);
+    if (rng.uniform() < kTuneFraction) tune.push_back(e);
     else train.push_back(e);
   }
   if (train.empty()) train = entries;
 
-  AlsConfig als = cfg_.final_als;
+  AlsConfig als = cfg_.rank.als;
   als.rank = res.estimated_rank;
   AlsCompleter completer(ctx_->size(), features, als);
   // The final completion phases always run -- even under cancellation the

@@ -18,9 +18,7 @@ namespace metas::core {
 
 struct PipelineConfig {
   SchedulerConfig scheduler;
-  RankEstimatorConfig rank;
-  AlsConfig final_als;            // rank overridden by the estimate
-  double holdout_fraction = 0.1;  // slice of E_m used to tune lambda
+  RankEstimatorConfig rank;  // rank.als also fits the final completion
   std::uint64_t seed = 23;
 };
 
@@ -68,6 +66,10 @@ class MetascriticPipeline {
   /// default options this is the legacy uninterruptible behaviour; see
   /// PipelineRunOptions for checkpoint/cancel/resume hooks.
   PipelineResult run(const PipelineRunOptions& opts = {});
+
+  /// Throws CheckpointError unless run() would resume from `blob`: the
+  /// same decode and checks, into scratch state, measuring nothing.
+  void check_resume(const std::string& blob) const;
 
  private:
   const MetroContext* ctx_;  // lint: allow(view-member) -- caller owns the context; a pipeline is a one-shot driver inside its scope

@@ -35,13 +35,8 @@ void StrategyPriors::absorb(
 
 ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
                                      const MeasurementSystem& ms,
-                                     const StrategyPriors* priors,
-                                     const ProbabilityConfig& cfg)
-    : ctx_(&ctx), cfg_(cfg), n_(ctx.size()) {
-  MAC_REQUIRE(cfg.prior_alpha > 0.0 && cfg.prior_beta > 0.0,
-              "alpha=", cfg.prior_alpha, " beta=", cfg.prior_beta);
-  MAC_REQUIRE(cfg.penalty_factor > 0.0 && cfg.penalty_factor <= 1.0,
-              "penalty_factor=", cfg.penalty_factor);
+                                     const StrategyPriors* priors)
+    : ctx_(&ctx), n_(ctx.size()) {
   vp_counts_.resize(n_);
   tgt_counts_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
@@ -55,14 +50,14 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
 
   for (int s = 0; s < kNumStrategies; ++s) {
     auto si = mac::checked_cast<std::size_t>(s);
-    alpha_[si] = cfg.prior_alpha;
-    beta_[si] = cfg.prior_beta;
+    alpha_[si] = kPriorAlpha;
+    beta_[si] = kPriorBeta;
     if (priors != nullptr && priors->metros_observed > 0) {
-      // Shrink the pooled counts to at most `prior_strength` pseudo-
+      // Shrink the pooled counts to at most kPriorStrength pseudo-
       // observations: hierarchical partial pooling (Appx. D.6).
       double tot = priors->alpha[si] + priors->beta[si];
       if (tot > 0.0) {
-        double scale = std::min(1.0, cfg.prior_strength / tot);
+        double scale = std::min(1.0, kPriorStrength / tot);
         alpha_[si] += priors->alpha[si] * scale;
         beta_[si] += priors->beta[si] * scale;
       }
@@ -205,7 +200,7 @@ void ProbabilityMatrix::record(int i, int j, const StrategyChoice& choice,
     beta_[si] += 1.0;
     int near = choice.swapped ? j : i;
     int far = choice.swapped ? i : j;
-    penalty(entry(near, far), s) *= cfg_.penalty_factor;
+    penalty(entry(near, far), s) *= kPenaltyFactor;
   }
   refresh_success(si);
 }
@@ -214,8 +209,8 @@ void ProbabilityMatrix::export_priors(StrategyPriors& pool) const {
   std::array<double, kNumStrategies> da{}, db{};
   for (int s = 0; s < kNumStrategies; ++s) {
     auto si = mac::checked_cast<std::size_t>(s);
-    da[si] = std::max(0.0, alpha_[si] - cfg_.prior_alpha);
-    db[si] = std::max(0.0, beta_[si] - cfg_.prior_beta);
+    da[si] = std::max(0.0, alpha_[si] - kPriorAlpha);
+    db[si] = std::max(0.0, beta_[si] - kPriorBeta);
   }
   pool.absorb(da, db);
 }

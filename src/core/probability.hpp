@@ -49,12 +49,10 @@ struct StrategyChoice {
   double probability = 0.0;
 };
 
-struct ProbabilityConfig {
-  double penalty_factor = 0.6;   // per-(link,strategy) multiplier on failure
-  double prior_alpha = 1.0;      // optimistic uniform prior
-  double prior_beta = 2.0;
-  double prior_strength = 20.0;  // max pseudo-observations from the pool
-};
+inline constexpr double kPenaltyFactor = 0.6;   // link penalty per failed try
+inline constexpr double kPriorAlpha = 1.0;      // optimistic uniform prior
+inline constexpr double kPriorBeta = 2.0;
+inline constexpr double kPriorStrength = 20.0;  // max pooled pseudo-counts
 
 class ProbabilityMatrix {
  public:
@@ -62,8 +60,7 @@ class ProbabilityMatrix {
   /// target categories) and initializes strategy counters from `priors`
   /// (may be null for a cold start).
   ProbabilityMatrix(const MetroContext& ctx, const MeasurementSystem& ms,
-                    const StrategyPriors* priors,
-                    const ProbabilityConfig& cfg = {});
+                    const StrategyPriors* priors);
 
   /// Current success estimate of a strategy (before link penalties).
   double strategy_prob(int strategy) const;
@@ -118,7 +115,6 @@ class ProbabilityMatrix {
   void refresh_success(std::size_t s);
 
   const MetroContext* ctx_;  // lint: allow(view-member) -- caller-owned context; the matrix lives inside the metro's pipeline scope
-  ProbabilityConfig cfg_;
   std::size_t n_ = 0;
   // Availability: per local AS, count of VPs / targets in each category.
   std::vector<std::array<int, traceroute::kVpCategories>> vp_counts_;

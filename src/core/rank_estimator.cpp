@@ -9,6 +9,9 @@ namespace metas::core {
 
 namespace {
 
+constexpr int kHoldoutPerRow = 3;   // entries removed per row for validation
+constexpr int kHoldoutRepeats = 2;  // splits averaged per rank (damps noise)
+
 // Splits filled entries into (train, holdout): up to `per_row` entries are
 // removed per row; removing (i, j) counts toward both rows' quotas.
 void holdout_split(const EstimatedMatrix& e, int per_row, util::Rng& rng,
@@ -42,7 +45,7 @@ void holdout_split(const EstimatedMatrix& e, int per_row, util::Rng& rng,
 double RankEstimator::holdout_mse_once(const EstimatedMatrix& e, int rank,
                                        util::Rng& rng) const {
   std::vector<RatingEntry> train, holdout;
-  holdout_split(e, cfg_.holdout_per_row, rng, train, holdout);
+  holdout_split(e, kHoldoutPerRow, rng, train, holdout);
   if (holdout.empty() || train.empty()) return 1.0;
 
   AlsConfig als = cfg_.als;
@@ -65,16 +68,13 @@ double RankEstimator::holdout_mse_once(const EstimatedMatrix& e, int rank,
 double RankEstimator::holdout_mse(const EstimatedMatrix& e, int rank,
                                   util::Rng& rng) const {
   double s = 0.0;
-  int reps = std::max(1, cfg_.holdout_repeats);
-  for (int k = 0; k < reps; ++k) s += holdout_mse_once(e, rank, rng);
-  return s / reps;
+  for (int k = 0; k < kHoldoutRepeats; ++k) s += holdout_mse_once(e, rank, rng);
+  return s / kHoldoutRepeats;
 }
 
 double RankEstimator::step(RankSearch& s, const EstimatedMatrix& e) const {
   MAC_REQUIRE(!s.finished && s.next_rank >= 1 && s.next_rank <= cfg_.max_rank,
               "next_rank=", s.next_rank, " max_rank=", cfg_.max_rank);
-  MAC_REQUIRE(cfg_.holdout_per_row >= 1,
-              "holdout_per_row=", cfg_.holdout_per_row);
   const int rank = s.next_rank++;
   const double mse = holdout_mse(e, rank, s.rng);
   s.result.history.emplace_back(rank, mse);

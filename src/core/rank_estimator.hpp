@@ -22,8 +22,6 @@ struct RankEstimatorConfig {
   int patience = 3;            // non-improving iterations before stopping
   double min_improvement = 1e-4;   // absolute MSE improvement floor
   double rel_improvement = 0.02;   // and a 2% relative improvement floor
-  int holdout_per_row = 3;     // entries removed per row for validation
-  int holdout_repeats = 2;     // averaged splits per rank (damps MSE noise)
   std::size_t budget_per_iteration = 4000;  // traceroutes per rank step
   AlsConfig als;               // rank is overridden each iteration
   std::uint64_t seed = 17;

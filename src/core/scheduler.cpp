@@ -36,10 +36,6 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
   MAC_REQUIRE(cfg.epsilon >= 0.0 && cfg.epsilon <= 1.0,
               "epsilon=", cfg.epsilon);
   MAC_REQUIRE(cfg.row_fail_limit > 0, "row_fail_limit=", cfg.row_fail_limit);
-  MAC_REQUIRE(cfg.requeue_backoff_base >= 1 &&
-                  cfg.requeue_backoff_cap >= cfg.requeue_backoff_base,
-              "requeue_backoff_base=", cfg.requeue_backoff_base,
-              " cap=", cfg.requeue_backoff_cap);
   MAC_REQUIRE(cfg.exploit_min_prob >= 0.0 && cfg.exploit_min_prob <= 1.0,
               "exploit_min_prob=", cfg.exploit_min_prob);
   if (cfg_.policy == SelectionPolicy::kOnlyExploit) cfg_.epsilon = 0.0;
@@ -96,8 +92,8 @@ std::size_t MeasurementScheduler::fill_rows_to(
   // each of which may fail over a bounded number of times (the batch that
   // crosses the budget line is not truncated mid-flight).
   MAC_ENSURE(issued < budget + mac::checked_cast<std::size_t>(cfg_.batch_size) *
-                                   mac::checked_cast<std::size_t>(std::max(
-                                       1, ms_->resilience().max_attempts)),
+                                   mac::checked_cast<std::size_t>(
+                                       kMaxProbeAttempts),
              "issued=", issued, " budget=", budget,
              " batch_size=", cfg_.batch_size);
   return issued;
@@ -397,7 +393,7 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   rec.spent = mac::checked_cast<int>(spent);
   history_.push_back(rec);
 
-  const bool requeue = out.infra_failure && ms_->resilience().enabled;
+  const bool requeue = out.infra_failure && ms_->resilience();
   const int retries = std::max(out.attempts - 1, 0);
   probes_launched_ += mac::checked_cast<std::uint64_t>(out.launched);
   probes_faulted_ += mac::checked_cast<std::uint64_t>(out.faulted);
@@ -421,9 +417,9 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
     ++fails;
     retry_at = sched_tick_ +
                std::min<std::uint64_t>(
-                   mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_base)
+                   mac::checked_cast<std::uint64_t>(kRequeueBackoffBase)
                        << doublings,
-                   mac::checked_cast<std::uint64_t>(cfg_.requeue_backoff_cap));
+                   mac::checked_cast<std::uint64_t>(kRequeueBackoffCap));
     return spent;
   }
   if (!requeued_.empty()) requeued_.erase(key);

@@ -33,13 +33,14 @@ struct SchedulerConfig {
   int row_fail_limit = 6;          // successive uninformative tries per row
   SelectionPolicy policy = SelectionPolicy::kMetascritic;
   std::uint64_t seed = 11;
-  /// While the MeasurementSystem's ResilienceConfig is enabled,
-  /// infrastructure failures requeue the entry with this exponential backoff
-  /// and never count toward fail_streak / give-up; with it disabled they are
-  /// treated like uninformative results (the --no-resilience ablation).
-  int requeue_backoff_base = 8;    // scheduler ticks (pick slots)
-  int requeue_backoff_cap = 1024;
 };
+
+/// While the MeasurementSystem's resilience is on, infrastructure failures
+/// requeue the entry with this exponential backoff in scheduler ticks (pick
+/// slots) and never count toward fail_streak / give-up; with it off they
+/// are treated like uninformative results (the --no-resilience ablation).
+inline constexpr int kRequeueBackoffBase = 8;
+inline constexpr int kRequeueBackoffCap = 1024;
 
 /// One issued targeted measurement, kept for the Fig.-4 calibration study.
 struct IssuedRecord {

@@ -55,25 +55,22 @@ bool payload_io(State& s, W& world, Ar& ar, const CampaignConfig& cfg,
   return true;
 }
 
-/// Runs `fn`, reporting a payload that decodes to impossible state -- in
-/// the resumed checkpoint or in the phase blob the first metro's pipeline
-/// decodes -- as the one corrupt-payload error.
-template <class Fn>
-decltype(auto) decoding_resume(const std::string& path, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const util::checkpoint::CheckpointError& e) {
-    throw CampaignError("corrupt checkpoint payload in '" + path +
-                        "': " + e.what());
-  }
-}
-
 WorldConfig world_config(const CampaignConfig& cfg) {
   WorldConfig wc = cfg.scale == "paper" ? paper_world_config(cfg.seed)
                                         : small_world_config(cfg.seed);
   wc.faults = cfg.faults;
-  wc.resilience.enabled = cfg.resilience;
+  wc.resilience = cfg.resilience;
   return wc;
+}
+
+/// The pipeline config of `metro` in a campaign seeded with `seed`.
+core::PipelineConfig pipeline_config(std::uint64_t seed,
+                                     topology::MetroId metro) {
+  const auto m = mac::checked_cast<std::size_t>(metro);
+  core::PipelineConfig pc;
+  pc.scheduler.seed = seed + m * 3 + 1;
+  pc.rank.seed = seed + m * 3 + 2;
+  return pc;
 }
 
 }  // namespace
@@ -108,11 +105,30 @@ ResumePoint Campaign::resume() {
                         ")");
   State loaded;
   std::string why;
-  const bool ok = decoding_resume(path, [&] {
+  try {
     util::checkpoint::Decoder dec(*payload);
-    return payload_io(loaded, world_, dec, cfg_, &why);
-  });
-  if (!ok) throw CampaignError("cannot resume from '" + path + "': " + why);
+    if (!payload_io(loaded, world_, dec, cfg_, &why))
+      throw CampaignError("cannot resume from '" + path + "': " + why);
+    // run() writes a generation at a rank boundary of metro `next_metro`,
+    // with its phase blob, or once `next_metro` metros are complete.
+    const std::size_t next = loaded.next_metro;
+    const bool in_metro = !loaded.phase_blob.empty();
+    if (next != loaded.completed.size() ||
+        next + (in_metro ? 1 : 0) > metros_.size())
+      throw util::checkpoint::CheckpointError(
+          "next metro " + std::to_string(next) + " with " +
+          std::to_string(loaded.completed.size()) + " of " +
+          std::to_string(metros_.size()) + " metros complete");
+    if (in_metro) {
+      const core::MetroContext ctx(world_.net, metros_[next]);
+      core::MetascriticPipeline(ctx, *world_.ms, &loaded.priors,
+                                pipeline_config(cfg_.seed, metros_[next]))
+          .check_resume(loaded.phase_blob);
+    }
+  } catch (const util::checkpoint::CheckpointError& e) {
+    throw CampaignError("corrupt checkpoint payload in '" + path +
+                        "': " + e.what());
+  }
   state_ = std::move(loaded);
   resumed_ = true;
   return {state_.completed.size(), !state_.phase_blob.empty()};
@@ -201,14 +217,12 @@ CampaignOutcome Campaign::run(const util::RunControl* control,
       out.stopped_early = true;
       break;
     }
-    const auto m = mac::checked_cast<std::size_t>(metros_[mi]);
     const core::MetroContext ctx(world_.net, metros_[mi]);
-    const std::string& name = world_.net.metros[m].name;
+    const std::string& name =
+        world_.net.metros[mac::checked_cast<std::size_t>(metros_[mi])].name;
     if (hooks.on_metro) hooks.on_metro(name);
-    core::PipelineConfig pc;
-    pc.scheduler.seed = cfg_.seed + m * 3 + 1;
-    pc.rank.seed = cfg_.seed + m * 3 + 2;
-    core::MetascriticPipeline pipeline(ctx, *world_.ms, &state_.priors, pc);
+    core::MetascriticPipeline pipeline(ctx, *world_.ms, &state_.priors,
+                                       pipeline_config(cfg_.seed, metros_[mi]));
 
     core::PipelineRunOptions po;
     po.control = control;
@@ -225,8 +239,7 @@ CampaignOutcome Campaign::run(const util::RunControl* control,
         write_checkpoint(hooks, out);
       };
     }
-    const core::PipelineResult result =
-        decoding_resume(cfg_.resume_path, [&] { return pipeline.run(po); });
+    const core::PipelineResult result = pipeline.run(po);
     state_.phase_blob.clear();
     MetroSummary row = publish(ctx, name, result);
     out.phases_truncated = result.degradation.phases_truncated;

@@ -116,16 +116,16 @@ class Campaign {
 
   /// Restores the newest good generation at `resume_path`.  Throws
   /// CampaignError when no generation loads, when it belongs to a run with
-  /// another fingerprint, or when its payload is corrupt; the campaign
-  /// must not run after a failed resume.
+  /// another fingerprint, or when its payload is corrupt, down to a next
+  /// metro no run writes or a phase blob the metro's pipeline would
+  /// refuse.  The campaign must not run after a failed resume.
   ResumePoint resume();
 
   /// Creates the output and checkpoint directories, then runs every metro
   /// not yet complete, once per campaign.  `control` (may be null) stops
   /// the run at the next work-unit boundary; the metro in flight still
   /// exports best-so-far results.  Throws CampaignError when the output
-  /// directory cannot be made, an export cannot be written or a resumed
-  /// phase blob is corrupt.
+  /// directory cannot be made or an export cannot be written.
   CampaignOutcome run(const util::RunControl* control = nullptr,
                       const CampaignHooks& hooks = {});
 

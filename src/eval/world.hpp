@@ -23,8 +23,8 @@ struct WorldConfig {
   /// inert profile: a perfectly reliable plane, bit-identical to builds
   /// without fault injection.
   traceroute::FaultProfile faults;
-  /// Failover / backoff / quarantine policy of the measurement plane.
-  core::ResilienceConfig resilience;
+  /// Failover, backoff and quarantine in the measurement plane.
+  bool resilience = true;
   std::size_t public_archive_traces = 25000;
   bool compute_public_view = true;
   std::uint64_t seed = 99;

@@ -51,14 +51,8 @@ struct GeneratorConfig {
   double feature_noise = 0.30;  // noise when deriving features from latents
   double policy_known_prob = 0.88;
 
-  // Per-metro instantiation of a global peering decision.
-  double metro_presence_mean = 0.78;  // mean of the per-pair Beta(q) draw
-
   // IXP model.
   double ixp_rs_mesh_prob = 0.95;  // link prob between route-server users
-
-  // Fraction of shared metros where a c2p pair physically interconnects.
-  double c2p_metro_prob = 0.75;
 
   int total_ases() const {
     return num_tier1 + num_tier2 + num_hypergiant + num_transit +

@@ -327,12 +327,12 @@ Factors reference_fit(std::size_t n, const FeatureMatrix& feats,
     for (const RatingEntry& e : observed)
       (e.value > 0.0 ? pos_w : neg_w) += std::fabs(e.value);
     if (neg_w > 0.0 && pos_w > 0.0)
-      neg_boost = std::min(cfg.balance_cap, std::max(1.0, pos_w / neg_w));
+      neg_boost = std::min(kBalanceCap, std::max(1.0, pos_w / neg_w));
   }
   for (const RatingEntry& e : observed) {
     double w = 1.0, target = e.value;
     if (cfg.confidence_weighting) {
-      w = std::max(cfg.confidence_floor, std::fabs(e.value));
+      w = std::max(kConfidenceFloor, std::fabs(e.value));
       target = e.value > 0.0 ? 1.0 : -1.0;
     }
     if (e.value < 0.0) w *= neg_boost;

@@ -131,21 +131,25 @@ class CampaignCheckpointTest : public ::testing::Test {
     ASSERT_TRUE(ck::write_file(path, payload, wo));
   }
 
-  /// Publishes `payload` as `name`'s only generation, resumes and runs the
-  /// campaign, and asserts it is refused as a corrupt payload.
+  /// Publishes `payload` as the only generation a fresh campaign `name`
+  /// resumes from, and asserts resume() alone refuses it as a corrupt
+  /// payload, so no metro starts and no output or checkpoint directory
+  /// appears.
   void expect_corrupt(const std::string& name, const std::string& payload) {
-    const eval::CampaignConfig cfg = resuming(config(name));
-    publish(cfg.checkpoint_path, payload);
+    eval::CampaignConfig cfg = config("resumed_" + name);
+    cfg.resume_path = (dir_ / (name + ".in") / "snap").string();
+    publish(cfg.resume_path, payload);
+    eval::Campaign campaign(cfg);
     try {
-      eval::Campaign campaign(cfg);
       campaign.resume();
-      campaign.run();
       ADD_FAILURE() << "the patched payload resumed";
     } catch (const eval::CampaignError& e) {
       EXPECT_NE(std::string(e.what()).find("corrupt checkpoint payload"),
                 std::string::npos)
           << e.what();
     }
+    EXPECT_FALSE(fs::exists(cfg.out_dir));
+    EXPECT_FALSE(fs::exists(fs::path(cfg.checkpoint_path).parent_path()));
   }
 
   /// Byte positions in a campaign payload without faults that has a phase
@@ -358,8 +362,8 @@ TEST_F(CampaignCheckpointTest, ImpossibleMetroCountIsRefused) {
   expect_corrupt("count", payload);
 }
 
-// The phase blob is opaque to the resume itself: the first metro's
-// pipeline decodes it, and its error takes the same path.
+// resume() decodes the phase blob as the next metro's pipeline would, and
+// its error takes the same path.
 TEST_F(CampaignCheckpointTest, UnparseableRankRngStateIsRefused) {
   std::string payload = payload_in_metro("rng", 2);
   const std::size_t text = map_payload(payload).rank_rng + sizeof(u64);
@@ -423,6 +427,28 @@ TEST_F(CampaignCheckpointTest, ImpossibleRankSearchIsRefused) {
     expect_corrupt("rank" + std::to_string(k),
                    patch_rank_search(payload, cases[k].patch));
   }
+}
+
+// run() writes a generation at a rank boundary of metro `next_metro`, or
+// once `next_metro` metros are complete, so a next metro other than the
+// completed count, or a phase blob with no metro left, is refused.
+TEST_F(CampaignCheckpointTest, ImpossibleCampaignPositionIsRefused) {
+  const std::string payload = payload_in_metro("position", 2);
+  const auto shape = testing::decode_shape<PayloadShape>(payload);
+  ASSERT_EQ(std::get<1>(shape).size(), 1u);
+  ASSERT_EQ(std::get<3>(shape), 1u);
+  auto patched = [&](std::size_t completed, u64 next) {
+    auto s = shape;
+    std::get<1>(s).resize(completed, std::get<1>(s).front());
+    std::get<3>(s) = next;
+    ck::Encoder enc;
+    enc(s);
+    return enc.take();
+  };
+  expect_corrupt("behind", patched(1, 0));
+  expect_corrupt("ahead", patched(1, 2));
+  expect_corrupt("past", patched(1, 4 + 3));
+  expect_corrupt("done", patched(4, 4));
 }
 
 // A refused resume leaves nothing behind: the output and checkpoint

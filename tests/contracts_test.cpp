@@ -104,18 +104,6 @@ class CoreContractDeathTest : public ::testing::Test {
 
 std::unique_ptr<core::MetroContext> CoreContractDeathTest::ctx_;
 
-TEST_F(CoreContractDeathTest, ProbabilityConfigMustBeValid) {
-  auto& w = metas::testing::shared_world();
-  core::ProbabilityConfig bad;
-  bad.prior_alpha = 0.0;
-  EXPECT_DEATH(core::ProbabilityMatrix(*ctx_, *w.ms, nullptr, bad),
-               "MAC_REQUIRE");
-  bad = {};
-  bad.penalty_factor = 1.5;
-  EXPECT_DEATH(core::ProbabilityMatrix(*ctx_, *w.ms, nullptr, bad),
-               "MAC_REQUIRE");
-}
-
 TEST_F(CoreContractDeathTest, RecordedProbabilityMustBeInUnitRange) {
   auto& w = metas::testing::shared_world();
   core::ProbabilityMatrix pm(*ctx_, *w.ms, nullptr);

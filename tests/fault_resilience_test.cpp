@@ -148,7 +148,7 @@ TEST(FaultResilienceTest, ResilienceRecoversRowFill) {
     auto cfg = eval::small_world_config(555);
     cfg.public_archive_traces = 6000;
     cfg.faults = faults;
-    cfg.resilience.enabled = resilient;
+    cfg.resilience = resilient;
     eval::World w = eval::build_world(cfg);
     core::MetroContext ctx(w.net, w.focus_metros.front());
     core::ProbabilityMatrix pm(ctx, *w.ms, nullptr);

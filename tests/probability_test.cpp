@@ -100,8 +100,7 @@ TEST_F(ProbabilityTest, PriorStrengthIsCapped) {
   for (int k = 0; k < 500; ++k) pm_->record(0, 1, c, true);
   StrategyPriors pool;
   pm_->export_priors(pool);
-  ProbabilityConfig cfg;
-  ProbabilityMatrix warm(*ctx_, *testing::shared_world().ms, &pool, cfg);
+  ProbabilityMatrix warm(*ctx_, *testing::shared_world().ms, &pool);
   // Even with 500 pooled successes, the warm prior stays a prior: a run of
   // failures can still pull the estimate down.
   double before = warm.strategy_prob(s);
@@ -139,9 +138,8 @@ class ReferencePm {
     *this = ReferencePm(std::move(vp), std::move(tgt));
   }
   ReferencePm(Counts vp, Counts tgt) : vp_(std::move(vp)), tgt_(std::move(tgt)) {
-    const ProbabilityConfig cfg;
-    alpha_.fill(cfg.prior_alpha);
-    beta_.fill(cfg.prior_beta);
+    alpha_.fill(kPriorAlpha);
+    beta_.fill(kPriorBeta);
     allowed_.fill(true);
   }
 
@@ -155,7 +153,7 @@ class ReferencePm {
     beta_[static_cast<std::size_t>(s)] += 1.0;
     auto key = c.swapped ? std::tuple{j, i, s} : std::tuple{i, j, s};
     auto [it, inserted] = penalties_.emplace(key, 1.0);
-    it->second *= ProbabilityConfig{}.penalty_factor;
+    it->second *= kPenaltyFactor;
   }
 
   void restrict_to_ixp_mapped() {
@@ -289,10 +287,9 @@ TEST(ProbabilityReferenceTest, EveryPoolSizeMatchesTheFormula) {
   const MetroContext ctx = testing::shared_focus_context();
   const MeasurementSystem& ms = *testing::shared_world().ms;
   const std::size_t n = ctx.size();
-  const ProbabilityConfig cfg;
   std::array<double, traceroute::kNumStrategies> alpha{}, beta{};
-  alpha.fill(cfg.prior_alpha);
-  beta.fill(cfg.prior_beta);
+  alpha.fill(kPriorAlpha);
+  beta.fill(kPriorBeta);
   std::array<bool, traceroute::kNumStrategies> allowed{};
   allowed.fill(true);
   for (std::size_t base = 0; base <= 1100; base += n) {

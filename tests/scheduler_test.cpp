@@ -174,12 +174,11 @@ void check_invariants(eval::World& w, const MetroContext& ctx,
   const std::size_t n = ctx.size();
 
   // fill_rows_to's MAC_ENSURE, which Release compiles out: the batch that
-  // crosses the budget line finishes, each pick failing over at most
-  // max_attempts times.
+  // crosses the budget line finishes, each pick making at most
+  // kMaxProbeAttempts attempts.
   const std::size_t issued = sched.fill_rows_to(target, budget);
   EXPECT_LT(issued, budget + static_cast<std::size_t>(cfg.batch_size) *
-                                 static_cast<std::size_t>(std::max(
-                                     1, w.ms->resilience().max_attempts)));
+                                 static_cast<std::size_t>(kMaxProbeAttempts));
 
   // A given-up row gets no later exploit pick in the campaign.  Random and
   // greedy picks are not the exploit arm and do not consult given_up().
@@ -476,7 +475,7 @@ class ReferenceScheduler {
     rec.spent = static_cast<int>(spent);
     history.push_back(rec);
 
-    const bool requeue = out.infra_failure && ms_.resilience().enabled;
+    const bool requeue = out.infra_failure && ms_.resilience();
     probes_launched_ += static_cast<std::size_t>(out.launched);
     probes_faulted_ += static_cast<std::size_t>(out.faulted);
     retries_ += static_cast<std::size_t>(std::max(out.attempts - 1, 0));
@@ -487,11 +486,9 @@ class ReferenceScheduler {
       const int doublings = std::min(fails, 7);
       ++fails;
       retry_at = tick_ + std::min<std::uint64_t>(
-                             static_cast<std::uint64_t>(
-                                 cfg_.requeue_backoff_base)
+                             static_cast<std::uint64_t>(kRequeueBackoffBase)
                                  << doublings,
-                             static_cast<std::uint64_t>(
-                                 cfg_.requeue_backoff_cap));
+                             static_cast<std::uint64_t>(kRequeueBackoffCap));
       return spent;
     }
     requeued_.erase(key(pick.i, pick.j));
