@@ -28,24 +28,30 @@ core::EstimatedMatrix build_with_policy(const core::MetroContext& ctx,
     auto b = static_cast<topology::AsId>(key >> 32);
     int ia = ctx.local(a), ib = ctx.local(b);
     if (ia < 0 || ib < 0 || ia == ib) continue;
-    if (!ev.direct.empty()) {
-      topology::GeoScope best = topology::GeoScope::kElsewhere;
-      for (auto dm : ev.direct) best = std::min(best, net.metro_scope(ctx.metro(), dm));
-      e.set(static_cast<std::size_t>(ia), static_cast<std::size_t>(ib),
-            core::positive_rating(best));
-    }
-    if (policy == NegPolicy::kZeroNegative) continue;
     // kOblivious keeps the well-positioned filter but ignores consistency;
     // kFullNegative also drops the well-positioned filter and takes every
     // transit crossing as negative evidence.
-    const auto& crossed =
-        policy == NegPolicy::kFullNegative ? ev.crossings : ev.transit;
-    if (!crossed.empty()) {
-      topology::GeoScope best = topology::GeoScope::kElsewhere;
-      for (auto tm : crossed) best = std::min(best, net.metro_scope(ctx.metro(), tm));
-      e.set(static_cast<std::size_t>(ia), static_cast<std::size_t>(ib),
-            core::negative_rating(best));
+    bool direct = false, crossed = false;
+    topology::GeoScope best_direct = topology::GeoScope::kElsewhere;
+    topology::GeoScope best_crossed = topology::GeoScope::kElsewhere;
+    for (const core::MetroEvidence& r : ev) {
+      const topology::GeoScope scope = net.metro_scope(ctx.metro(), r.metro);
+      if (r.direct) {
+        direct = true;
+        best_direct = std::min(best_direct, scope);
+      }
+      if (policy == NegPolicy::kFullNegative ? r.crossing : r.transit) {
+        crossed = true;
+        best_crossed = std::min(best_crossed, scope);
+      }
     }
+    if (direct)
+      e.set(static_cast<std::size_t>(ia), static_cast<std::size_t>(ib),
+            core::positive_rating(best_direct));
+    if (policy == NegPolicy::kZeroNegative) continue;
+    if (crossed)
+      e.set(static_cast<std::size_t>(ia), static_cast<std::size_t>(ib),
+            core::negative_rating(best_crossed));
   }
   return e;
 }

@@ -34,7 +34,7 @@ int main() {
         topology::AsId a = ctx.as_at(i), b = ctx.as_at(j);
         bool direct = false;
         if (const auto* ev = w.ms->evidence().find(a, b))
-          direct = !ev->direct.empty();
+          direct = core::has_direct(*ev);
         bool inf = run.result.ratings(i, j) >= run.result.threshold;
         if (!direct && !inf) continue;
         (direct ? measured : inferred)++;

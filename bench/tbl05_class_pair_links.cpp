@@ -42,7 +42,7 @@ int main() {
         bool in_public = w.public_view.contains(a, b);
         bool measured = false;
         if (const auto* ev = w.ms->evidence().find(a, b))
-          measured = !ev->direct.empty();
+          measured = core::has_direct(*ev);
         bool inferred = run.result.ratings(i, j) >= run.result.threshold;
         if (in_public) {
           if (!counted_pub.contains(a, b)) {

@@ -11,31 +11,52 @@ namespace metas::core {
 using topology::GeoScope;
 using topology::pair_key;
 
+namespace {
+
+/// True if some record carries E_m evidence (direct or transit).
+bool has_em_evidence(const PairEvidence& ev) {
+  return std::any_of(ev.begin(), ev.end(), [](const MetroEvidence& r) {
+    return r.direct || r.transit;
+  });
+}
+
+/// True if the pair holds both direct evidence and a crossing: the only
+/// pairs that can be inconsistent.
+bool is_mixed(const PairEvidence& ev) {
+  return has_direct(ev) &&
+         std::any_of(ev.begin(), ev.end(),
+                     [](const MetroEvidence& r) { return r.crossing; });
+}
+
+}  // namespace
+
 void EvidenceStore::ingest(const traceroute::TraceResult& trace,
                            const traceroute::TraceObservations& obs,
                            const traceroute::WellPositionedTracker& wp) {
-  // Records E_m evidence for the pair, listing it on its first.
-  auto add = [this](std::uint64_t key, PairEvidence& ev,
-                    std::set<MetroId>& to, MetroId m) {
-    if (ev.direct.empty() && ev.transit.empty())
-      evidenced_.emplace_back(key, &ev);
-    to.insert(m);
-  };
-  for (const auto& l : obs.links) {
-    if (l.metro < 0) continue;
-    const std::uint64_t key = pair_key(l.a, l.b);
+  // Flags the pair's record at metro `m`, inserted in metro order, then
+  // lists the pair in evidenced_ on its first E_m evidence and in mixed_.
+  auto note = [this](std::uint64_t key, MetroId m, auto flag) {
     PairEvidence& ev = pairs_[key];
-    add(key, ev, ev.direct, l.metro);
-    if (!ev.crossings.empty()) mixed_.insert(key);
-  }
+    const bool had = has_em_evidence(ev);
+    auto it = std::find_if(ev.begin(), ev.end(),
+                           [m](const MetroEvidence& r) { return r.metro >= m; });
+    if (it == ev.end() || it->metro != m) it = ev.insert(it, MetroEvidence{m});
+    flag(*it);
+    if (!had && has_em_evidence(ev)) evidenced_.emplace_back(key, &ev);
+    if (is_mixed(ev)) mixed_.insert(key);
+  };
+  for (const auto& l : obs.links)
+    if (l.metro >= 0)
+      note(pair_key(l.a, l.b), l.metro,
+           [](MetroEvidence& r) { r.direct = true; });
   for (const auto& t : obs.transits) {
     MetroId m = t.metro_b_side >= 0 ? t.metro_b_side : t.metro_a_side;
     if (m < 0) continue;
-    const std::uint64_t key = pair_key(t.a, t.b);
-    PairEvidence& ev = pairs_[key];
-    ev.crossings.insert(m);
-    if (wp.well_positioned(trace.vp_id, t.a, m)) add(key, ev, ev.transit, m);
-    if (!ev.direct.empty()) mixed_.insert(key);
+    const bool vetted = wp.well_positioned(trace.vp_id, t.a, m);
+    note(pair_key(t.a, t.b), m, [vetted](MetroEvidence& r) {
+      r.crossing = true;
+      r.transit = r.transit || vetted;
+    });
   }
 }
 
@@ -46,12 +67,16 @@ const PairEvidence* EvidenceStore::find(AsId a, AsId b) const {
 
 bool EvidenceStore::direct_at(AsId a, AsId b, MetroId m) const {
   const PairEvidence* ev = find(a, b);
-  return ev != nullptr && ev->direct.count(m) != 0;
+  return ev != nullptr && std::any_of(ev->begin(), ev->end(), [m](auto& r) {
+           return r.metro == m && r.direct;
+         });
 }
 
 bool EvidenceStore::transit_at(AsId a, AsId b, MetroId m) const {
   const PairEvidence* ev = find(a, b);
-  return ev != nullptr && ev->transit.count(m) != 0;
+  return ev != nullptr && std::any_of(ev->begin(), ev->end(), [m](auto& r) {
+           return r.metro == m && r.transit;
+         });
 }
 
 std::vector<std::pair<std::uint64_t, const PairEvidence*>>
@@ -78,9 +103,11 @@ bool EvidenceStore::pair_inconsistent(const topology::Internet& net, AsId a,
                                       AsId b, GeoScope g) const {
   const PairEvidence* ev = find(a, b);
   if (ev == nullptr) return false;
-  for (MetroId d : ev->direct)
-    for (MetroId t : ev->crossings)
-      if (mac::enum_cast<int>(net.metro_scope(d, t)) <= mac::enum_cast<int>(g))
+  for (const MetroEvidence& d : *ev)
+    for (const MetroEvidence& t : *ev)
+      if (d.direct && t.crossing &&
+          mac::enum_cast<int>(net.metro_scope(d.metro, t.metro)) <=
+              mac::enum_cast<int>(g))
         return true;
   return false;
 }
@@ -139,9 +166,10 @@ ConsistentSets EvidenceStore::consistent_sets(const MetroContext& ctx) const {
     if (!ctx.has_pair(key)) continue;
     const PairEvidence& ev = pairs_.at(key);
     GeoScope finest = GeoScope::kElsewhere;
-    for (MetroId d : ev.direct)
-      for (MetroId t : ev.crossings)
-        finest = std::min(finest, net.metro_scope(d, t));
+    for (const MetroEvidence& d : ev)
+      for (const MetroEvidence& t : ev)
+        if (d.direct && t.crossing)
+          finest = std::min(finest, net.metro_scope(d.metro, t.metro));
     mixed.push_back({{ctx.local(mac::checked_cast<AsId>(key & 0xffffffffULL)),
                       ctx.local(mac::checked_cast<AsId>(key >> 32))},
                      finest});
@@ -158,15 +186,15 @@ ConsistentSets EvidenceStore::consistent_sets(const MetroContext& ctx) const {
   return sets;
 }
 
-bool EvidenceStore::metros_below(std::size_t count) const {
-  auto below = [count](const std::set<MetroId>& ids) {
-    return ids.empty() ||
-           (*ids.begin() >= 0 &&
-            mac::checked_cast<std::size_t>(*ids.rbegin()) < count);
-  };
-  for (const auto& [key, ev] : pairs_)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
-    if (!below(ev.direct) || !below(ev.transit) || !below(ev.crossings))
-      return false;
+bool EvidenceStore::metros_valid(std::size_t count) const {
+  for (const auto& [key, ev] : pairs_) {  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+    MetroId last = -1;
+    for (const MetroEvidence& r : ev) {
+      if (r.metro <= last || mac::checked_cast<std::size_t>(r.metro) >= count)
+        return false;
+      last = r.metro;
+    }
+  }
   return true;
 }
 
@@ -184,9 +212,8 @@ void EvidenceStore::load(util::checkpoint::Decoder& dec) {
   mixed_.clear();
   io(*this, dec);
   for (const auto& [key, ev] : pairs_) {  // lint: allow(unordered-iter) -- rebuilds the derived lists; sorted_pairs sorts, std::set orders
-    if (!ev.direct.empty() || !ev.transit.empty())
-      evidenced_.emplace_back(key, &ev);
-    if (!ev.direct.empty() && !ev.crossings.empty()) mixed_.insert(key);
+    if (has_em_evidence(ev)) evidenced_.emplace_back(key, &ev);
+    if (is_mixed(ev)) mixed_.insert(key);
   }
 }
 
@@ -206,17 +233,20 @@ void fill_pair(EstimatedMatrix& e, const MetroContext& ctx, std::size_t ia,
   const MetroId m = ctx.metro();
 
   // Positive: the geographically closest direct observation wins.
-  if (!ev.direct.empty()) {
-    GeoScope best = GeoScope::kElsewhere;
-    for (MetroId dm : ev.direct) best = std::min(best, net.metro_scope(m, dm));
-    e.set(ia, ib, positive_rating(best));
-  }
-
   // Negative: the finest transit scope at which both ASes still route
   // consistently; inconsistent ASes yield no non-existence evidence.
+  bool direct = false;
+  GeoScope best = GeoScope::kElsewhere;
   unsigned crossed = 0;  // bit g: a transit crossing at scope g
-  for (MetroId tm : ev.transit)
-    crossed |= 1u << mac::enum_cast<unsigned>(net.metro_scope(m, tm));
+  for (const MetroEvidence& r : ev) {
+    const GeoScope scope = net.metro_scope(m, r.metro);
+    if (r.direct) {
+      direct = true;
+      best = std::min(best, scope);
+    }
+    if (r.transit) crossed |= 1u << mac::enum_cast<unsigned>(scope);
+  }
+  if (direct) e.set(ia, ib, positive_rating(best));
   for (GeoScope g : kFinestFirst) {
     const auto gi = mac::enum_cast<std::size_t>(g);
     if (((crossed >> gi) & 1u) != 0 && consistent[gi][ia] &&

@@ -3,11 +3,12 @@
 // estimated matrix E_m (§3.4) and the consistent-routing sets (Appx. D.5)
 // are both derived.
 //
-// A transit crossing is recorded twice in its pair's record: always as a
-// crossing, the input of the consistency analysis, and as negative E_m
-// evidence only when it comes from a well-positioned vantage point.  The
-// negative fill additionally requires both ASes to route consistently at
-// the relevant granularity at E_m build time.
+// A pair's record lists the metros it was seen at, each with three flags:
+// a witnessed interconnection, a transit crossing (the input of the
+// consistency analysis), and a crossing seen from a well-positioned vantage
+// point (negative E_m evidence).  The negative fill additionally requires
+// both ASes to route consistently at the relevant granularity at E_m build
+// time.
 //
 // An AS routes consistently toward a peer at a granularity if observations
 // never mix direct interconnections and transit crossings within that
@@ -17,6 +18,7 @@
 // and geographic transferability.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <set>
@@ -35,16 +37,29 @@ class Decoder;
 
 namespace metas::core {
 
-/// Accumulated evidence about one AS pair.
-struct PairEvidence {
-  std::set<MetroId> direct;     // metros with a witnessed interconnection
-  std::set<MetroId> transit;    // crossings seen from a well-positioned VP
-  std::set<MetroId> crossings;  // every transit crossing
+/// What one AS pair showed at one metro.
+struct MetroEvidence {
+  MetroId metro = -1;
+  bool direct = false;    // a witnessed interconnection
+  bool crossing = false;  // a transit crossing
+  bool transit = false;   // a crossing seen from a well-positioned VP
 
   /// Checkpoint field list (util/checkpoint.hpp).
   template <class Self, class Ar>
-  static void io(Self& ev, Ar& ar) { ar(ev.direct, ev.transit, ev.crossings); }
+  static void io(Self& r, Ar& ar) {
+    ar(r.metro, r.direct, r.crossing, r.transit);
+  }
 };
+
+/// Accumulated evidence about one AS pair: one record per metro, in
+/// ascending metro order.
+using PairEvidence = std::vector<MetroEvidence>;
+
+/// True if the pair has a witnessed interconnection at some metro.
+inline bool has_direct(const PairEvidence& ev) {
+  return std::any_of(ev.begin(), ev.end(),
+                     [](const MetroEvidence& r) { return r.direct; });
+}
 
 /// Membership flags per granularity, indexed by GeoScope: flag i says
 /// whether the metro's local AS i routes consistently at that granularity
@@ -60,9 +75,9 @@ class EvidenceStore {
   EvidenceStore& operator=(const EvidenceStore&) = delete;
 
   /// Ingests the observations of one traceroute.  Every geolocated
-  /// crossing is kept in `crossings`; it is also kept in `transit` if `wp`
-  /// says the issuing vantage point was well positioned for the near-side
-  /// AS at the crossing metro.
+  /// crossing flags its metro's record as a crossing, and also as transit
+  /// if `wp` says the issuing vantage point was well positioned for the
+  /// near-side AS at the crossing metro.
   void ingest(const traceroute::TraceResult& trace,
               const traceroute::TraceObservations& obs,
               const traceroute::WellPositionedTracker& wp);
@@ -102,10 +117,11 @@ class EvidenceStore {
   /// metro finds each pair's finest inconsistent scope.
   ConsistentSets consistent_sets(const MetroContext& ctx) const;
 
-  /// True if every metro id in the store lies in [0, count).  Decoded
-  /// evidence is checked with it before any id reaches
-  /// Internet::metro_scope, an unchecked index into `metros`.
-  bool metros_below(std::size_t count) const;
+  /// True if every pair's records name ascending, distinct metros in
+  /// [0, count): one record per (pair, metro).  Decoded evidence is
+  /// checked with it before any id reaches Internet::metro_scope, an
+  /// unchecked index into `metros`.
+  bool metros_valid(std::size_t count) const;
 
   /// Checkpoint serialization in sorted-key order (byte-stable across runs).
   /// load() rebuilds the derived pair lists.

@@ -338,9 +338,20 @@ void MeasurementSystem::load(util::checkpoint::Decoder& dec) {
   observed_.clear();
   ++view_rebuilds_;
   io(*this, dec);
-  if (!evidence_.metros_below(net_->metros.size()))
+  if (!evidence_.metros_valid(net_->metros.size()))
     throw util::checkpoint::CheckpointError(
-        "MeasurementSystem: metro id outside the world");
+        "MeasurementSystem: evidence metros out of order or outside the world");
+  // vp_score turns a VP's counts into a sampling weight, and a strike
+  // count sizes a backoff shift.
+  for (const auto& [key, st] : vp_stats_)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+    if (st.second < 0 || st.second > st.first)
+      throw util::checkpoint::CheckpointError(
+          "MeasurementSystem: VP statistics outside 0 <= confirmed <= "
+          "attempts");
+  for (const auto& [id, h] : vp_health_)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+    if (h.strikes < 0)
+      throw util::checkpoint::CheckpointError(
+          "MeasurementSystem: negative VP health strikes");
 }
 
 double MeasurementSystem::vp_score(int vp_id, AsId i) const {

@@ -5,6 +5,7 @@
 
 #include "util/checkpoint.hpp"
 #include "util/curves.hpp"
+#include "util/numeric.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace.hpp"
 
@@ -130,8 +131,8 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
     while (!search.finished && !stopped()) {
       MAC_SPAN("pipeline.rank_iteration");
       MAC_COUNT("pipeline.rank_candidates_evaluated");
-      search.result.traceroutes_used += scheduler.fill_rows_to(
-          search.next_rank, cfg_.rank.budget_per_iteration, control);
+      scheduler.fill_rows_to(search.next_rank, cfg_.rank.budget_per_iteration,
+                             control);
       if (stopped()) break;
       const double mse = estimator.step(search, ms_->matrix(*ctx_));
       MAC_HISTOGRAM("pipeline.rank_holdout_mse", mse);
@@ -152,8 +153,9 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   }
   res.rank_detail = std::move(search.result);
   res.estimated_rank = res.rank_detail.best_rank;
-  res.targeted_traceroutes = res.rank_detail.traceroutes_used;
   res.measurement_log = scheduler.history();
+  for (const IssuedRecord& r : res.measurement_log)
+    res.targeted_traceroutes += mac::checked_cast<std::size_t>(r.spent);
   res.degradation = scheduler.degradation();
   if (res.rank_detail.truncated) ++res.degradation.phases_truncated;
   MAC_GAUGE_SET("pipeline.estimated_rank", res.estimated_rank);

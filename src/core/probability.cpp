@@ -21,6 +21,9 @@ namespace {
 // so every pool from kPoolSaturated on shares the last memo entry.
 constexpr std::size_t kPoolSaturated = 1000;
 
+/// A pooled or Beta count a run can reach: finite and non-negative.
+bool valid_count(double c) { return std::isfinite(c) && c >= 0.0; }
+
 }  // namespace
 
 void StrategyPriors::absorb(
@@ -36,16 +39,20 @@ void StrategyPriors::absorb(
 ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
                                      const MeasurementSystem& ms,
                                      const StrategyPriors* priors)
-    : ctx_(&ctx), n_(ctx.size()) {
-  vp_counts_.resize(n_);
-  tgt_counts_.resize(n_);
+    : n_(ctx.size()), vp_available_(n_), tgt_available_(n_) {
+  auto collect = [](const std::vector<int>& counts, auto& a) {
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      if (counts[c] == 0) continue;
+      a.category[a.size] = mac::checked_cast<int>(c);
+      a.count[a.size] = mac::checked_cast<std::size_t>(counts[c]);
+      ++a.size;
+    }
+  };
   for (std::size_t i = 0; i < n_; ++i) {
-    auto vc = ms.vp_category_counts(ctx.as_at(i), ctx.metro());
-    auto tc = ms.target_category_counts(ctx.as_at(i), ctx.metro());
-    std::copy(vc.begin(), vc.end(), vp_counts_[i].begin());
-    std::copy(tc.begin(), tc.end(), tgt_counts_[i].begin());
+    collect(ms.vp_category_counts(ctx.as_at(i), ctx.metro()), vp_available_[i]);
+    collect(ms.target_category_counts(ctx.as_at(i), ctx.metro()),
+            tgt_available_[i]);
   }
-  refresh_available();
   allowed_.fill(true);
 
   for (int s = 0; s < kNumStrategies; ++s) {
@@ -76,23 +83,6 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
 
 void ProbabilityMatrix::refresh_success(std::size_t s) {
   success_[s] = alpha_[s] / (alpha_[s] + beta_[s]);
-}
-
-void ProbabilityMatrix::refresh_available() {
-  auto collect = [](const auto& counts, auto& out) {
-    out.assign(counts.size(), {});
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      auto& a = out[i];
-      for (std::size_t c = 0; c < counts[i].size(); ++c) {
-        if (counts[i][c] == 0) continue;
-        a.category[a.size] = mac::checked_cast<int>(c);
-        a.count[a.size] = mac::checked_cast<std::size_t>(counts[i][c]);
-        ++a.size;
-      }
-    }
-  };
-  collect(vp_counts_, vp_available_);
-  collect(tgt_counts_, tgt_available_);
 }
 
 double ProbabilityMatrix::strategy_prob(int strategy) const {
@@ -234,6 +224,14 @@ void ProbabilityMatrix::restrict_to_ixp_mapped() {
 template <class Self, class Ar>
 void StrategyPriors::io(Self& s, Ar& ar) {
   ar(s.alpha, s.beta, s.metros_observed);
+  // ProbabilityMatrix scales the pooled counts into its Beta priors.
+  if constexpr (Ar::kLoading) {
+    if (!std::all_of(s.alpha.begin(), s.alpha.end(), valid_count) ||
+        !std::all_of(s.beta.begin(), s.beta.end(), valid_count) ||
+        s.metros_observed < 0)
+      throw util::checkpoint::CheckpointError(
+          "strategy priors hold a negative or non-finite count");
+  }
 }
 
 void StrategyPriors::save(util::checkpoint::Encoder& enc) const {
@@ -244,7 +242,6 @@ void StrategyPriors::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
 
 template <class Self, class Ar>
 void ProbabilityMatrix::io(Self& s, Ar& ar) {
-  std::size_t n = s.n_;
   // The penalty store goes to disk as its ascending (key, factor) list.
   constexpr auto kStrategies = mac::checked_cast<std::uint64_t>(kNumStrategies);
   std::vector<std::pair<std::uint64_t, double>> penalties;
@@ -258,23 +255,16 @@ void ProbabilityMatrix::io(Self& s, Ar& ar) {
             p.factor);
     }
   }
-  ar(n, s.vp_counts_, s.tgt_counts_, s.alpha_, s.beta_, s.allowed_,
-     penalties);
-  // choose() and record() index the availability rows by every local AS,
-  // the pool-factor memo by products of their counts, and the penalty
-  // store by each key's (near, far) entry.
+  ar(s.alpha_, s.beta_, penalties);
+  // choose() turns the counts into a success probability in [0, 1] and
+  // scales it by each penalty; record() indexes the penalty store by each
+  // key's (near, far) entry.
   if constexpr (Ar::kLoading) {
-    if (n != s.n_ || s.vp_counts_.size() != s.n_ ||
-        s.tgt_counts_.size() != s.n_)
-      throw util::checkpoint::CheckpointError(
-          "probability checkpoint does not match the metro size");
-    auto negative = [](const auto& row) {
-      return std::any_of(row.begin(), row.end(), [](int c) { return c < 0; });
-    };
-    if (std::any_of(s.vp_counts_.begin(), s.vp_counts_.end(), negative) ||
-        std::any_of(s.tgt_counts_.begin(), s.tgt_counts_.end(), negative))
-      throw util::checkpoint::CheckpointError(
-          "probability checkpoint has a negative availability count");
+    for (std::size_t k = 0; k < s.alpha_.size(); ++k)
+      if (!valid_count(s.alpha_[k]) || !valid_count(s.beta_[k]) ||
+          s.alpha_[k] + s.beta_[k] <= 0.0)
+        throw util::checkpoint::CheckpointError(
+            "probability checkpoint has an impossible Beta count");
     std::fill(s.penalty_list_.begin(), s.penalty_list_.end(), 0);
     s.penalty_lists_.clear();
     // A repeated key keeps its last factor, as a map would.
@@ -283,6 +273,9 @@ void ProbabilityMatrix::io(Self& s, Ar& ar) {
       if (at >= s.penalty_list_.size())
         throw util::checkpoint::CheckpointError(
             "probability checkpoint penalizes an entry outside the metro");
+      if (!(factor >= 0.0 && factor <= 1.0))
+        throw util::checkpoint::CheckpointError(
+            "probability checkpoint has a penalty factor outside [0, 1]");
       s.penalty(mac::checked_cast<std::size_t>(at),
                 mac::checked_cast<int>(key % kStrategies)) = factor;
     }
@@ -296,7 +289,6 @@ void ProbabilityMatrix::save(util::checkpoint::Encoder& enc) const {
 void ProbabilityMatrix::load(util::checkpoint::Decoder& dec) {
   io(*this, dec);
   for (std::size_t s = 0; s < success_.size(); ++s) refresh_success(s);
-  refresh_available();
   ++rises_;
 }
 

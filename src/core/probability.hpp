@@ -89,11 +89,10 @@ class ProbabilityMatrix {
   /// beta and penalties only lower it (DESIGN.md §14).
   std::uint64_t rises() const { return rises_; }
 
-  /// Checkpoint serialization of all mutable estimator state (availability
-  /// counts, Beta-Bernoulli counters, strategy mask, link penalties).
-  /// load() throws CheckpointError when the saved matrix size or the
-  /// availability rows do not match the metro's size, or when a penalty
-  /// names an entry outside the metro; it then rebuilds the derived caches.
+  /// Checkpoint serialization of the Beta-Bernoulli counters and the link
+  /// penalties.  load() throws CheckpointError on a count no run reaches
+  /// (negative, not finite, or alpha + beta = 0), or a penalty outside the
+  /// metro or outside [0, 1]; it then rebuilds the success cache.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
@@ -108,17 +107,12 @@ class ProbabilityMatrix {
   };
 
   double dir_prob(int near, int far, int* best_vp, int* best_tgt) const;
-  void refresh_available();
   std::size_t entry(int near, int far) const;  // index into penalty_list_
   /// The factor of `strategy` at entry `at`, inserted at 1.0 when absent.
   double& penalty(std::size_t at, int strategy);
   void refresh_success(std::size_t s);
 
-  const MetroContext* ctx_;  // lint: allow(view-member) -- caller-owned context; the matrix lives inside the metro's pipeline scope
   std::size_t n_ = 0;
-  // Availability: per local AS, count of VPs / targets in each category.
-  std::vector<std::array<int, traceroute::kVpCategories>> vp_counts_;
-  std::vector<std::array<int, traceroute::kTargetCategories>> tgt_counts_;
   std::array<double, traceroute::kNumStrategies> alpha_{}, beta_{};
   std::array<bool, traceroute::kNumStrategies> allowed_{};
   // Link penalties, one list per ordered (near, far) entry in ascending
@@ -129,9 +123,9 @@ class ProbabilityMatrix {
   std::vector<std::vector<Penalty>> penalty_lists_;
   std::uint64_t rises_ = 0;  // see rises(); not serialized
 
-  // Derived caches, not serialized (rebuilt on construction and load):
-  // alpha / (alpha + beta) per strategy, the candidate-pool factor per pool
-  // size, and per local AS its non-empty VP and target categories in
+  // Not serialized: alpha / (alpha + beta) per strategy (rebuilt on load),
+  // the candidate-pool factor per pool size, and, built by the
+  // constructor, per local AS its non-empty VP and target categories in
   // ascending order with their counts -- the only categories dir_prob can
   // score.
   std::array<double, traceroute::kNumStrategies> success_{};

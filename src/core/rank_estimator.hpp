@@ -31,7 +31,6 @@ struct RankEstimateResult {
   int best_rank = 1;
   double best_mse = 0.0;
   std::vector<std::pair<int, double>> history;  // (rank, holdout MSE)
-  std::size_t traceroutes_used = 0;
   /// True when a cooperative stop cut the search before its natural end.
   bool truncated = false;
 };
@@ -55,7 +54,7 @@ struct RankSearch {
   static void io(Self& s, Ar& ar) {
     auto& r = s.result;
     ar(s.next_rank, s.best, s.no_improve, s.finished, s.rng, r.best_rank,
-       r.best_mse, r.history, r.traceroutes_used, r.truncated);
+       r.best_mse, r.history);
   }
 };
 

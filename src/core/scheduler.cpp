@@ -121,11 +121,6 @@ void MeasurementScheduler::finish_campaign(int target) {
     if (given_up_[i]) ++degradation_.rows_given_up;
   }
   degradation_.fill_fraction = n == 0 ? 0.0 : fill / static_cast<double>(n);
-  degradation_.probes_launched = probes_launched_;
-  degradation_.probes_faulted = probes_faulted_;
-  degradation_.retries = retries_;
-  degradation_.infra_failures = infra_failures_;
-  degradation_.requeues = requeues_;
   // Quarantine/death are current measurement-system state, not cumulative
   // event counts -- they stay direct reads.
   degradation_.quarantined_vps = ms_->quarantined_vps();
@@ -135,6 +130,19 @@ void MeasurementScheduler::finish_campaign(int target) {
   // Counter *sample*: the gauge keeps only the last value, the trace keeps
   // the fill trajectory across campaigns (a Perfetto counter track).
   MAC_TRACE_COUNTER("scheduler.fill_fraction", degradation_.fill_fraction);
+}
+
+DegradationReport MeasurementScheduler::degradation() const {
+  DegradationReport d = degradation_;
+  for (const IssuedRecord& r : history_) {
+    d.probes_launched += mac::checked_cast<std::size_t>(r.launched);
+    d.probes_faulted += mac::checked_cast<std::size_t>(r.faulted);
+    d.retries += mac::checked_cast<std::size_t>(std::max(r.attempts - 1, 0));
+    d.infra_failures += r.infra_failure ? 1u : 0u;
+  }
+  // execute() requeues every infrastructure failure while resilience is on.
+  d.requeues = ms_->resilience() ? d.infra_failures : 0;
+  return d;
 }
 
 BatchResult MeasurementScheduler::batch(const EstimatedMatrix& e, int target,
@@ -395,11 +403,6 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
 
   const bool requeue = out.infra_failure && ms_->resilience();
   const int retries = std::max(out.attempts - 1, 0);
-  probes_launched_ += mac::checked_cast<std::uint64_t>(out.launched);
-  probes_faulted_ += mac::checked_cast<std::uint64_t>(out.faulted);
-  retries_ += mac::checked_cast<std::uint64_t>(retries);
-  infra_failures_ += out.infra_failure ? 1u : 0u;
-  requeues_ += requeue ? 1u : 0u;
   // Unconditional, so a snapshot names all five even in a run that never
   // faults.
   MAC_COUNT_N("scheduler.probes_launched", out.launched);
@@ -466,7 +469,8 @@ void MeasurementScheduler::io(Self& s, Ar& ar) {
   // fill_rows_to and execute index both vectors by every row of the metro.
   // Every loaded entry must lie inside the metro too: the CSV export reads
   // rows by history record, pick_greedy reads E_m at each greedy key, and a
-  // requeue failure count sizes a backoff shift.
+  // requeue failure count sizes a backoff shift.  degradation() and the
+  // pipeline's traceroute count sum the history's counts.
   if constexpr (Ar::kLoading) {
     const std::size_t n = s.ctx_->size();
     if (s.fail_streak_.size() != n || s.given_up_.size() != n)
@@ -481,6 +485,13 @@ void MeasurementScheduler::io(Self& s, Ar& ar) {
                      }))
       throw util::checkpoint::CheckpointError(
           "scheduler checkpoint names a row outside the metro");
+    if (!std::all_of(s.history_.begin(), s.history_.end(),
+                     [](const IssuedRecord& r) {
+                       return r.attempts >= 0 && r.launched >= 0 &&
+                              r.faulted >= 0 && r.spent >= 0;
+                     }))
+      throw util::checkpoint::CheckpointError(
+          "scheduler checkpoint has a negative count in its history");
     if (!std::all_of(s.greedy_order_.begin(), s.greedy_order_.end(),
                      [n](const auto& g) {
                        return n > 0 && g.second / n < g.second % n;
@@ -493,12 +504,9 @@ void MeasurementScheduler::io(Self& s, Ar& ar) {
             "scheduler checkpoint has a negative requeue count");
   }
 
-  ar(s.probes_launched_, s.probes_faulted_, s.retries_, s.infra_failures_,
-     s.requeues_);
   auto& d = s.degradation_;
   ar(d.fill_target, d.rows, d.rows_at_target, d.rows_given_up,
-     d.fill_fraction, d.probes_launched, d.probes_faulted, d.retries,
-     d.infra_failures, d.requeues, d.quarantined_vps, d.dead_vps);
+     d.fill_fraction, d.quarantined_vps, d.dead_vps);
 }
 
 void MeasurementScheduler::save(util::checkpoint::Encoder& enc) const {

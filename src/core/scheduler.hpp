@@ -76,8 +76,9 @@ struct BatchResult {
 
 /// Graceful-degradation summary of a measurement campaign at one metro:
 /// what fill was achieved against the target, and what the infrastructure
-/// cost along the way.  Counters accumulate over the scheduler's lifetime;
-/// fill statistics describe the most recent fill_rows_to call.
+/// cost along the way.  Counters sum the scheduler's whole history; fill
+/// statistics and the VP states describe the end of the most recent
+/// fill_rows_to call.
 struct DegradationReport {
   int fill_target = 0;             // per-row target of the last campaign
   std::size_t rows = 0;
@@ -122,12 +123,12 @@ class MeasurementScheduler {
   const std::vector<bool>& given_up() const { return given_up_; }
 
   /// Degradation summary; see DegradationReport for accumulation semantics.
-  const DegradationReport& degradation() const { return degradation_; }
+  DegradationReport degradation() const;
 
   /// Checkpoint serialization of all mutable scheduler state: the RNG
   /// stream, the issued-measurement log, per-row fail/give-up state, the
-  /// exploration/greedy/random bookkeeping, the backoff queue and the
-  /// degradation counters.
+  /// exploration/greedy/random bookkeeping, the backoff queue and the last
+  /// campaign's fill statistics.
   /// load() throws CheckpointError when the per-row state does not match
   /// the metro's size.
   void save(util::checkpoint::Encoder& enc) const;
@@ -184,14 +185,8 @@ class MeasurementScheduler {
   std::uint64_t hopeless_rises_ = 0;
   std::uint64_t hopeless_rebuilds_ = 0;
 
-  // Lifetime counts behind DegradationReport's counter fields; finish_campaign
-  // copies them into degradation_.
-  std::uint64_t probes_launched_ = 0;
-  std::uint64_t probes_faulted_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t infra_failures_ = 0;
-  std::uint64_t requeues_ = 0;
-
+  // The last campaign's fill statistics and VP states; degradation() adds
+  // the counters from history_.
   DegradationReport degradation_;
   std::uint64_t sched_tick_ = 0;  // one per batch slot processed
   // Infra-failed entries waiting out their backoff:

@@ -26,7 +26,7 @@ std::size_t add_measured_links(bgp::AsGraph& g, const World& w,
                                const core::MetroContext& ctx) {
   std::size_t added = 0;
   for (const auto& [key, ev] : w.ms->evidence().sorted_pairs(ctx)) {
-    if (ev->direct.empty()) continue;
+    if (!core::has_direct(*ev)) continue;
     AsId a = mac::checked_cast<AsId>(key & 0xffffffffULL);
     AsId b = mac::checked_cast<AsId>(key >> 32);
     if (g.has_edge(a, b)) continue;

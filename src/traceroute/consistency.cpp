@@ -9,26 +9,19 @@ using topology::AsId;
 using topology::MetroId;
 
 void WellPositionedTracker::ingest(const TraceResult& trace) {
-  VpRecord& vp = vps_[trace.vp_id];
-  ++vp.issued;
+  auto& traversed = vps_[trace.vp_id];
   for (const Hop& h : trace.hops) {
     if (!h.responsive || h.observed_ingress < 0) continue;
-    vp.traversed.insert(key(h.as, h.observed_ingress));
+    traversed.insert(key(h.as, h.observed_ingress));
   }
   // The probe's own AS at its own metro counts as traversed.
-  if (!trace.hops.empty())
-    vp.traversed.insert(key(trace.src_as, trace.src_metro));
+  if (!trace.hops.empty()) traversed.insert(key(trace.src_as, trace.src_metro));
 }
 
 bool WellPositionedTracker::well_positioned(int vp_id, AsId i, MetroId m) const {
   auto it = vps_.find(vp_id);
-  if (it == vps_.end() || it->second.issued == 0) return true;  // never issued
-  return it->second.traversed.count(key(i, m)) != 0;
-}
-
-std::size_t WellPositionedTracker::issued_by(int vp_id) const {
-  auto it = vps_.find(vp_id);
-  return it == vps_.end() ? 0 : it->second.issued;
+  if (it == vps_.end()) return true;  // never issued
+  return it->second.count(key(i, m)) != 0;
 }
 
 template <class Self, class Ar>

@@ -25,21 +25,12 @@ class WellPositionedTracker {
   void ingest(const TraceResult& trace);
 
   bool well_positioned(int vp_id, topology::AsId i, topology::MetroId m) const;
-  std::size_t issued_by(int vp_id) const;
 
   /// Checkpoint serialization in sorted-key order (byte-stable across runs).
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
  private:
-  // Per VP: measurements issued and the (AS, metro) interfaces traversed.
-  struct VpRecord {
-    std::size_t issued = 0;
-    std::unordered_set<std::uint64_t> traversed;
-
-    template <class Self, class Ar>
-    static void io(Self& r, Ar& ar) { ar(r.issued, r.traversed); }
-  };
   template <class Self, class Ar>
   static void io(Self& s, Ar& ar);
 
@@ -47,7 +38,9 @@ class WellPositionedTracker {
     return (mac::checked_cast<std::uint64_t>(mac::checked_cast<std::uint32_t>(as)) << 16) |
            mac::checked_cast<std::uint16_t>(m);
   }
-  std::unordered_map<int, VpRecord> vps_;
+  // Per VP that issued a measurement: the (AS, metro) interfaces it
+  // traversed.  A VP without an entry never issued one.
+  std::unordered_map<int, std::unordered_set<std::uint64_t>> vps_;
 };
 
 }  // namespace metas::traceroute

@@ -76,7 +76,6 @@ TraceResult TracerouteEngine::trace(const VantagePoint& vp,
   if (faults_ != nullptr && faults_->enabled()) {
     ProbeStatus st = faults_->pre_probe(vp.id, vp.metro);
     if (st != ProbeStatus::kOk) {
-      ++faulted_;
       MAC_COUNT("traceroute.probes_faulted");
       if (st == ProbeStatus::kLost) {
         ++issued_;
@@ -169,7 +168,7 @@ TraceResult TracerouteEngine::trace(const VantagePoint& vp,
 
 template <class Self, class Ar>
 void TracerouteEngine::io(Self& s, Ar& ar) {
-  ar(s.issued_, s.faulted_);
+  ar(s.issued_);
 }
 
 void TracerouteEngine::save(util::checkpoint::Encoder& enc) const {

@@ -71,8 +71,6 @@ class TracerouteEngine {
   /// Probes blocked before launch (VP down / rate-limited) do not count;
   /// probes lost in flight do.
   std::size_t issued() const { return issued_; }
-  /// Probe attempts that hit an injected infrastructure fault.
-  std::size_t faulted() const { return faulted_; }
 
   /// Attaches a fault injector (not owned; may be null).  An inert injector
   /// (profile kNone) leaves trace() bit-identical to the detached engine.
@@ -82,7 +80,7 @@ class TracerouteEngine {
   bgp::RoutingEngine& routing() { return routing_; }
   const topology::Internet& internet() const { return *net_; }
 
-  /// Checkpoint serialization of the engine's mutable counters.  The graph
+  /// Checkpoint serialization of the engine's issued count.  The graph
   /// and routing caches are deterministic functions of the Internet and are
   /// rebuilt lazily, so they are not part of the snapshot.
   void save(util::checkpoint::Encoder& enc) const;
@@ -103,7 +101,6 @@ class TracerouteEngine {
   bgp::RoutingEngine routing_;
   FaultInjector* faults_ = nullptr;  // lint: allow(view-member) -- optional collaborator owned by the harness; installed/cleared by set_fault_injector
   std::size_t issued_ = 0;
-  std::size_t faulted_ = 0;
 };
 
 }  // namespace metas::traceroute

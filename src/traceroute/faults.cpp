@@ -142,7 +142,6 @@ void FaultInjector::advance_vp(VpState& s) {
     double survive = std::pow(1.0 - profile_.death, static_cast<double>(gap));
     if (s.rng.bernoulli(1.0 - survive)) {
       s.dead = true;
-      ++dead_;
       return;
     }
   }
@@ -209,9 +208,16 @@ bool FaultInjector::dead(int vp_id) const {
   return it != vps_.end() && it->second.dead;
 }
 
+std::size_t FaultInjector::dead_vps() const {
+  std::size_t n = 0;
+  for (const auto& [id, s] : vps_)  // lint: allow(unordered-iter) -- integer count over disjoint entries; order cannot leak
+    if (s.dead) ++n;
+  return n;
+}
+
 template <class Self, class Ar>
 void FaultInjector::io(Self& s, Ar& ar) {
-  ar(s.tick_, s.faults_, s.dead_, s.loss_rng_, s.vps_, s.metros_);
+  ar(s.tick_, s.faults_, s.loss_rng_, s.vps_, s.metros_);
 }
 
 void FaultInjector::save(util::checkpoint::Encoder& enc) const {

@@ -97,7 +97,7 @@ class FaultInjector {
   /// Attempts that hit any fault so far.
   std::size_t faults_injected() const { return faults_; }
   /// VPs that died permanently so far.
-  std::size_t dead_vps() const { return dead_; }
+  std::size_t dead_vps() const;
 
   /// Checkpoint serialization of the injector's mutable state (clock,
   /// per-entity chains, RNG stream positions).  The profile itself comes
@@ -143,7 +143,6 @@ class FaultInjector {
   bool enabled_ = false;
   std::uint64_t tick_ = 0;
   std::size_t faults_ = 0;
-  std::size_t dead_ = 0;
   std::unordered_map<int, VpState> vps_;
   std::unordered_map<int, MetroState> metros_;
   util::Rng loss_rng_;

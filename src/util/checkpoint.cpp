@@ -250,14 +250,15 @@ bool write_file(const std::string& path, std::string_view payload,
   // that fails leaves every generation where it was.
   const std::string tmp = path + ".tmp";
   if (!write_temp(tmp, envelope, opts.fsync)) return false;
-  // Rotate previous generations down (path.(k-2) -> path.(k-1), ...,
-  // path -> path.1), oldest first so nothing is lost mid-rotation.
-  // rename(2) failures on missing generations are expected.
-  for (int gen = opts.keep_last - 2; gen >= 0; --gen) {
-    const std::string from = generation_path(path, gen);
-    const std::string to = generation_path(path, gen + 1);
-    ::rename(from.c_str(), to.c_str());
-  }
+  // Rotate the generations up to the first missing one (or the oldest
+  // kept) down by one, oldest first so nothing is lost mid-rotation.
+  int top = 0;
+  while (top < opts.keep_last - 1 &&
+         ::access(generation_path(path, top).c_str(), F_OK) == 0)
+    ++top;
+  for (int gen = top; gen > 0; --gen)
+    ::rename(generation_path(path, gen - 1).c_str(),
+             generation_path(path, gen).c_str());
   return publish(tmp, path, opts.fsync);
 }
 

@@ -45,7 +45,7 @@ class Rng;
 namespace metas::util::checkpoint {
 
 /// Envelope format version; bump on any incompatible payload change.
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Envelope checksum: FNV-1a 64-bit over little-endian 8-byte words (the
 /// zero-padded tail word and the byte length are mixed in last).  Word
@@ -261,9 +261,10 @@ struct WriteOptions {
 
 /// Atomically writes `payload` wrapped in the versioned, checksummed
 /// envelope to `path`: the temp file is written (and fsynced) first, then
-/// previous generations rotate down by one and the temp file is renamed
-/// over `path`.  Returns false (leaving every previous generation
-/// untouched) when the temp file cannot be written.
+/// the generations from `path` up to the first missing one rotate down by
+/// one (the oldest kept one is dropped) and the temp file is renamed over
+/// `path`.  Returns false (leaving every previous generation untouched)
+/// when the temp file cannot be written.
 bool write_file(const std::string& path, std::string_view payload,
                 const WriteOptions& opts = {});
 

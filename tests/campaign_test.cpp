@@ -8,6 +8,7 @@
 // (checkpoint_shapes.hpp), each resume or are refused with CampaignError,
 // never abort.  Drills that need a real process death stay fork+exec in
 // crash_recovery_test.cpp.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,13 +37,13 @@ using testing::PlaneShape;
 using testing::PriorsShape;
 using testing::u64;
 
-// The campaign's own fields of a format-2 payload.
+// The campaign's own fields of a format-3 payload.
 using FingerprintShape =
     std::tuple<u64, std::string, bool, std::string, bool, double, double,
                double, double, double, double, double, double, u64>;
 using SummaryShape = std::tuple<std::string, u64, int, u64, double, u64,
                                 double, u64, u64, u64, u64, u64>;
-using EngineShape = std::pair<u64, u64>;  // probes issued, probes faulted
+using EngineShape = u64;  // probes issued
 // A payload without faults that has a phase blob.
 using PayloadShape =
     std::tuple<FingerprintShape, std::vector<SummaryShape>, PriorsShape, u64,
@@ -184,21 +186,29 @@ class CampaignCheckpointTest : public ::testing::Test {
     return at;
   }
 
-  /// `payload` with `patch` applied to its phase blob's rank search.
+  /// `payload` with `patch` applied to its fields and its phase blob's.
   template <class Patch>
-  static std::string patch_rank_search(const std::string& payload,
-                                       Patch patch) {
+  static std::string patch_payload(const std::string& payload, Patch patch) {
     auto shape = testing::decode_shape<PayloadShape>(payload);
     EXPECT_FALSE(std::get<6>(shape)) << "fault injector present";
     EXPECT_TRUE(std::get<7>(shape)) << "no phase blob";
     auto phase = testing::decode_shape<testing::PhaseShape>(std::get<8>(shape));
-    patch(std::get<0>(phase));
+    patch(shape, phase);
     ck::Encoder blob;
     blob(phase);
     std::get<8>(shape) = blob.take();
     ck::Encoder enc;
     enc(shape);
     return enc.take();
+  }
+
+  /// `payload` with `patch` applied to its phase blob's rank search.
+  template <class Patch>
+  static std::string patch_rank_search(const std::string& payload,
+                                       Patch patch) {
+    return patch_payload(payload, [&](PayloadShape&, testing::PhaseShape& ph) {
+      patch(std::get<0>(ph));
+    });
   }
 
   fs::path dir_;
@@ -426,6 +436,86 @@ TEST_F(CampaignCheckpointTest, ImpossibleRankSearchIsRefused) {
     SCOPED_TRACE(cases[k].what);
     expect_corrupt("rank" + std::to_string(k),
                    patch_rank_search(payload, cases[k].patch));
+  }
+}
+
+// A run's counts only grow from their priors, and its penalties only
+// shrink from 1: vp_score weighs candidate VPs by their statistics, a
+// strike count sizes a backoff shift, the pooled priors and P_m's Beta
+// counts set every strategy's success probability, and the degradation
+// report and traceroute count sum the scheduler's history.  A count or
+// factor no run reaches must be refused before any metro runs on it.
+TEST_F(CampaignCheckpointTest, ImpossibleCountsAreRefused) {
+  const std::string payload = payload_in_metro("counts", 2);
+  ASSERT_EQ(patch_payload(payload, [](auto&, auto&) {}), payload);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    std::function<void(PayloadShape&, testing::PhaseShape&)> patch;
+  };
+  // The smallest-keyed VP statistics entry: (attempts, confirmed).
+  auto vp_stats = [](PayloadShape& s) -> std::pair<int, int>& {
+    auto& stats = std::get<4>(std::get<4>(s));
+    EXPECT_FALSE(stats.empty());
+    return std::min_element(stats.begin(), stats.end(),
+                            [](const auto& x, const auto& y) {
+                              return x.first < y.first;
+                            })
+        ->second;
+  };
+  auto priors = [](PayloadShape& s) -> PriorsShape& { return std::get<2>(s); };
+  auto pm = [](testing::PhaseShape& ph) -> auto& { return std::get<2>(ph); };
+  // The scheduler's first issued record.
+  auto first_record = [](testing::PhaseShape& ph) -> auto& {
+    auto& history = std::get<1>(std::get<1>(ph));
+    EXPECT_FALSE(history.empty());
+    return history.front();
+  };
+  // The smallest-keyed link penalty's factor.
+  auto penalty = [](testing::PhaseShape& ph) -> double& {
+    auto& penalties = std::get<2>(std::get<2>(ph));
+    EXPECT_FALSE(penalties.empty());
+    return penalties.front().second;
+  };
+  const std::vector<Case> cases = {
+      {"VP attempts -2", [&](auto& s, auto&) { vp_stats(s).first = -2; }},
+      {"VP confirmed -1", [&](auto& s, auto&) { vp_stats(s).second = -1; }},
+      {"VP confirmed past attempts",
+       [&](auto& s, auto&) { vp_stats(s).second = vp_stats(s).first + 1; }},
+      {"VP health strikes -1",
+       [](auto& s, auto&) { std::get<5>(std::get<4>(s))[0] = {-1, 0}; }},
+      {"priors alpha +inf",
+       [&](auto& s, auto&) { std::get<0>(priors(s))[0] = inf; }},
+      {"priors beta NaN",
+       [&](auto& s, auto&) { std::get<1>(priors(s))[3] = nan; }},
+      {"priors alpha -1",
+       [&](auto& s, auto&) { std::get<0>(priors(s))[5] = -1.0; }},
+      {"priors metros observed -1",
+       [&](auto& s, auto&) { std::get<2>(priors(s)) = -1; }},
+      {"P_m alpha NaN",
+       [&](auto&, auto& ph) { std::get<0>(pm(ph))[0] = nan; }},
+      {"P_m beta +inf",
+       [&](auto&, auto& ph) { std::get<1>(pm(ph))[2] = inf; }},
+      {"P_m alpha -1",
+       [&](auto&, auto& ph) { std::get<0>(pm(ph))[4] = -1.0; }},
+      {"P_m alpha + beta 0",
+       [&](auto&, auto& ph) {
+         std::get<0>(pm(ph))[1] = 0.0;
+         std::get<1>(pm(ph))[1] = 0.0;
+       }},
+      {"history spent -1",
+       [&](auto&, auto& ph) { std::get<12>(first_record(ph)) = -1; }},
+      {"history faulted -1",
+       [&](auto&, auto& ph) { std::get<11>(first_record(ph)) = -1; }},
+      {"penalty NaN", [&](auto&, auto& ph) { penalty(ph) = nan; }},
+      {"penalty 1.5", [&](auto&, auto& ph) { penalty(ph) = 1.5; }},
+      {"penalty -0.1", [&](auto&, auto& ph) { penalty(ph) = -0.1; }},
+  };
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE(cases[k].what);
+    expect_corrupt("counts" + std::to_string(k),
+                   patch_payload(payload, cases[k].patch));
   }
 }
 

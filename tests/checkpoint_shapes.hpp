@@ -1,4 +1,4 @@
-// The format-2 checkpoint payload's library types, spelled as container
+// The format-3 checkpoint payload's library types, spelled as container
 // shapes apart from the library's own field lists.  A real payload must
 // decode into these shapes exactly, so tests read and patch its fields
 // through them instead of at byte offsets.
@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -26,24 +25,26 @@ using u64 = std::uint64_t;
 using PriorsShape =
     std::tuple<std::array<double, traceroute::kNumStrategies>,
                std::array<double, traceroute::kNumStrategies>, int>;
-// One evidence record per AS pair: direct, transit and crossing metros.
-using MetroSets = std::tuple<std::set<int>, std::set<int>, std::set<int>>;
+// One record per metro an AS pair was seen at: the metro, then its
+// direct, crossing and well-positioned-crossing flags.
+using MetroRecord = std::tuple<int, bool, bool, bool>;
 using PlaneShape = std::tuple<
-    std::unordered_map<u64, MetroSets>,                                // evidence
-    std::unordered_map<int, std::pair<u64, std::unordered_set<u64>>>,  // well-positioned
-    std::string, u64,                                                  // RNG, health clock
-    std::unordered_map<u64, std::pair<int, int>>,                      // VP statistics
-    std::unordered_map<int, std::pair<int, u64>>>;                     // VP health
+    std::unordered_map<u64, std::vector<MetroRecord>>,  // evidence
+    std::unordered_map<int, std::unordered_set<u64>>,   // well-positioned
+    std::string, u64,                                   // RNG, health clock
+    std::unordered_map<u64, std::pair<int, int>>,       // VP statistics
+    std::unordered_map<int, std::pair<int, u64>>>;      // VP health
 using FaultShape = std::tuple<
-    u64, u64, u64, std::string,
+    u64, u64, std::string,
     std::unordered_map<int, std::tuple<std::string, u64, bool, bool, double>>,  // VPs
     std::unordered_map<int, std::tuple<std::string, u64, bool>>>;              // metros
 using PhaseShape = std::tuple<
     // Rank search.
     std::tuple<int, double, int, bool, std::string, int, double,
-               std::vector<std::pair<int, double>>, u64, bool>,
+               std::vector<std::pair<int, double>>>,
     // Scheduler: elements 4 and 7 are the explored and attempted entry
-    // keys, each an ascending list; element 9 is the requeue queue.
+    // keys, each an ascending list; element 9 is the requeue queue and
+    // element 10 the last campaign's fill statistics and VP states.
     std::tuple<std::string,
                std::vector<std::tuple<int, int, double, bool, bool, bool, bool,
                                       bool, bool, int, int, int, int>>,
@@ -51,16 +52,11 @@ using PhaseShape = std::tuple<
                std::vector<std::pair<double, u64>>, u64,
                std::vector<u64>, u64,
                std::unordered_map<u64, std::pair<u64, int>>,
-               std::array<u64, 5>,
-               std::tuple<int, u64, u64, u64, double, u64, u64, u64, u64, u64,
-                          u64, u64>>,
-    // Probability matrix: element 6 is the link penalties, an ascending
-    // (key, factor) list.
-    std::tuple<u64, std::vector<std::array<int, traceroute::kVpCategories>>,
-               std::vector<std::array<int, traceroute::kTargetCategories>>,
+               std::tuple<int, u64, u64, u64, double, u64, u64>>,
+    // Probability matrix: alpha, beta, then the link penalties, an
+    // ascending (key, factor) list.
+    std::tuple<std::array<double, traceroute::kNumStrategies>,
                std::array<double, traceroute::kNumStrategies>,
-               std::array<double, traceroute::kNumStrategies>,
-               std::array<bool, traceroute::kNumStrategies>,
                std::vector<std::pair<u64, double>>>>;
 
 template <class Shape>

@@ -6,10 +6,11 @@
 // phase blob from one metro is refused by another.
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,9 +86,9 @@ Capture::Capture() {
     const auto p = decode_shape<PlaneShape>(ms_bytes);
     const auto f = decode_shape<FaultShape>(fault_bytes);
     const auto ph = decode_shape<PhaseShape>(blob);
-    if (std::get<5>(p).empty() || std::get<4>(f).empty() ||
-        std::get<5>(f).empty() || std::get<9>(std::get<1>(ph)).empty() ||
-        std::get<6>(std::get<2>(ph)).empty())
+    if (std::get<5>(p).empty() || std::get<3>(f).empty() ||
+        std::get<4>(f).empty() || std::get<9>(std::get<1>(ph)).empty() ||
+        std::get<2>(std::get<2>(ph)).empty())
       return;
     plane = ms_bytes;
     engine = encode(*w.engine);
@@ -149,11 +150,11 @@ TEST(CheckpointStateTest, EveryTypeRoundTripsMidRunStateByteIdentically) {
   EXPECT_FALSE(std::get<5>(decode_shape<PlaneShape>(c.plane)).empty())
       << "VP health map";
   const auto f = decode_shape<FaultShape>(c.faults);
-  EXPECT_FALSE(std::get<4>(f).empty()) << "fault injector VP chains";
-  EXPECT_FALSE(std::get<5>(f).empty()) << "fault injector metro chains";
+  EXPECT_FALSE(std::get<3>(f).empty()) << "fault injector VP chains";
+  EXPECT_FALSE(std::get<4>(f).empty()) << "fault injector metro chains";
   const auto ph = decode_shape<PhaseShape>(c.phase);
   EXPECT_FALSE(std::get<9>(std::get<1>(ph)).empty()) << "requeue queue";
-  EXPECT_FALSE(std::get<6>(std::get<2>(ph)).empty()) << "link penalties";
+  EXPECT_FALSE(std::get<2>(std::get<2>(ph)).empty()) << "link penalties";
   EXPECT_GT(std::get<2>(decode_shape<PriorsShape>(c.priors_bytes)), 0)
       << "metros pooled into the priors";
 
@@ -240,8 +241,8 @@ TEST(CheckpointStateTest, PenaltyOutsideTheMetroIsRejected) {
   const Capture& c = capture();
   ASSERT_FALSE(c.phase.empty());
   auto ph = decode_shape<PhaseShape>(c.phase);
-  const u64 n = std::get<0>(std::get<2>(ph));
-  auto& penalties = std::get<6>(std::get<2>(ph));
+  const u64 n = core::MetroContext(c.world.net, c.metro).size();
+  auto& penalties = std::get<2>(std::get<2>(ph));
   ASSERT_FALSE(penalties.empty());
   const auto first = std::min_element(
       penalties.begin(), penalties.end(),
@@ -267,7 +268,7 @@ TEST(CheckpointStateTest, SchedulerEntryOutsideTheMetroIsRejected) {
   const Capture& c = capture();
   ASSERT_FALSE(c.phase.empty());
   const auto clean = decode_shape<PhaseShape>(c.phase);
-  const u64 n = std::get<0>(std::get<2>(clean));
+  const u64 n = core::MetroContext(c.world.net, c.metro).size();
   auto load_scheduler = [&](const PhaseShape& ph) {
     ck::Encoder enc;
     enc(ph);
@@ -373,10 +374,10 @@ TEST(CheckpointStateTest, RepeatedKeyLoadsAsOneEntry) {
   std::get<7>(std::get<1>(once)).assign(attempted.begin(), attempted.end());
   std::get<7>(std::get<1>(twice)) = std::get<7>(std::get<1>(once));
   std::get<7>(std::get<1>(twice)).push_back(1);
-  auto& penalties = std::get<6>(std::get<2>(once));
+  auto& penalties = std::get<2>(std::get<2>(once));
   ASSERT_FALSE(penalties.empty());
   penalties.front().second *= 0.5;
-  std::get<6>(std::get<2>(twice)).push_back(penalties.front());
+  std::get<2>(std::get<2>(twice)).push_back(penalties.front());
 
   EXPECT_EQ(resaved(twice), encoded(once));
   EXPECT_EQ(resaved(clean), c.phase);
@@ -384,31 +385,25 @@ TEST(CheckpointStateTest, RepeatedKeyLoadsAsOneEntry) {
 
 // Evidence records name metros by id, and the next E_m rebuild or
 // consistent-set pass hands those ids to Internet::metro_scope, an
-// unchecked metros[] index.  A decoded id outside the world, in any of a
-// record's three sets, must be refused on load.
+// unchecked metros[] index.  A decoded id outside the world must be
+// refused on load, and so must a pair's records out of metro order or
+// naming one metro twice: ascending, distinct metros keep one record per
+// (pair, metro).
 TEST(CheckpointStateTest, MetroIdOutsideTheWorldIsRejected) {
   const Capture& c = capture();
-  const char* const kSets[] = {"direct", "transit", "crossings"};
-  auto set_of = [](testing::MetroSets& sets, int k) -> std::set<int>& {
-    return k == 0 ? std::get<0>(sets) : k == 1 ? std::get<1>(sets)
-                                               : std::get<2>(sets);
-  };
-  // Swaps the largest id of set k in the smallest-keyed pair whose set k
-  // is non-empty for `bad`.
-  auto patched = [&](int k, int bad) {
+  // Applies `patch` to the records of the smallest-keyed pair with at
+  // least two of them.
+  auto patched = [&](auto patch) {
     auto plane = decode_shape<PlaneShape>(c.plane);
-    std::set<int>* ids = nullptr;
+    std::vector<testing::MetroRecord>* records = nullptr;
     u64 first = ~u64{0};
-    for (auto& [key, sets] : std::get<0>(plane)) {
-      if (set_of(sets, k).empty() || key > first) continue;
+    for (auto& [key, list] : std::get<0>(plane)) {
+      if (list.size() < 2 || key > first) continue;
       first = key;
-      ids = &set_of(sets, k);
+      records = &list;
     }
-    EXPECT_NE(ids, nullptr) << "no pair has " << kSets[k] << " metros";
-    if (ids != nullptr) {
-      ids->erase(std::prev(ids->end()));
-      ids->insert(bad);
-    }
+    EXPECT_NE(records, nullptr) << "no pair has two metro records";
+    if (records != nullptr) patch(*records);
     return plane;
   };
   auto load_plane = [&](const PlaneShape& plane) {
@@ -420,10 +415,22 @@ TEST(CheckpointStateTest, MetroIdOutsideTheWorldIsRejected) {
   };
   for (int bad : {static_cast<int>(c.world.net.metros.size()), -1}) {
     SCOPED_TRACE(bad);
-    for (int k = 0; k < 3; ++k)
-      EXPECT_THROW(load_plane(patched(k, bad)), ck::CheckpointError)
-          << kSets[k];
+    EXPECT_THROW(load_plane(patched([bad](auto& records) {
+                   std::get<0>(bad < 0 ? records.front() : records.back()) =
+                       bad;
+                 })),
+                 ck::CheckpointError);
   }
+  EXPECT_THROW(load_plane(patched([](auto& records) {
+                 std::swap(records.front(), records.back());
+               })),
+               ck::CheckpointError)
+      << "records out of metro order";
+  EXPECT_THROW(load_plane(patched([](auto& records) {
+                 std::get<0>(records[1]) = std::get<0>(records[0]);
+               })),
+               ck::CheckpointError)
+      << "one metro recorded twice";
   EXPECT_NO_THROW(load_plane(decode_shape<PlaneShape>(c.plane)));
 }
 

@@ -149,6 +149,26 @@ TEST_F(CheckpointTest, RotationKeepsLastK) {
   EXPECT_FALSE(fs::exists(p + ".3"));
 }
 
+// Rotation moves the generations from `path` up to the first missing one,
+// so a write costs only the generations on disk, however large keep_last
+// is; a stale generation past a gap stays where it is.
+TEST_F(CheckpointTest, RotationStopsAtTheFirstMissingGeneration) {
+  const std::string p = path("snap");
+  ck::WriteOptions wo;
+  wo.keep_last = 10;
+  wo.fsync = false;
+  ASSERT_TRUE(ck::write_file(p, "old", wo));
+  ASSERT_TRUE(ck::write_file(p, "new", wo));
+  ASSERT_TRUE(ck::write_file(p + ".5", "stale", wo));
+  ASSERT_TRUE(ck::write_file(p, "newest", wo));
+  EXPECT_EQ(ck::load_file(p, nullptr, 1), "newest");
+  EXPECT_EQ(ck::load_file(p + ".1", nullptr, 1), "new");
+  EXPECT_EQ(ck::load_file(p + ".2", nullptr, 1), "old");
+  EXPECT_EQ(ck::load_file(p + ".5", nullptr, 1), "stale");
+  EXPECT_FALSE(fs::exists(p + ".3"));
+  EXPECT_FALSE(fs::exists(p + ".6"));
+}
+
 // The new generation is written before any old one rotates, so a write
 // that fails -- here the temp file's name is taken by a directory -- leaves
 // every generation where it was, and repeated failures never push the

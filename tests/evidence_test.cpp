@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <set>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -160,7 +159,12 @@ TEST_F(EvidenceTest, UnvettedCrossingCountsForConsistencyOnly) {
   obs.transits.push_back({b, c, 99, 0, 0});
   ev.ingest(trace_stub(), obs, wp);
 
-  EXPECT_EQ(ev.find(a, b)->crossings, std::set<MetroId>{0});
+  const PairEvidence& ab = *ev.find(a, b);
+  ASSERT_EQ(ab.size(), 1u);
+  EXPECT_EQ(ab[0].metro, 0);
+  EXPECT_TRUE(ab[0].direct);
+  EXPECT_TRUE(ab[0].crossing);
+  EXPECT_FALSE(ab[0].transit);
   EXPECT_FALSE(ev.transit_at(a, b, 0));
   EXPECT_FALSE(ev.transit_at(b, c, 0));
   EXPECT_TRUE(ev.pair_inconsistent(*net_, a, b, topology::GeoScope::kSameMetro));
@@ -251,14 +255,15 @@ TEST_F(EvidenceTest, PairsNamingAsesOutsideTheWorldStayNonLocal) {
   const auto a = static_cast<std::uint64_t>(ctx.as_at(0));
   const auto b = static_cast<std::uint64_t>(ctx.as_at(1));
   const auto n = static_cast<std::uint64_t>(net_->num_ases());
-  using MetroSets = std::tuple<std::set<int>, std::set<int>, std::set<int>>;
+  // Per pair, its metro records: (metro, direct, crossing, transit).
+  using Records = std::vector<std::tuple<int, bool, bool, bool>>;
   // Every pair is mixed at metro 0; only (a, b) lies inside the world.
-  const std::unordered_map<std::uint64_t, MetroSets> pairs{
-      {(b << 32) | a, {{0}, {}, {}}},
-      {(n << 32) | a, {{0}, {0}, {0}}},
-      {(0xffffffffULL << 32) | a, {{0}, {0}, {0}}},
-      {(b << 32) | 0xfffffff0ULL, {{0}, {0}, {0}}},
-      {(a << 32) | 0x80000000ULL, {{0}, {0}, {0}}},
+  const std::unordered_map<std::uint64_t, Records> pairs{
+      {(b << 32) | a, {{0, true, false, false}}},
+      {(n << 32) | a, {{0, true, true, true}}},
+      {(0xffffffffULL << 32) | a, {{0, true, true, true}}},
+      {(b << 32) | 0xfffffff0ULL, {{0, true, true, true}}},
+      {(a << 32) | 0x80000000ULL, {{0, true, true, true}}},
   };
   util::checkpoint::Encoder enc;
   enc(pairs);
@@ -368,18 +373,17 @@ ReferenceEm reference_em(const MetroContext& ctx, const MeasurementSystem& ms) {
     const PairEvidence& ev = ms.evidence().all().at(key);
     bool has = false;
     double v = 0.0;
-    if (!ev.direct.empty()) {
-      double best = 0.0;
-      for (MetroId dm : ev.direct)
-        best = std::max(best, positive_rating(ctx.net().metro_scope(ctx.metro(), dm)));
-      v = best;
+    for (const MetroEvidence& r : ev) {
+      if (!r.direct) continue;
+      v = std::max(v, positive_rating(ctx.net().metro_scope(ctx.metro(), r.metro)));
       has = true;
     }
     for (int g = 0; g < topology::kNumGeoScopes; ++g) {
       const auto scope = static_cast<topology::GeoScope>(g);
       bool seen = false;
-      for (MetroId tm : ev.transit)
-        seen = seen || ctx.net().metro_scope(ctx.metro(), tm) == scope;
+      for (const MetroEvidence& r : ev)
+        seen = seen || (r.transit &&
+                        ctx.net().metro_scope(ctx.metro(), r.metro) == scope);
       if (!seen || !consistent[g][static_cast<std::size_t>(ia)] ||
           !consistent[g][static_cast<std::size_t>(ib)])
         continue;

@@ -69,7 +69,7 @@ TEST(FaultInjectorTest, EngineWithNoneInjectorBitIdentical) {
     }
   }
   EXPECT_EQ(plain.issued(), faulty.issued());
-  EXPECT_EQ(faulty.faulted(), 0u);
+  EXPECT_EQ(inert.faults_injected(), 0u);
 }
 
 TEST(FaultInjectorTest, SameSeedSameFaults) {

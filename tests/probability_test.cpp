@@ -10,7 +10,6 @@
 #include <map>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -280,37 +279,39 @@ TEST(ProbabilityReferenceTest, ChooseMatchesReferenceFormulaBitForBit) {
 }
 
 // The candidate-pool factor is memoized per pool size; every size up to
-// past the point where it saturates must reproduce the formula.  Each AS
-// gets one VP and a distinct target count in a single category, so entry
-// (i, j) scores the pool of whichever of the two has more targets.
+// past the point where it saturates must reproduce the formula.  A
+// measurement plane with one VP gives every AS one VP in one category, and
+// the k-th stub of the metro (an AS whose cone is itself) base + k targets
+// in one category, so entry (stub k, stub k') with k > k' scores the pool
+// base + k.
 TEST(ProbabilityReferenceTest, EveryPoolSizeMatchesTheFormula) {
+  eval::World& w = testing::shared_world();
   const MetroContext ctx = testing::shared_focus_context();
-  const MeasurementSystem& ms = *testing::shared_world().ms;
-  const std::size_t n = ctx.size();
-  std::array<double, traceroute::kNumStrategies> alpha{}, beta{};
-  alpha.fill(kPriorAlpha);
-  beta.fill(kPriorBeta);
-  std::array<bool, traceroute::kNumStrategies> allowed{};
-  allowed.fill(true);
-  for (std::size_t base = 0; base <= 1100; base += n) {
-    std::vector<std::array<int, traceroute::kVpCategories>> vp(n);
-    std::vector<std::array<int, traceroute::kTargetCategories>> tgt(n);
-    ReferencePm::Counts ref_vp, ref_tgt;
-    for (std::size_t i = 0; i < n; ++i) {
-      vp[i][0] = 1;
-      tgt[i][0] = static_cast<int>(base + i);
-      ref_vp.emplace_back(vp[i].begin(), vp[i].end());
-      ref_tgt.emplace_back(tgt[i].begin(), tgt[i].end());
+  std::vector<AsId> stubs;
+  for (std::size_t i = 0; i < ctx.size(); ++i)
+    if (w.net.cones[static_cast<std::size_t>(ctx.as_at(i))].size() == 1)
+      stubs.push_back(ctx.as_at(i));
+  ASSERT_GE(stubs.size(), 2u);
+  traceroute::VantagePoint vp;
+  vp.id = 0;
+  vp.as = ctx.as_at(0);
+  vp.metro = ctx.metro();
+  for (std::size_t base = 0; base <= 1100; base += stubs.size()) {
+    std::vector<traceroute::ProbeTarget> targets;
+    for (std::size_t k = 0; k < stubs.size(); ++k) {
+      for (std::size_t t = 0; t < base + k; ++t) {
+        traceroute::ProbeTarget tgt;
+        tgt.id = static_cast<int>(targets.size());
+        tgt.as = stubs[k];
+        tgt.metro = ctx.metro();
+        targets.push_back(tgt);
+      }
     }
-    util::checkpoint::Encoder enc;
-    enc(n, vp, tgt, alpha, beta, allowed,
-        std::unordered_map<std::uint64_t, double>{});
+    const MeasurementSystem ms(w.net, *w.engine, {vp}, std::move(targets), 0);
     ProbabilityMatrix pm(ctx, ms, nullptr);
-    util::checkpoint::Decoder dec(enc.data());
-    pm.load(dec);
     SCOPED_TRACE("target counts from " + std::to_string(base));
-    expect_matches_reference(pm, ReferencePm(ref_vp, ref_tgt),
-                             static_cast<int>(n));
+    expect_matches_reference(pm, ReferencePm(ctx, ms),
+                             static_cast<int>(ctx.size()));
   }
 }
 

@@ -331,8 +331,22 @@ class ReferenceScheduler {
   }
 
   std::vector<IssuedRecord> history;
-  DegradationReport degradation;
   const std::vector<bool>& given_up() const { return given_up_; }
+
+  /// The last campaign's fill statistics and VP states, with the counters
+  /// summed over the whole history; every infrastructure failure is
+  /// requeued while resilience is on.
+  DegradationReport degradation() const {
+    DegradationReport d = last_campaign_;
+    for (const IssuedRecord& r : history) {
+      d.probes_launched += static_cast<std::size_t>(r.launched);
+      d.probes_faulted += static_cast<std::size_t>(r.faulted);
+      d.retries += static_cast<std::size_t>(std::max(r.attempts - 1, 0));
+      d.infra_failures += r.infra_failure ? 1 : 0;
+    }
+    d.requeues = ms_.resilience() ? d.infra_failures : 0;
+    return d;
+  }
 
  private:
   struct Pick {
@@ -476,11 +490,6 @@ class ReferenceScheduler {
     history.push_back(rec);
 
     const bool requeue = out.infra_failure && ms_.resilience();
-    probes_launched_ += static_cast<std::size_t>(out.launched);
-    probes_faulted_ += static_cast<std::size_t>(out.faulted);
-    retries_ += static_cast<std::size_t>(std::max(out.attempts - 1, 0));
-    infra_failures_ += out.infra_failure ? 1 : 0;
-    requeues_ += requeue ? 1 : 0;
     if (requeue) {
       auto& [retry_at, fails] = requeued_[key(pick.i, pick.j)];
       const int doublings = std::min(fails, 7);
@@ -506,7 +515,7 @@ class ReferenceScheduler {
   void finish_campaign(int target) {
     const std::size_t n = ctx_.size();
     const EstimatedMatrix& e = ms_.matrix(ctx_);
-    DegradationReport& d = degradation;
+    DegradationReport& d = last_campaign_;
     d.fill_target = target;
     d.rows = n;
     d.rows_at_target = 0;
@@ -520,11 +529,6 @@ class ReferenceScheduler {
       if (given_up_[i]) ++d.rows_given_up;
     }
     d.fill_fraction = n == 0 ? 0.0 : fill / static_cast<double>(n);
-    d.probes_launched = probes_launched_;
-    d.probes_faulted = probes_faulted_;
-    d.retries = retries_;
-    d.infra_failures = infra_failures_;
-    d.requeues = requeues_;
     d.quarantined_vps = ms_.quarantined_vps();
     d.dead_vps = ms_.dead_vps();
   }
@@ -542,8 +546,7 @@ class ReferenceScheduler {
   std::size_t greedy_cursor_ = 0;
   std::uint64_t tick_ = 0;
   std::map<std::uint64_t, std::pair<std::uint64_t, int>> requeued_;
-  std::size_t probes_launched_ = 0, probes_faulted_ = 0, retries_ = 0,
-              infra_failures_ = 0, requeues_ = 0;
+  DegradationReport last_campaign_;
 };
 
 std::string record_bytes(const IssuedRecord& r) {
@@ -573,7 +576,7 @@ void expect_same(const MeasurementScheduler& got,
   }
   EXPECT_EQ(got.given_up(), want.given_up());
   EXPECT_TRUE(report_fields(got.degradation()) ==
-              report_fields(want.degradation))
+              report_fields(want.degradation()))
       << "degradation report";
 }
 
@@ -709,16 +712,20 @@ TEST(SchedulerReferenceTest, EveryOtherPolicyMatches) {
 /// Loads into both P_m copies a penalty of `factor` on every available
 /// strategy of every entry `e` leaves unfilled, in both orientations.
 void penalize_unfilled(ProbabilityMatrix& pm, ProbabilityMatrix& rpm,
+                       const MetroContext& ctx, const MeasurementSystem& ms,
                        const EstimatedMatrix& e, double factor) {
   using PmShape = std::tuple_element_t<2, testing::PhaseShape>;
   util::checkpoint::Encoder enc;
   pm.save(enc);
   auto shape = testing::decode_shape<PmShape>(enc.data());
-  const auto& vp = std::get<1>(shape);
-  const auto& tgt = std::get<2>(shape);
-  std::map<std::uint64_t, double> penalties(std::get<6>(shape).begin(),
-                                            std::get<6>(shape).end());
+  std::map<std::uint64_t, double> penalties(std::get<2>(shape).begin(),
+                                            std::get<2>(shape).end());
   const std::size_t n = e.size();
+  std::vector<std::vector<int>> vp(n), tgt(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    vp[i] = ms.vp_category_counts(ctx.as_at(i), ctx.metro());
+    tgt[i] = ms.target_category_counts(ctx.as_at(i), ctx.metro());
+  }
   for (std::size_t near = 0; near < n; ++near) {
     for (std::size_t far = 0; far < n; ++far) {
       if (near == far || e.filled(near, far)) continue;
@@ -731,7 +738,7 @@ void penalize_unfilled(ProbabilityMatrix& pm, ProbabilityMatrix& rpm,
                           traceroute::strategy_index(v, t))] = factor;
     }
   }
-  std::get<6>(shape).assign(penalties.begin(), penalties.end());
+  std::get<2>(shape).assign(penalties.begin(), penalties.end());
   util::checkpoint::Encoder crafted;
   crafted(shape);
   for (ProbabilityMatrix* p : {&pm, &rpm}) {
@@ -760,7 +767,8 @@ TEST(SchedulerReferenceTest, HopelessRowsReopen) {
     const MetroContext rctx(tw.ref.net, tw.ref.focus_metros.at(m));
     ProbabilityMatrix pm(ctx, *tw.real.ms, nullptr);
     ProbabilityMatrix rpm(rctx, *tw.ref.ms, nullptr);
-    penalize_unfilled(pm, rpm, tw.real.ms->matrix(ctx), 0.5);
+    penalize_unfilled(pm, rpm, ctx, *tw.real.ms, tw.real.ms->matrix(ctx),
+                      0.5);
     MeasurementScheduler sched(ctx, *tw.real.ms, pm, cfg);
     ReferenceScheduler ref(rctx, *tw.ref.ms, rpm, cfg);
     const int all = static_cast<int>(ctx.size());
