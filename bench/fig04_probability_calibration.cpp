@@ -30,8 +30,8 @@ int main() {
   std::vector<double> informative, uninformative, existing, nonexisting;
   for (const auto& run : runs) {
     for (const auto& rec : run.result.measurement_log) {
-      if (!rec.ran) continue;
-      if (rec.informative) informative.push_back(rec.estimated_prob);
+      if (!rec.ran()) continue;
+      if (rec.informative()) informative.push_back(rec.estimated_prob);
       else uninformative.push_back(rec.estimated_prob);
       if (rec.found_existence) existing.push_back(rec.estimated_prob);
       if (rec.found_nonexistence) nonexisting.push_back(rec.estimated_prob);
@@ -73,10 +73,10 @@ int main() {
     std::map<int, std::pair<std::size_t, std::size_t>> buckets;  // hits,total
     for (const auto& run : runs) {
       for (const auto& rec : run.result.measurement_log) {
-        if (!rec.ran) continue;
+        if (!rec.ran()) continue;
         int b = std::min(9, static_cast<int>(rec.estimated_prob * 10.0));
         auto& bb = buckets[b];
-        if (rec.informative) ++bb.first;
+        if (rec.informative()) ++bb.first;
         ++bb.second;
       }
     }

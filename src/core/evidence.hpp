@@ -14,8 +14,12 @@
 // never mix direct interconnections and transit crossings within that
 // granularity.  ASes participating in inconsistent pairs are eliminated
 // iteratively (highest inconsistency count first) until the remaining
-// submatrix is consistent -- only those ASes support non-existence inference
-// and geographic transferability.
+// submatrix is consistent.  Only those ASes support non-existence
+// inference: a crossing fills a negative at the finest scope where both
+// ASes route consistently.  Positive evidence transfers whatever the
+// consistent sets say: a direct observation anywhere fills its pair with
+// its closest scope's rating (+1 at the metro, +0.7 in the country, +0.4
+// on the continent, +0.1 elsewhere).
 #pragma once
 
 #include <algorithm>

@@ -1,7 +1,10 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/checkpoint.hpp"
 #include "util/curves.hpp"
@@ -51,42 +54,31 @@ double tune_threshold(const AlsCompleter& completer,
   return best_t;
 }
 
-namespace {
-
-/// Decodes a phase blob into the rank search, scheduler and P_m it was
-/// encoded from, then throws CheckpointError unless a run under `cfg` can
-/// reach the search: every rank in [1, max_rank] (`next_rank` one past it
-/// once the search finished), and a miss count in [0, max(patience, 1)].
-/// The scheduler fills rows to `next_rank` and the final completion fits
-/// at `best_rank`, so an impossible rank would reach them as an invalid
-/// ALS rank or an allocation of any size.
 void decode_phase(const std::string& blob, const RankEstimatorConfig& cfg,
-                  RankSearch& s, MeasurementScheduler& scheduler,
-                  ProbabilityMatrix& pm) {
+                  RankSearch& search, MeasurementScheduler& scheduler) {
   util::checkpoint::Decoder dec(blob);
-  dec(s, scheduler, pm);
-  const RankEstimateResult& r = s.result;
-  auto in_range = [&](int rank) { return rank >= 1 && rank <= cfg.max_rank; };
-  bool ok = s.next_rank >= 1 &&
-            s.next_rank <= cfg.max_rank + (s.finished ? 1 : 0) &&
-            in_range(r.best_rank) && s.no_improve >= 0 &&
-            s.no_improve <= std::max(cfg.patience, 1);
-  for (const auto& [rank, mse] : r.history) ok = ok && in_range(rank);
-  if (!ok)
-    throw util::checkpoint::CheckpointError(
-        "rank search out of range: next rank " + std::to_string(s.next_rank) +
-        ", best rank " + std::to_string(r.best_rank) + ", misses " +
-        std::to_string(s.no_improve) + ", max rank " +
-        std::to_string(cfg.max_rank));
+  dec(search, scheduler);
+  // Replay the search's history through the acceptance rule step() ran.
+  // The scheduler fills rows to `next_rank` and the final completion fits
+  // at `best_rank`, so a rank out of order or past max_rank would reach
+  // them as an invalid ALS rank or an allocation of any size.
+  std::vector<std::pair<int, double>> history;
+  history.swap(search.result.history);
+  for (const auto& [rank, mse] : history) {
+    if (search.finished || rank != search.next_rank || rank > cfg.max_rank ||
+        !(std::isfinite(mse) && mse >= 0.0))
+      throw util::checkpoint::CheckpointError(
+          "rank search history no search writes, at rank " +
+          std::to_string(rank));
+    search.accept(mse, cfg);
+  }
 }
-
-}  // namespace
 
 void MetascriticPipeline::check_resume(const std::string& blob) const {
   ProbabilityMatrix pm(*ctx_, *ms_, priors_);
   MeasurementScheduler scheduler(*ctx_, *ms_, pm, cfg_.scheduler);
   RankSearch search(cfg_.rank.seed);
-  decode_phase(blob, cfg_.rank, search, scheduler, pm);
+  decode_phase(blob, cfg_.rank, search, scheduler);
 }
 
 PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
@@ -109,11 +101,11 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
   RankEstimator estimator(*ctx_, features, cfg_.rank);
   RankSearch search(cfg_.rank.seed);
 
-  // Resume: the phase blob overwrites the rank search, the scheduler and
-  // the probability matrix; the caller already restored the shared
-  // measurement plane.
+  // Resume: the phase blob overwrites the rank search and the scheduler,
+  // which replays its records into the fresh probability matrix; the
+  // caller already restored the shared measurement plane.
   if (opts.resume_blob != nullptr) {
-    decode_phase(*opts.resume_blob, cfg_.rank, search, scheduler, pm);
+    decode_phase(*opts.resume_blob, cfg_.rank, search, scheduler);
     MAC_COUNT("pipeline.resumes");
   }
 
@@ -141,7 +133,7 @@ PipelineResult MetascriticPipeline::run(const PipelineRunOptions& opts) {
         // this pipeline mid-search.
         MAC_SPAN("pipeline.checkpoint");
         util::checkpoint::Encoder enc;
-        enc(search, scheduler, pm);
+        enc(search, scheduler);
         opts.checkpoint(enc.take());
         MAC_COUNT("pipeline.checkpoints_written");
         // Timeline mark: where each rank-boundary checkpoint landed relative

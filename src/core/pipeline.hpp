@@ -44,8 +44,8 @@ struct PipelineRunOptions {
   /// polled between rank candidates, measurement batches and ALS sweeps.
   const util::RunControl* control = nullptr;  // lint: allow(view-member) -- optional caller-owned stop control; outlives the run() call
   /// Invoked at every rank boundary with the serialized resumable phase
-  /// state (rank search + scheduler + probability matrix).  The caller
-  /// wraps the blob with its own state and persists it atomically.
+  /// state (rank search + scheduler; decode_phase rebuilds the rest).  The
+  /// caller wraps the blob with its own state and persists it atomically.
   std::function<void(const std::string& phase_blob)> checkpoint;
   /// A phase blob from a previous run's `checkpoint` callback; the rank
   /// search continues from that boundary, draw-for-draw identical to an
@@ -77,6 +77,15 @@ class MetascriticPipeline {
   StrategyPriors* priors_;  // lint: allow(view-member) -- may be null; caller-owned cross-metro state updated with this metro's counts
   PipelineConfig cfg_;
 };
+
+/// Decodes a phase blob into `search` and `scheduler`, both fresh and the
+/// scheduler built on a fresh P_m: the scheduler replays its records into
+/// P_m, and the search replays its (rank, MSE) history through
+/// RankSearch::accept.  Throws CheckpointError unless a run under `cfg`
+/// reaches the search: ranks 1..k in order with k <= max_rank, none after
+/// the search finished, and every MSE finite and non-negative.
+void decode_phase(const std::string& blob, const RankEstimatorConfig& cfg,
+                  RankSearch& search, MeasurementScheduler& scheduler);
 
 /// Picks the lambda in [-1, 1] maximizing F-score of sign agreement between
 /// completed ratings and a sample of E_m entries (positive label: value > 0).

@@ -21,7 +21,7 @@ namespace {
 // so every pool from kPoolSaturated on shares the last memo entry.
 constexpr std::size_t kPoolSaturated = 1000;
 
-/// A pooled or Beta count a run can reach: finite and non-negative.
+/// A pooled count a run can reach: finite and non-negative.
 bool valid_count(double c) { return std::isfinite(c) && c >= 0.0; }
 
 }  // namespace
@@ -180,7 +180,9 @@ void ProbabilityMatrix::record(int i, int j, const StrategyChoice& choice,
                                bool informative) {
   MAC_REQUIRE(choice.probability >= 0.0 && choice.probability <= 1.0,
               "probability=", choice.probability);
-  if (choice.vp_cat < 0 || choice.tgt_cat < 0) return;
+  MAC_REQUIRE(choice.vp_cat >= 0 && choice.vp_cat < kVpCategories &&
+                  choice.tgt_cat >= 0 && choice.tgt_cat < kTargetCategories,
+              "vp_cat=", choice.vp_cat, " tgt_cat=", choice.tgt_cat);
   int s = traceroute::strategy_index(choice.vp_cat, choice.tgt_cat);
   auto si = mac::checked_cast<std::size_t>(s);
   if (informative) {
@@ -239,57 +241,5 @@ void StrategyPriors::save(util::checkpoint::Encoder& enc) const {
 }
 
 void StrategyPriors::load(util::checkpoint::Decoder& dec) { io(*this, dec); }
-
-template <class Self, class Ar>
-void ProbabilityMatrix::io(Self& s, Ar& ar) {
-  // The penalty store goes to disk as its ascending (key, factor) list.
-  constexpr auto kStrategies = mac::checked_cast<std::uint64_t>(kNumStrategies);
-  std::vector<std::pair<std::uint64_t, double>> penalties;
-  if constexpr (!Ar::kLoading) {
-    for (std::size_t at = 0; at < s.penalty_list_.size(); ++at) {
-      if (s.penalty_list_[at] == 0) continue;
-      for (const Penalty& p : s.penalty_lists_[s.penalty_list_[at] - 1])
-        penalties.emplace_back(
-            mac::checked_cast<std::uint64_t>(at) * kStrategies +
-                mac::checked_cast<std::uint64_t>(p.strategy),
-            p.factor);
-    }
-  }
-  ar(s.alpha_, s.beta_, penalties);
-  // choose() turns the counts into a success probability in [0, 1] and
-  // scales it by each penalty; record() indexes the penalty store by each
-  // key's (near, far) entry.
-  if constexpr (Ar::kLoading) {
-    for (std::size_t k = 0; k < s.alpha_.size(); ++k)
-      if (!valid_count(s.alpha_[k]) || !valid_count(s.beta_[k]) ||
-          s.alpha_[k] + s.beta_[k] <= 0.0)
-        throw util::checkpoint::CheckpointError(
-            "probability checkpoint has an impossible Beta count");
-    std::fill(s.penalty_list_.begin(), s.penalty_list_.end(), 0);
-    s.penalty_lists_.clear();
-    // A repeated key keeps its last factor, as a map would.
-    for (const auto& [key, factor] : penalties) {
-      const std::uint64_t at = key / kStrategies;
-      if (at >= s.penalty_list_.size())
-        throw util::checkpoint::CheckpointError(
-            "probability checkpoint penalizes an entry outside the metro");
-      if (!(factor >= 0.0 && factor <= 1.0))
-        throw util::checkpoint::CheckpointError(
-            "probability checkpoint has a penalty factor outside [0, 1]");
-      s.penalty(mac::checked_cast<std::size_t>(at),
-                mac::checked_cast<int>(key % kStrategies)) = factor;
-    }
-  }
-}
-
-void ProbabilityMatrix::save(util::checkpoint::Encoder& enc) const {
-  io(*this, enc);
-}
-
-void ProbabilityMatrix::load(util::checkpoint::Decoder& dec) {
-  io(*this, dec);
-  for (std::size_t s = 0; s < success_.size(); ++s) refresh_success(s);
-  ++rises_;
-}
 
 }  // namespace metas::core

@@ -72,7 +72,8 @@ class ProbabilityMatrix {
   /// P_ijm: the probability of the best available strategy.
   double entry_prob(int i, int j) const { return choose(i, j).probability; }
 
-  /// Records a measurement outcome for entry (i, j) with the used strategy.
+  /// Records a measurement outcome for entry (i, j) with the used strategy;
+  /// the choice must name one (a pick without a strategy measured nothing).
   void record(int i, int j, const StrategyChoice& choice, bool informative);
 
   /// Exports posterior counts into the hierarchical pool.
@@ -84,22 +85,15 @@ class ProbabilityMatrix {
   void restrict_to_ixp_mapped();
 
   /// Counts the events that may have raised some entry's probability: an
-  /// informative record (alpha grows), restrict_to_ixp_mapped() and load().
+  /// informative record (alpha grows) and restrict_to_ixp_mapped().
   /// Between two reads with the same count no entry_prob has risen, since
   /// beta and penalties only lower it (DESIGN.md §14).
   std::uint64_t rises() const { return rises_; }
 
-  /// Checkpoint serialization of the Beta-Bernoulli counters and the link
-  /// penalties.  load() throws CheckpointError on a count no run reaches
-  /// (negative, not finite, or alpha + beta = 0), or a penalty outside the
-  /// metro or outside [0, 1]; it then rebuilds the success cache.
-  void save(util::checkpoint::Encoder& enc) const;
-  void load(util::checkpoint::Decoder& dec);
+  // No checkpoint of its own: P_m is its constructor plus the records the
+  // scheduler replays into it on load.
 
  private:
-  template <class Self, class Ar>
-  static void io(Self& s, Ar& ar);
-
   /// One link penalty of an ordered (near, far) entry.
   struct Penalty {
     int strategy = 0;
@@ -117,17 +111,15 @@ class ProbabilityMatrix {
   std::array<bool, traceroute::kNumStrategies> allowed_{};
   // Link penalties, one list per ordered (near, far) entry in ascending
   // strategy order: penalty_list_[entry] is 0 for an entry without any,
-  // else 1 + the index of its list in penalty_lists_.  Checkpointed as
-  // the ascending list of keys (entry * kNumStrategies + strategy).
+  // else 1 + the index of its list in penalty_lists_.
   std::vector<std::uint32_t> penalty_list_;
   std::vector<std::vector<Penalty>> penalty_lists_;
-  std::uint64_t rises_ = 0;  // see rises(); not serialized
+  std::uint64_t rises_ = 0;  // see rises()
 
-  // Not serialized: alpha / (alpha + beta) per strategy (rebuilt on load),
-  // the candidate-pool factor per pool size, and, built by the
-  // constructor, per local AS its non-empty VP and target categories in
-  // ascending order with their counts -- the only categories dir_prob can
-  // score.
+  // alpha / (alpha + beta) per strategy, the candidate-pool factor per
+  // pool size, and, built by the constructor, per local AS its non-empty
+  // VP and target categories in ascending order with their counts -- the
+  // only categories dir_prob can score.
   std::array<double, traceroute::kNumStrategies> success_{};
   std::vector<double> pool_factor_;
   template <std::size_t N>

@@ -72,24 +72,28 @@ double RankEstimator::holdout_mse(const EstimatedMatrix& e, int rank,
   return s / kHoldoutRepeats;
 }
 
+void RankSearch::accept(double mse, const RankEstimatorConfig& cfg) {
+  const int rank = next_rank++;
+  result.history.emplace_back(rank, mse);
+  const double needed = best > 1e29 ? 0.0  // first candidate always accepted
+                                    : std::max(cfg.min_improvement,
+                                               cfg.rel_improvement * best);
+  if (mse < best - needed) {
+    best = mse;
+    result.best_rank = rank;
+    result.best_mse = mse;
+    no_improve = 0;
+  } else if (++no_improve >= cfg.patience) {
+    finished = true;
+  }
+  if (rank >= cfg.max_rank) finished = true;
+}
+
 double RankEstimator::step(RankSearch& s, const EstimatedMatrix& e) const {
   MAC_REQUIRE(!s.finished && s.next_rank >= 1 && s.next_rank <= cfg_.max_rank,
               "next_rank=", s.next_rank, " max_rank=", cfg_.max_rank);
-  const int rank = s.next_rank++;
-  const double mse = holdout_mse(e, rank, s.rng);
-  s.result.history.emplace_back(rank, mse);
-  const double needed = s.best > 1e29 ? 0.0  // first candidate always accepted
-                                       : std::max(cfg_.min_improvement,
-                                                  cfg_.rel_improvement * s.best);
-  if (mse < s.best - needed) {
-    s.best = mse;
-    s.result.best_rank = rank;
-    s.result.best_mse = mse;
-    s.no_improve = 0;
-  } else if (++s.no_improve >= cfg_.patience) {
-    s.finished = true;
-  }
-  if (rank >= cfg_.max_rank) s.finished = true;
+  const double mse = holdout_mse(e, s.next_rank, s.rng);
+  s.accept(mse, cfg_);
   return mse;
 }
 

@@ -36,9 +36,10 @@ struct RankEstimateResult {
 };
 
 /// The live state of one §3.2 search, seeded with the config's `seed`.
-/// `RankEstimator::step` advances it one candidate at a time; a checkpoint
-/// stores it through `io`, so a search decoded at a candidate boundary
-/// continues draw-for-draw.
+/// `RankEstimator::step` advances it one candidate at a time.  A
+/// checkpoint stores only the holdout RNG and the (rank, MSE) history:
+/// every other field is what `accept` made of that history, so a decoder
+/// replays it through `accept` and the search continues draw-for-draw.
 struct RankSearch {
   explicit RankSearch(std::uint64_t seed = 0) : rng(seed) {}
 
@@ -49,12 +50,17 @@ struct RankSearch {
   util::Rng rng;           // holdout RNG stream position
   RankEstimateResult result;
 
+  /// Records candidate `next_rank`'s holdout MSE and applies the §3.2
+  /// acceptance rule: the first candidate is always accepted, a later one
+  /// must beat the best MSE by max(min_improvement, rel_improvement *
+  /// best).  The search finishes after `patience` misses in a row or at
+  /// `max_rank`.
+  void accept(double mse, const RankEstimatorConfig& cfg);
+
   /// Checkpoint field list (util/checkpoint.hpp): the phase blob's lead.
   template <class Self, class Ar>
   static void io(Self& s, Ar& ar) {
-    auto& r = s.result;
-    ar(s.next_rank, s.best, s.no_improve, s.finished, s.rng, r.best_rank,
-       r.best_mse, r.history);
+    ar(s.rng, s.result.history);
   }
 };
 
@@ -64,11 +70,8 @@ class RankEstimator {
                 RankEstimatorConfig cfg)
       : ctx_(&ctx), features_(&features), cfg_(cfg) {}
 
-  /// Scores `search.next_rank` on `e` and applies the §3.2 acceptance
-  /// rule: the first candidate is always accepted, a later one must beat
-  /// the best MSE by max(min_improvement, rel_improvement * best).  The
-  /// search finishes after `patience` misses in a row or at `max_rank`.
-  /// Returns the candidate's holdout MSE.
+  /// Scores `search.next_rank` on `e` and hands the MSE to
+  /// `RankSearch::accept`.  Returns the candidate's holdout MSE.
   double step(RankSearch& search, const EstimatedMatrix& e) const;
 
   /// Scores candidate ranks on a fixed matrix without new measurements:

@@ -30,7 +30,7 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
       rng_(cfg.seed),
       fail_streak_(ctx.size(), 0),
       given_up_(ctx.size(), false),
-      entry_flags_(ctx.size() * ctx.size(), 0),
+      picked_(ctx.size() * ctx.size(), 0),
       hopeless_(ctx.size(), 0) {
   MAC_REQUIRE(cfg.batch_size > 0, "batch_size=", cfg.batch_size);
   MAC_REQUIRE(cfg.epsilon >= 0.0 && cfg.epsilon <= 1.0,
@@ -196,7 +196,7 @@ BatchResult MeasurementScheduler::batch(const EstimatedMatrix& e, int target,
       MAC_COUNT("scheduler.picks_exploration");
       batch_explored_rows[mac::checked_cast<std::size_t>(pick.i)] = 1;
       batch_explored_rows[mac::checked_cast<std::size_t>(pick.j)] = 1;
-      entry_flags_[entry_key(pick.i, pick.j, n)] |= kExplored;
+      picked_[entry_key(pick.i, pick.j, n)] = 1;
     }
     sim_filled[mac::checked_cast<std::size_t>(pick.i)]++;
     sim_filled[mac::checked_cast<std::size_t>(pick.j)]++;
@@ -313,8 +313,7 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_explore(
       ++visited;
       const std::size_t i = std::min(rows[a], rows[b]);
       const std::size_t j = std::max(rows[a], rows[b]);
-      if (e.filled(i, j) || (entry_flags_[i * n + j] & kExplored) != 0)
-        continue;
+      if (e.filled(i, j) || picked_[i * n + j] != 0) continue;
       const int ii = mac::checked_cast<int>(i);
       const int jj = mac::checked_cast<int>(j);
       if (under_backoff(ii, jj) || pm_->entry_prob(ii, jj) <= 0.0) continue;
@@ -337,9 +336,9 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_random(
     if (e.filled(mac::checked_cast<std::size_t>(i), mac::checked_cast<std::size_t>(j)))
       continue;
     if (under_backoff(i, j)) continue;
-    auto key = entry_key(i, j, n);
-    if ((entry_flags_[key] & kAttempted) != 0) continue;
-    entry_flags_[key] |= kAttempted;
+    char& picked = picked_[entry_key(i, j, n)];
+    if (picked != 0) continue;
+    picked = 1;
     return {std::min(i, j), std::max(i, j), false};
   }
   return {};
@@ -355,8 +354,8 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_greedy(
     if (e.filled(mac::checked_cast<std::size_t>(i), mac::checked_cast<std::size_t>(j)))
       continue;
     if (under_backoff(i, j)) continue;
-    if ((entry_flags_[key] & kAttempted) != 0) continue;
-    entry_flags_[key] |= kAttempted;
+    if (picked_[key] != 0) continue;
+    picked_[key] = 1;
     return {i, j, false};
   }
   return {};
@@ -372,19 +371,19 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   rec.i = pick.i;
   rec.j = pick.j;
   rec.estimated_prob = choice.probability;
+  rec.swapped = choice.swapped;
   rec.exploration = pick.exploration;
   if (choice.vp_cat < 0) {
     // No usable strategy: nothing ran, no budget spent.
     history_.push_back(rec);
     return 0;
   }
+  rec.strategy = traceroute::strategy_index(choice.vp_cat, choice.tgt_cat);
   AsId as_i = ctx_->as_at(mac::checked_cast<std::size_t>(pick.i));
   AsId as_j = ctx_->as_at(mac::checked_cast<std::size_t>(pick.j));
   MeasurementOutcome out = ms_->run_targeted(as_i, as_j, ctx_->metro(),
                                              choice.vp_cat, choice.tgt_cat,
                                              choice.swapped);
-  rec.ran = out.ran;
-  rec.informative = out.informative;
   rec.found_existence = out.revealed_direct;
   rec.found_nonexistence = out.revealed_transit;
   rec.infra_failure = out.infra_failure;
@@ -400,6 +399,7 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   if (!out.ran && !out.infra_failure) spent = 1;
   rec.spent = mac::checked_cast<int>(spent);
   history_.push_back(rec);
+  learn(rec);
 
   const bool requeue = out.infra_failure && ms_->resilience();
   const int retries = std::max(out.attempts - 1, 0);
@@ -414,7 +414,8 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   const std::uint64_t key = entry_key(pick.i, pick.j, ctx_->size());
   if (requeue) {
     // The infrastructure, not the strategy, failed: requeue the entry with
-    // exponential backoff and leave fail_streak / P_m untouched.
+    // exponential backoff and leave fail_streak untouched (learn() left
+    // P_m untouched too).
     auto& [retry_at, fails] = requeued_[key];
     int doublings = std::min(fails, 7);
     ++fails;
@@ -427,8 +428,6 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   }
   if (!requeued_.empty()) requeued_.erase(key);
 
-  pm_->record(pick.i, pick.j, choice, out.informative);
-
   auto i = mac::checked_cast<std::size_t>(pick.i);
   if (out.informative) {
     fail_streak_[i] = 0;
@@ -438,39 +437,27 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   return spent;
 }
 
-template <class Self, class Ar>
-void MeasurementScheduler::flag_keys(Self& s, Ar& ar, std::uint8_t flag) {
-  const std::size_t n = s.ctx_->size();
-  std::vector<std::uint64_t> keys;
-  if constexpr (!Ar::kLoading) {
-    for (std::size_t key = 0; key < s.entry_flags_.size(); ++key)
-      if ((s.entry_flags_[key] & flag) != 0) keys.push_back(key);
-  }
-  ar(keys);
-  // Each key indexes the flag matrix.  A repeated key sets its flag once,
-  // as a set would.
-  if constexpr (Ar::kLoading) {
-    for (std::uint64_t key : keys) {
-      if (n == 0 || key / n >= key % n)
-        throw util::checkpoint::CheckpointError(
-            "scheduler checkpoint has an entry key outside the metro");
-      s.entry_flags_[key] |= flag;
-    }
-  }
+void MeasurementScheduler::learn(const IssuedRecord& rec) {
+  if (rec.strategy < 0 || (rec.infra_failure && ms_->resilience())) return;
+  StrategyChoice choice;
+  choice.vp_cat = rec.strategy / traceroute::kTargetCategories;
+  choice.tgt_cat = rec.strategy % traceroute::kTargetCategories;
+  choice.swapped = rec.swapped;
+  choice.probability = rec.estimated_prob;
+  pm_->record(rec.i, rec.j, choice, rec.informative());
 }
 
 template <class Self, class Ar>
 void MeasurementScheduler::io(Self& s, Ar& ar) {
-  ar(s.rng_, s.history_, s.fail_streak_, s.given_up_);
-  flag_keys(s, ar, kExplored);
-  ar(s.greedy_order_, s.greedy_cursor_);
-  flag_keys(s, ar, kAttempted);
-  ar(s.sched_tick_, s.requeued_);
+  ar(s.rng_, s.history_, s.fail_streak_, s.given_up_, s.greedy_order_,
+     s.greedy_cursor_, s.sched_tick_, s.requeued_);
   // fill_rows_to and execute index both vectors by every row of the metro.
-  // Every loaded entry must lie inside the metro too: the CSV export reads
-  // rows by history record, pick_greedy reads E_m at each greedy key, and a
-  // requeue failure count sizes a backoff shift.  degradation() and the
-  // pipeline's traceroute count sum the history's counts.
+  // Every loaded entry must lie inside the metro too: the CSV export and
+  // the replay read rows by history record, pick_greedy reads E_m at each
+  // greedy key, and a requeue failure count sizes a backoff shift.
+  // degradation() and the pipeline's traceroute count sum the history's
+  // counts.  The replay hands each record's strategy and estimate to
+  // ProbabilityMatrix::record, which requires a probability in [0, 1].
   if constexpr (Ar::kLoading) {
     const std::size_t n = s.ctx_->size();
     if (s.fail_streak_.size() != n || s.given_up_.size() != n)
@@ -481,10 +468,19 @@ void MeasurementScheduler::io(Self& s, Ar& ar) {
     };
     if (!std::all_of(s.history_.begin(), s.history_.end(),
                      [&row](const IssuedRecord& r) {
-                       return row(r.i) && row(r.j);
+                       return row(r.i) && row(r.j) && r.i != r.j;
                      }))
       throw util::checkpoint::CheckpointError(
           "scheduler checkpoint names a row outside the metro");
+    if (!std::all_of(s.history_.begin(), s.history_.end(),
+                     [](const IssuedRecord& r) {
+                       return r.strategy >= -1 &&
+                              r.strategy < traceroute::kNumStrategies &&
+                              r.estimated_prob >= 0.0 &&
+                              r.estimated_prob <= 1.0;
+                     }))
+      throw util::checkpoint::CheckpointError(
+          "scheduler checkpoint has a record no strategy choice makes");
     if (!std::all_of(s.history_.begin(), s.history_.end(),
                      [](const IssuedRecord& r) {
                        return r.attempts >= 0 && r.launched >= 0 &&
@@ -498,10 +494,18 @@ void MeasurementScheduler::io(Self& s, Ar& ar) {
                      }))
       throw util::checkpoint::CheckpointError(
           "scheduler checkpoint has a greedy entry outside the metro");
-    for (const auto& [key, requeue] : s.requeued_)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+    // execute() sets a retry tick at most kRequeueBackoffCap past the
+    // clock, and the clock only grows.
+    constexpr auto kCap = mac::checked_cast<std::uint64_t>(kRequeueBackoffCap);
+    for (const auto& [key, requeue] : s.requeued_) {  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
       if (requeue.second < 0)
         throw util::checkpoint::CheckpointError(
             "scheduler checkpoint has a negative requeue count");
+      if (requeue.first > s.sched_tick_ &&
+          requeue.first - s.sched_tick_ > kCap)
+        throw util::checkpoint::CheckpointError(
+            "scheduler checkpoint has a retry tick past the longest backoff");
+    }
   }
 
   auto& d = s.degradation_;
@@ -514,9 +518,19 @@ void MeasurementScheduler::save(util::checkpoint::Encoder& enc) const {
 }
 
 void MeasurementScheduler::load(util::checkpoint::Decoder& dec) {
-  std::fill(entry_flags_.begin(), entry_flags_.end(), 0);
-  std::fill(hopeless_.begin(), hopeless_.end(), 0);
   io(*this, dec);
+  // Replay, in the order the picks ran: each one's outcome in P_m, and
+  // the de-dup flag of every exploration -- of every pick under kRandom
+  // and kGreedy, whose pickers flag each entry they return.
+  const bool every_pick = cfg_.policy == SelectionPolicy::kRandom ||
+                          cfg_.policy == SelectionPolicy::kGreedy;
+  std::fill(picked_.begin(), picked_.end(), 0);
+  std::fill(hopeless_.begin(), hopeless_.end(), 0);
+  for (const IssuedRecord& rec : history_) {
+    learn(rec);
+    if (rec.exploration || every_pick)
+      picked_[entry_key(rec.i, rec.j, ctx_->size())] = 1;
+  }
 }
 
 }  // namespace metas::core

@@ -43,11 +43,13 @@ inline constexpr int kRequeueBackoffBase = 8;
 inline constexpr int kRequeueBackoffCap = 1024;
 
 /// One issued targeted measurement, kept for the Fig.-4 calibration study.
+/// The history of these records is the scheduler's whole account of a
+/// metro: P_m and the explore flags are replayed from it on load.
 struct IssuedRecord {
   int i = -1, j = -1;
   double estimated_prob = 0.0;
-  bool ran = false;           // at least one probe launched
-  bool informative = false;
+  int strategy = -1;          // strategy_index of the choice; -1: none usable
+  bool swapped = false;       // the choice probed near j, target in i
   bool found_existence = false;
   bool found_nonexistence = false;
   bool exploration = false;   // picked by the explore arm (Fig.-4 split)
@@ -57,10 +59,15 @@ struct IssuedRecord {
   int faulted = 0;            // attempts that hit an injected fault
   int spent = 0;              // budget charged for this pick (audit trail)
 
+  /// At least one probe launched.
+  bool ran() const { return launched > 0; }
+  /// Revealed the link's existence or non-existence.
+  bool informative() const { return found_existence || found_nonexistence; }
+
   /// Checkpoint field list (util/checkpoint.hpp).
   template <class Self, class Ar>
   static void io(Self& r, Ar& ar) {
-    ar(r.i, r.j, r.estimated_prob, r.ran, r.informative, r.found_existence,
+    ar(r.i, r.j, r.estimated_prob, r.strategy, r.swapped, r.found_existence,
        r.found_nonexistence, r.exploration, r.infra_failure, r.attempts,
        r.launched, r.faulted, r.spent);
   }
@@ -125,22 +132,22 @@ class MeasurementScheduler {
   /// Degradation summary; see DegradationReport for accumulation semantics.
   DegradationReport degradation() const;
 
-  /// Checkpoint serialization of all mutable scheduler state: the RNG
+  /// Checkpoint serialization of the scheduler's own state: the RNG
   /// stream, the issued-measurement log, per-row fail/give-up state, the
-  /// exploration/greedy/random bookkeeping, the backoff queue and the last
-  /// campaign's fill statistics.
-  /// load() throws CheckpointError when the per-row state does not match
-  /// the metro's size.
+  /// greedy order, the backoff queue and the last campaign's fill
+  /// statistics.  load() then replays the log: each record into P_m, as
+  /// execute() applied it, and each pick the policy's de-dup covers into
+  /// its flag, so P_m must be as this scheduler's constructor left it.
+  /// load() throws CheckpointError on state no run reaches: per-row state
+  /// of another size, a record or entry outside the metro, a record whose
+  /// replay P_m would refuse, a negative count, or a retry tick past the
+  /// longest backoff.
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
  private:
   template <class Self, class Ar>
   static void io(Self& s, Ar& ar);
-  /// The entries carrying `flag`, as the ascending key list a set of
-  /// entry keys was checkpointed as.
-  template <class Self, class Ar>
-  static void flag_keys(Self& s, Ar& ar, std::uint8_t flag);
 
   struct Pick { int i = -1, j = -1; bool exploration = false; };
   /// `view`: `e` is the measurement system's E_m view, as in fill_rows_to,
@@ -159,6 +166,10 @@ class MeasurementScheduler {
   /// Runs the pick; returns probes launched (0 when no strategy was usable
   /// or the infrastructure blocked every attempt before launch).
   std::size_t execute(const Pick& pick);
+  /// Applies a record's outcome to P_m: a pick with no usable strategy
+  /// teaches it nothing, and neither does an infrastructure failure while
+  /// resilience is on (the entry is requeued instead).
+  void learn(const IssuedRecord& rec);
   bool under_backoff(int i, int j) const;
   void finish_campaign(int target);
 
@@ -170,12 +181,11 @@ class MeasurementScheduler {
   std::vector<IssuedRecord> history_;
   std::vector<int> fail_streak_;
   std::vector<bool> given_up_;
-  // Per entry key lo * n + hi (lo < hi): kExplored once the explore arm
-  // picked it (lifetime 1 per entry), kAttempted once pick_random or
-  // pick_greedy did (their de-dup).
-  static constexpr std::uint8_t kExplored = 1;
-  static constexpr std::uint8_t kAttempted = 2;
-  std::vector<std::uint8_t> entry_flags_;
+  // Per entry key lo * n + hi (lo < hi): 1 once the policy's de-dup skips
+  // the entry.  Under kRandom and kGreedy that is once pick_random or
+  // pick_greedy chose it; under every other policy, once the explore arm
+  // did (one exploration per entry, ever).  Replayed from history_ on load.
+  std::vector<char> picked_;
   std::vector<std::pair<double, std::uint64_t>> greedy_order_;  // lazy, desc
   std::size_t greedy_cursor_ = 0;
   // Rows pick_exploit found hopeless on the E_m view, and the P_m rise and

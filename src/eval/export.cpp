@@ -109,8 +109,8 @@ void export_measurement_log_csv(std::ostream& os,
     row.field(ctx.as_at(mac::checked_cast<std::size_t>(rec.i)))
         .field(ctx.as_at(mac::checked_cast<std::size_t>(rec.j)))
         .field(rec.estimated_prob)
-        .field(rec.ran)
-        .field(rec.informative)
+        .field(rec.ran())
+        .field(rec.informative())
         .field(rec.found_existence)
         .field(rec.found_nonexistence)
         .field(rec.exploration)

@@ -178,28 +178,17 @@ ProbeStatus FaultInjector::pre_probe(int vp_id, topology::MetroId vp_metro) {
   if (profile_.incident_start > 0.0 && vp_metro >= 0) {
     MetroState& ms = metro_state(vp_metro);
     advance_metro(ms);
-    if (ms.incident) {
-      ++faults_;
-      return ProbeStatus::kVpDown;
-    }
+    if (ms.incident) return ProbeStatus::kVpDown;
   }
   VpState& vs = vp_state(vp_id);
   advance_vp(vs);
-  if (vs.dead || vs.down) {
-    ++faults_;
-    return ProbeStatus::kVpDown;
-  }
+  if (vs.dead || vs.down) return ProbeStatus::kVpDown;
   if (profile_.bucket_capacity > 0.0) {
-    if (vs.tokens < 1.0) {
-      ++faults_;
-      return ProbeStatus::kRateLimited;
-    }
+    if (vs.tokens < 1.0) return ProbeStatus::kRateLimited;
     vs.tokens -= 1.0;
   }
-  if (profile_.loss > 0.0 && loss_rng_.bernoulli(profile_.loss)) {
-    ++faults_;
+  if (profile_.loss > 0.0 && loss_rng_.bernoulli(profile_.loss))
     return ProbeStatus::kLost;
-  }
   return ProbeStatus::kOk;
 }
 
@@ -217,7 +206,21 @@ std::size_t FaultInjector::dead_vps() const {
 
 template <class Self, class Ar>
 void FaultInjector::io(Self& s, Ar& ar) {
-  ar(s.tick_, s.faults_, s.loss_rng_, s.vps_, s.metros_);
+  ar(s.tick_, s.loss_rng_, s.vps_, s.metros_);
+  // A chain advances to the clock and no further, so advance_vp and
+  // advance_metro may assume tick_ >= last_tick; a bucket starts full and
+  // spends a token only while it holds one.
+  if constexpr (Ar::kLoading) {
+    for (const auto& [id, vp] : s.vps_)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+      if (vp.last_tick > s.tick_ ||
+          !(vp.tokens >= 0.0 && vp.tokens <= s.profile_.bucket_capacity))
+        throw util::checkpoint::CheckpointError(
+            "fault checkpoint has a VP chain no run reaches");
+    for (const auto& [id, metro] : s.metros_)  // lint: allow(unordered-iter) -- an all-of test; its answer does not depend on the order
+      if (metro.last_tick > s.tick_)
+        throw util::checkpoint::CheckpointError(
+            "fault checkpoint has a metro chain past the clock");
+  }
 }
 
 void FaultInjector::save(util::checkpoint::Encoder& enc) const {

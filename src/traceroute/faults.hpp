@@ -94,14 +94,14 @@ class FaultInjector {
 
   /// Probe-clock ticks elapsed (== fault-checked probe attempts).
   std::uint64_t clock() const { return tick_; }
-  /// Attempts that hit any fault so far.
-  std::size_t faults_injected() const { return faults_; }
   /// VPs that died permanently so far.
   std::size_t dead_vps() const;
 
   /// Checkpoint serialization of the injector's mutable state (clock,
   /// per-entity chains, RNG stream positions).  The profile itself comes
-  /// from configuration and is not part of the snapshot.
+  /// from configuration and is not part of the snapshot.  load() throws
+  /// CheckpointError on a chain no run reaches: advanced past the clock,
+  /// or a VP's tokens outside [0, bucket_capacity].
   void save(util::checkpoint::Encoder& enc) const;
   void load(util::checkpoint::Decoder& dec);
 
@@ -142,7 +142,6 @@ class FaultInjector {
   FaultProfile profile_;
   bool enabled_ = false;
   std::uint64_t tick_ = 0;
-  std::size_t faults_ = 0;
   std::unordered_map<int, VpState> vps_;
   std::unordered_map<int, MetroState> metros_;
   util::Rng loss_rng_;

@@ -45,7 +45,7 @@ class Rng;
 namespace metas::util::checkpoint {
 
 /// Envelope format version; bump on any incompatible payload change.
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Envelope checksum: FNV-1a 64-bit over little-endian 8-byte words (the
 /// zero-padded tail word and the byte length are mixed in last).  Word

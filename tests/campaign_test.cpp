@@ -37,7 +37,7 @@ using testing::PlaneShape;
 using testing::PriorsShape;
 using testing::u64;
 
-// The campaign's own fields of a format-3 payload.
+// The campaign's own fields of a format-4 payload.
 using FingerprintShape =
     std::tuple<u64, std::string, bool, std::string, bool, double, double,
                double, double, double, double, double, double, u64>;
@@ -48,6 +48,11 @@ using EngineShape = u64;  // probes issued
 using PayloadShape =
     std::tuple<FingerprintShape, std::vector<SummaryShape>, PriorsShape, u64,
                PlaneShape, EngineShape, bool, bool, std::string>;
+// A payload with faults that has a phase blob.
+using FaultPayloadShape =
+    std::tuple<FingerprintShape, std::vector<SummaryShape>, PriorsShape, u64,
+               PlaneShape, EngineShape, bool, testing::FaultShape, bool,
+               std::string>;
 // The rank search leading a phase blob.
 using RankSearchShape = std::tuple_element_t<0, testing::PhaseShape>;
 
@@ -68,11 +73,13 @@ class CampaignCheckpointTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// Seed-42 small all-metros campaign exporting to `<dir>/<name>` and
-  /// checkpointing to `<dir>/<name>.ck/snap`.
-  eval::CampaignConfig config(const std::string& name) const {
+  /// Seed-42 small all-metros campaign under `faults` exporting to
+  /// `<dir>/<name>` and checkpointing to `<dir>/<name>.ck/snap`.
+  eval::CampaignConfig config(const std::string& name,
+                              const traceroute::FaultProfile& faults = {}) const {
     eval::CampaignConfig cfg;
     cfg.all_metros = true;
+    cfg.faults = faults;
     cfg.out_dir = (dir_ / name).string();
     cfg.checkpoint_path = (dir_ / (name + ".ck") / "snap").string();
     return cfg;
@@ -106,7 +113,8 @@ class CampaignCheckpointTest : public ::testing::Test {
   /// `metros` metros have started, and returns that newest payload.  The
   /// checkpoint directory is then removed, so no older generation can
   /// stand in for a payload published later.
-  std::string payload_in_metro(const std::string& name, int metros) {
+  std::string payload_in_metro(const std::string& name, int metros,
+                               const traceroute::FaultProfile& faults = {}) {
     util::CancelToken stop;
     util::RunControl control;
     control.token = &stop;
@@ -116,7 +124,7 @@ class CampaignCheckpointTest : public ::testing::Test {
     hooks.on_checkpoint = [&](int) {
       if (started == metros) stop.cancel();
     };
-    const eval::CampaignConfig cfg = config(name);
+    const eval::CampaignConfig cfg = config(name, faults);
     eval::Campaign(cfg).run(&control, hooks);
     auto payload = ck::load_file(cfg.checkpoint_path);
     EXPECT_TRUE(payload.has_value());
@@ -137,8 +145,9 @@ class CampaignCheckpointTest : public ::testing::Test {
   /// resumes from, and asserts resume() alone refuses it as a corrupt
   /// payload, so no metro starts and no output or checkpoint directory
   /// appears.
-  void expect_corrupt(const std::string& name, const std::string& payload) {
-    eval::CampaignConfig cfg = config("resumed_" + name);
+  void expect_corrupt(const std::string& name, const std::string& payload,
+                      const traceroute::FaultProfile& faults = {}) {
+    eval::CampaignConfig cfg = config("resumed_" + name, faults);
     cfg.resume_path = (dir_ / (name + ".in") / "snap").string();
     publish(cfg.resume_path, payload);
     eval::Campaign campaign(cfg);
@@ -177,12 +186,8 @@ class CampaignCheckpointTest : public ::testing::Test {
     EXPECT_TRUE(has_phase);
     const std::string blob = dec.str();
     EXPECT_TRUE(dec.done()) << dec.remaining() << " bytes left over";
-    // The rank search leads the blob: next rank, best MSE, miss count,
-    // finished flag, then the RNG state.
-    ck::Decoder phase(blob);
-    std::tuple<int, double, int, bool> rank_search;
-    phase(rank_search);
-    at.rank_rng = payload.size() - phase.remaining();
+    // The rank search's RNG state leads the blob, which ends the payload.
+    at.rank_rng = payload.size() - blob.size();
     return at;
   }
 
@@ -392,45 +397,46 @@ TEST_F(CampaignCheckpointTest, OverlongPhaseStringIsRefused) {
   expect_corrupt("overlong", payload);
 }
 
-// The pipeline fills rows to the resumed search's next rank and fits the
-// final completion at its best rank, so a rank no run reaches must be
-// refused before either: rank 0 or below is an invalid ALS rank, and a
-// huge one sizes the factor matrices.
+// The pipeline replays the resumed search's (rank, MSE) history, fills
+// rows to its next rank and fits the final completion at its best rank.
+// A history no run writes must be refused before any of that: a rank out
+// of order or past max_rank would reach ALS as an invalid rank or size
+// its factor matrices, and an MSE that is NaN or negative steers the
+// acceptance rule where no holdout can.
 TEST_F(CampaignCheckpointTest, ImpossibleRankSearchIsRefused) {
   const std::string payload = payload_in_metro("rank", 2);
   ASSERT_EQ(patch_rank_search(payload, [](RankSearchShape&) {}), payload);
-  const int max_rank = core::RankEstimatorConfig{}.max_rank;
+  const core::RankEstimatorConfig rc;
   struct Case {
     const char* what;
     std::function<void(RankSearchShape&)> patch;
   };
+  // The history as (rank, MSE) pairs.
+  auto history = [](RankSearchShape& s) -> auto& { return std::get<1>(s); };
   const std::vector<Case> cases = {
-      {"next rank 0", [](auto& s) { std::get<0>(s) = 0; }},
-      {"next rank -7", [](auto& s) { std::get<0>(s) = -7; }},
-      {"next rank past max_rank + 1",
+      {"rank out of order",
        [&](auto& s) {
-         std::get<0>(s) = max_rank + 2;
-         std::get<3>(s) = true;
+         history(s).emplace_back(history(s).back().first + 2, 0.5);
        }},
-      {"unfinished at max_rank + 1",
-       [&](auto& s) { std::get<0>(s) = max_rank + 1; }},
-      {"negative misses", [](auto& s) { std::get<2>(s) = -1; }},
-      {"misses past patience",
-       [](auto& s) { std::get<2>(s) = std::numeric_limits<int>::max(); }},
-      {"finished, best rank 0",
-       [](auto& s) {
-         std::get<3>(s) = true;
-         std::get<5>(s) = 0;
+      {"rank 0 first", [&](auto& s) { history(s).front().first = 0; }},
+      {"rank past max_rank",
+       [&](auto& s) {
+         auto& h = history(s);
+         h.clear();
+         for (int r = 1; r <= rc.max_rank + 1; ++r)
+           h.emplace_back(r, 1.0 / r);  // always improving: never finishes
        }},
-      {"finished, best rank 2e9",
-       [](auto& s) {
-         std::get<3>(s) = true;
-         std::get<5>(s) = 2'000'000'000;
+      {"a pair after the search finished",
+       [&](auto& s) {
+         auto& h = history(s);
+         h.clear();
+         for (int r = 1; r <= rc.patience + 2; ++r) h.emplace_back(r, 0.5);
        }},
-      {"history rank 0",
-       [](auto& s) { std::get<7>(s).emplace_back(0, 0.5); }},
-      {"history rank past max_rank",
-       [&](auto& s) { std::get<7>(s).emplace_back(max_rank + 1, 0.5); }},
+      {"NaN MSE",
+       [&](auto& s) {
+         history(s).back().second = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"negative MSE", [&](auto& s) { history(s).back().second = -0.25; }},
   };
   for (std::size_t k = 0; k < cases.size(); ++k) {
     SCOPED_TRACE(cases[k].what);
@@ -439,12 +445,14 @@ TEST_F(CampaignCheckpointTest, ImpossibleRankSearchIsRefused) {
   }
 }
 
-// A run's counts only grow from their priors, and its penalties only
-// shrink from 1: vp_score weighs candidate VPs by their statistics, a
-// strike count sizes a backoff shift, the pooled priors and P_m's Beta
-// counts set every strategy's success probability, and the degradation
-// report and traceroute count sum the scheduler's history.  A count or
-// factor no run reaches must be refused before any metro runs on it.
+// A run's counts only grow from their priors: vp_score weighs candidate
+// VPs by their statistics, a strike count sizes a backoff shift, the
+// pooled priors set every strategy's success probability, and the
+// degradation report and traceroute count sum the scheduler's history.
+// The replay hands each record's strategy and estimate to P_m, which
+// indexes its counts by the strategy and requires an estimate in [0, 1]
+// and an entry off the diagonal.  A value no run reaches must be refused
+// before any metro runs on it.
 TEST_F(CampaignCheckpointTest, ImpossibleCountsAreRefused) {
   const std::string payload = payload_in_metro("counts", 2);
   ASSERT_EQ(patch_payload(payload, [](auto&, auto&) {}), payload);
@@ -465,18 +473,11 @@ TEST_F(CampaignCheckpointTest, ImpossibleCountsAreRefused) {
         ->second;
   };
   auto priors = [](PayloadShape& s) -> PriorsShape& { return std::get<2>(s); };
-  auto pm = [](testing::PhaseShape& ph) -> auto& { return std::get<2>(ph); };
   // The scheduler's first issued record.
-  auto first_record = [](testing::PhaseShape& ph) -> auto& {
+  auto first_record = [](testing::PhaseShape& ph) -> testing::RecordShape& {
     auto& history = std::get<1>(std::get<1>(ph));
     EXPECT_FALSE(history.empty());
     return history.front();
-  };
-  // The smallest-keyed link penalty's factor.
-  auto penalty = [](testing::PhaseShape& ph) -> double& {
-    auto& penalties = std::get<2>(std::get<2>(ph));
-    EXPECT_FALSE(penalties.empty());
-    return penalties.front().second;
   };
   const std::vector<Case> cases = {
       {"VP attempts -2", [&](auto& s, auto&) { vp_stats(s).first = -2; }},
@@ -493,29 +494,98 @@ TEST_F(CampaignCheckpointTest, ImpossibleCountsAreRefused) {
        [&](auto& s, auto&) { std::get<0>(priors(s))[5] = -1.0; }},
       {"priors metros observed -1",
        [&](auto& s, auto&) { std::get<2>(priors(s)) = -1; }},
-      {"P_m alpha NaN",
-       [&](auto&, auto& ph) { std::get<0>(pm(ph))[0] = nan; }},
-      {"P_m beta +inf",
-       [&](auto&, auto& ph) { std::get<1>(pm(ph))[2] = inf; }},
-      {"P_m alpha -1",
-       [&](auto&, auto& ph) { std::get<0>(pm(ph))[4] = -1.0; }},
-      {"P_m alpha + beta 0",
-       [&](auto&, auto& ph) {
-         std::get<0>(pm(ph))[1] = 0.0;
-         std::get<1>(pm(ph))[1] = 0.0;
-       }},
       {"history spent -1",
        [&](auto&, auto& ph) { std::get<12>(first_record(ph)) = -1; }},
       {"history faulted -1",
        [&](auto&, auto& ph) { std::get<11>(first_record(ph)) = -1; }},
-      {"penalty NaN", [&](auto&, auto& ph) { penalty(ph) = nan; }},
-      {"penalty 1.5", [&](auto&, auto& ph) { penalty(ph) = 1.5; }},
-      {"penalty -0.1", [&](auto&, auto& ph) { penalty(ph) = -0.1; }},
+      {"record strategy 144",
+       [&](auto&, auto& ph) {
+         std::get<3>(first_record(ph)) = traceroute::kNumStrategies;
+       }},
+      {"record strategy -2",
+       [&](auto&, auto& ph) { std::get<3>(first_record(ph)) = -2; }},
+      {"record estimate NaN",
+       [&](auto&, auto& ph) { std::get<2>(first_record(ph)) = nan; }},
+      {"record estimate 1.5",
+       [&](auto&, auto& ph) { std::get<2>(first_record(ph)) = 1.5; }},
+      {"record i = j",
+       [&](auto&, auto& ph) {
+         std::get<1>(first_record(ph)) = std::get<0>(first_record(ph));
+       }},
   };
   for (std::size_t k = 0; k < cases.size(); ++k) {
     SCOPED_TRACE(cases[k].what);
     expect_corrupt("counts" + std::to_string(k),
                    patch_payload(payload, cases[k].patch));
+  }
+}
+
+// A fault chain advances to the probe clock and no further, and a token
+// bucket holds between none and its capacity; execute() sets a retry tick
+// at most kRequeueBackoffCap past the scheduler's clock.  A chain ahead of
+// the clock fails advance_vp's contract (and in Release wraps its gap to
+// about 2^64, killing the VP), a bucket outside its range throttles or
+// overspends, and a farther retry tick holds its entry under backoff for
+// the rest of the run.  Each must be refused before any metro runs.
+TEST_F(CampaignCheckpointTest, ImpossibleFaultStateIsRefused) {
+  const traceroute::FaultProfile flaky = traceroute::FaultProfile::flaky();
+  const std::string payload = payload_in_metro("faults", 2, flaky);
+  auto patched = [&](auto patch) {
+    auto shape = testing::decode_shape<FaultPayloadShape>(payload);
+    EXPECT_TRUE(std::get<6>(shape)) << "no fault injector";
+    EXPECT_TRUE(std::get<8>(shape)) << "no phase blob";
+    auto phase = testing::decode_shape<testing::PhaseShape>(std::get<9>(shape));
+    patch(std::get<7>(shape), std::get<1>(phase));
+    ck::Encoder blob;
+    blob(phase);
+    std::get<9>(shape) = blob.take();
+    ck::Encoder enc;
+    enc(shape);
+    return enc.take();
+  };
+  ASSERT_EQ(patched([](auto&, auto&) {}), payload);
+  // The smallest-keyed entry of a chain or queue map.
+  auto first = [](auto& map) -> auto& {
+    EXPECT_FALSE(map.empty());
+    return std::min_element(map.begin(), map.end(),
+                            [](const auto& x, const auto& y) {
+                              return x.first < y.first;
+                            })
+        ->second;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    std::function<void(testing::FaultShape&,
+                       std::tuple_element_t<1, testing::PhaseShape>&)>
+        patch;
+  };
+  const std::vector<Case> cases = {
+      {"VP chain two ticks past the clock",
+       [&](auto& f, auto&) {
+         std::get<1>(first(std::get<2>(f))) = std::get<0>(f) + 2;
+       }},
+      {"metro chain two ticks past the clock",
+       [&](auto& f, auto&) {
+         std::get<1>(first(std::get<3>(f))) = std::get<0>(f) + 2;
+       }},
+      {"tokens -1", [&](auto& f, auto&) { std::get<4>(first(std::get<2>(f))) = -1.0; }},
+      {"tokens past capacity",
+       [&](auto& f, auto&) {
+         std::get<4>(first(std::get<2>(f))) = flaky.bucket_capacity + 1.0;
+       }},
+      {"tokens NaN", [&](auto& f, auto&) { std::get<4>(first(std::get<2>(f))) = nan; }},
+      {"retry tick past the longest backoff",
+       [&](auto&, auto& sched) {
+         first(std::get<7>(sched)).first =
+             std::get<6>(sched) +
+             static_cast<u64>(core::kRequeueBackoffCap) + 1;
+       }},
+  };
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE(cases[k].what);
+    expect_corrupt("faults" + std::to_string(k), patched(cases[k].patch),
+                   flaky);
   }
 }
 

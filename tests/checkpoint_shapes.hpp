@@ -1,4 +1,4 @@
-// The format-3 checkpoint payload's library types, spelled as container
+// The format-4 checkpoint payload's library types, spelled as container
 // shapes apart from the library's own field lists.  A real payload must
 // decode into these shapes exactly, so tests read and patch its fields
 // through them instead of at byte offsets.
@@ -35,29 +35,24 @@ using PlaneShape = std::tuple<
     std::unordered_map<u64, std::pair<int, int>>,       // VP statistics
     std::unordered_map<int, std::pair<int, u64>>>;      // VP health
 using FaultShape = std::tuple<
-    u64, u64, std::string,
+    u64, std::string,
     std::unordered_map<int, std::tuple<std::string, u64, bool, bool, double>>,  // VPs
     std::unordered_map<int, std::tuple<std::string, u64, bool>>>;              // metros
+// One issued record: i, j, estimated probability, strategy, swapped,
+// found link, found non-link, exploration, infrastructure failure, then
+// the attempted, launched, faulted and spent counts.
+using RecordShape = std::tuple<int, int, double, int, bool, bool, bool, bool,
+                               bool, int, int, int, int>;
 using PhaseShape = std::tuple<
-    // Rank search.
-    std::tuple<int, double, int, bool, std::string, int, double,
-               std::vector<std::pair<int, double>>>,
-    // Scheduler: elements 4 and 7 are the explored and attempted entry
-    // keys, each an ascending list; element 9 is the requeue queue and
-    // element 10 the last campaign's fill statistics and VP states.
-    std::tuple<std::string,
-               std::vector<std::tuple<int, int, double, bool, bool, bool, bool,
-                                      bool, bool, int, int, int, int>>,
-               std::vector<int>, std::vector<bool>, std::vector<u64>,
-               std::vector<std::pair<double, u64>>, u64,
-               std::vector<u64>, u64,
-               std::unordered_map<u64, std::pair<u64, int>>,
-               std::tuple<int, u64, u64, u64, double, u64, u64>>,
-    // Probability matrix: alpha, beta, then the link penalties, an
-    // ascending (key, factor) list.
-    std::tuple<std::array<double, traceroute::kNumStrategies>,
-               std::array<double, traceroute::kNumStrategies>,
-               std::vector<std::pair<u64, double>>>>;
+    // Rank search: the holdout RNG and the (rank, MSE) history.
+    std::tuple<std::string, std::vector<std::pair<int, double>>>,
+    // Scheduler: RNG, history, fail streaks, give-ups, greedy order and
+    // cursor, clock, the requeue queue (element 7) and the last
+    // campaign's fill statistics and VP states.
+    std::tuple<std::string, std::vector<RecordShape>, std::vector<int>,
+               std::vector<bool>, std::vector<std::pair<double, u64>>, u64,
+               u64, std::unordered_map<u64, std::pair<u64, int>>,
+               std::tuple<int, u64, u64, u64, double, u64, u64>>>;
 
 template <class Shape>
 Shape decode_shape(const std::string& bytes) {

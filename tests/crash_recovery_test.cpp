@@ -4,7 +4,8 @@
 // exported CSVs are byte-identical to an uninterrupted run with the same
 // flags.  Also covers what needs a real process: exit codes, fingerprint
 // rejection, corrupted-checkpoint fallback, a corrupt payload reported as
-// such, the SIGKILL flight dump, and SIGTERM / --deadline-ms stops that
+// such, a kept older generation refused as a checkpoint path, the SIGKILL
+// flight dump, and SIGTERM / --deadline-ms stops that
 // land mid-run and resume byte-identically, and malformed numeric flags
 // refused before anything runs (CliFlagsTest).  Payload decoding and stops
 // at exact polls are driven in process by campaign_test.cpp.
@@ -228,6 +229,37 @@ TEST_F(CrashRecoveryTest, ResumeUnderFaultsIsByteIdentical) {
   resume_args.insert(resume_args.end(), {"--resume", path("ck/snap")});
   ASSERT_EQ(run_cli(resume_args).exit_code, 0);
   expect_identical_exports(path("ref"), path("out"));
+}
+
+// --resume P alone checkpoints back to P.  When P is an older generation
+// kept beside a newer one (ck/snap.2 beside ck/snap), that run would
+// overwrite it and rotate a second chain beside the first, so the CLI
+// refuses before it touches a file; with --checkpoint elsewhere it resumes.
+TEST_F(CrashRecoveryTest, ResumeFromAKeptGenerationLeavesItIntact) {
+  ASSERT_EQ(run_cli(base_args("ref")).exit_code, 0);
+  auto crash_args = base_args("out");
+  crash_args.insert(crash_args.end(),
+                    {"--checkpoint", path("ck/snap"),
+                     "--crash-after-checkpoints", "3"});
+  ASSERT_EQ(run_cli(crash_args).term_signal, SIGKILL);
+  ASSERT_TRUE(fs::exists(path("ck/snap.2")));
+  const std::string kept = read_file(path("ck/snap.2"));
+
+  auto resume_args = base_args("again");
+  resume_args.insert(resume_args.end(), {"--resume", path("ck/snap.2")});
+  const RunResult refused = run_cli(resume_args);
+  EXPECT_EQ(refused.exit_code, 1) << refused.log;
+  EXPECT_NE(refused.log.find("error:"), std::string::npos) << refused.log;
+  EXPECT_NE(refused.log.find("--checkpoint"), std::string::npos)
+      << refused.log;
+  EXPECT_EQ(read_file(path("ck/snap.2")), kept);
+  EXPECT_FALSE(fs::exists(path("ck/snap.2.1")));
+  EXPECT_FALSE(fs::exists(path("again")));
+
+  resume_args.insert(resume_args.end(), {"--checkpoint", path("ck/again")});
+  const RunResult resumed = run_cli(resume_args);
+  EXPECT_EQ(resumed.exit_code, 0) << resumed.log;
+  expect_identical_exports(path("ref"), path("again"));
 }
 
 TEST_F(CrashRecoveryTest, MismatchedFingerprintIsRejected) {

@@ -28,8 +28,7 @@ class ExportTest : public ::testing::Test {
     core::IssuedRecord rec;
     rec.i = 0;
     rec.j = 1;
-    rec.ran = true;
-    rec.informative = true;
+    rec.launched = 1;
     rec.found_existence = true;
     rec.estimated_prob = 0.4;
     rec.exploration = true;
@@ -115,7 +114,7 @@ TEST_F(ExportTest, NumbersReadAsDefaultOstreamWritesThem) {
     rec.i = static_cast<int>(i);
     rec.j = static_cast<int>(j);
     rec.estimated_prob = values[k];
-    rec.ran = k % 2 == 0;
+    rec.launched = k % 2 == 0 ? 1 : 0;
     rec.found_nonexistence = k % 3 == 0;
     rec.attempts = static_cast<int>(k) - 4;
     result_.measurement_log.push_back(rec);
@@ -172,7 +171,7 @@ TEST_F(ExportTest, NumbersReadAsDefaultOstreamWritesThem) {
   for (const core::IssuedRecord& r : result_.measurement_log)
     want.push_back(line(as(static_cast<std::size_t>(r.i)),
                         as(static_cast<std::size_t>(r.j)), r.estimated_prob,
-                        r.ran ? 1 : 0, r.informative ? 1 : 0,
+                        r.ran() ? 1 : 0, r.informative() ? 1 : 0,
                         r.found_existence ? 1 : 0,
                         r.found_nonexistence ? 1 : 0, r.exploration ? 1 : 0,
                         r.infra_failure ? 1 : 0, r.attempts));

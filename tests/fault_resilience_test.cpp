@@ -62,10 +62,16 @@ TEST(FaultResilienceTest, SameSeedSameResultsUnderFaults) {
   core::PipelineResult r1 = run_pipeline(w1);
   core::PipelineResult r2 = run_pipeline(w2);
   expect_bit_identical(r1, r2);
-  // The fault plane actually fired in both runs.
+  // The fault plane actually fired in both runs, as often in each.
   ASSERT_NE(w1.faults, nullptr);
-  EXPECT_GT(w1.faults->faults_injected(), 0u);
-  EXPECT_EQ(w1.faults->faults_injected(), w2.faults->faults_injected());
+  auto faulted = [](const core::PipelineResult& r) {
+    std::size_t n = 0;
+    for (const core::IssuedRecord& rec : r.measurement_log)
+      n += static_cast<std::size_t>(rec.faulted);
+    return n;
+  };
+  EXPECT_GT(faulted(r1), 0u);
+  EXPECT_EQ(faulted(r1), faulted(r2));
 }
 
 TEST(FaultResilienceTest, NoneProfileMatchesSeedPipeline) {
@@ -112,7 +118,7 @@ TEST(FaultResilienceTest, InfraFailuresNeverGiveUpRows) {
     if (rec.attempts > 0) {
       EXPECT_TRUE(rec.infra_failure);
     }
-    EXPECT_FALSE(rec.informative);
+    EXPECT_FALSE(rec.informative());
     if (rec.infra_failure) ++infra_records;
   }
   EXPECT_GT(infra_records, 0u);
@@ -134,7 +140,7 @@ TEST(FaultResilienceTest, InfraFailuresNeverGiveUpRows) {
     bool has_legacy_failure = false;
     for (const core::IssuedRecord& rec : sched.history()) {
       if (rec.i != i || rec.exploration) continue;
-      if (!rec.infra_failure && !rec.informative) has_legacy_failure = true;
+      if (!rec.infra_failure && !rec.informative()) has_legacy_failure = true;
     }
     EXPECT_TRUE(has_legacy_failure)
         << "row " << i << " given up without any non-infra failure";

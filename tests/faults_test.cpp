@@ -21,7 +21,6 @@ TEST(FaultProfileTest, NoneProfileIsInert) {
     EXPECT_EQ(inj.pre_probe(k % 3, 0), ProbeStatus::kOk);
   // Inert injectors never advance the clock or roll dice.
   EXPECT_EQ(inj.clock(), 0u);
-  EXPECT_EQ(inj.faults_injected(), 0u);
   EXPECT_EQ(inj.dead_vps(), 0u);
 }
 
@@ -69,20 +68,22 @@ TEST(FaultInjectorTest, EngineWithNoneInjectorBitIdentical) {
     }
   }
   EXPECT_EQ(plain.issued(), faulty.issued());
-  EXPECT_EQ(inert.faults_injected(), 0u);
+  EXPECT_EQ(inert.clock(), 0u);
 }
 
 TEST(FaultInjectorTest, SameSeedSameFaults) {
   FaultInjector a(FaultProfile::storm());
   FaultInjector b(FaultProfile::storm());
+  int faults = 0;
   for (int k = 0; k < 2000; ++k) {
     int vp = k % 7;
     topology::MetroId metro = static_cast<topology::MetroId>(vp % 3);
-    ASSERT_EQ(a.pre_probe(vp, metro), b.pre_probe(vp, metro)) << "tick " << k;
+    const ProbeStatus s = a.pre_probe(vp, metro);
+    ASSERT_EQ(s, b.pre_probe(vp, metro)) << "tick " << k;
+    if (s != ProbeStatus::kOk) ++faults;
   }
-  EXPECT_EQ(a.faults_injected(), b.faults_injected());
   EXPECT_EQ(a.dead_vps(), b.dead_vps());
-  EXPECT_GT(a.faults_injected(), 0u);
+  EXPECT_GT(faults, 0);
 }
 
 TEST(FaultInjectorTest, MarkovOutageRecovers) {

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/scheduler.hpp"
+#include "core/pipeline.hpp"
 #include "test_world.hpp"
 #include "util/checkpoint.hpp"
 #include "util/rng.hpp"
@@ -157,9 +157,24 @@ std::string encoded(const util::Rng& rng) {
   return enc.take();
 }
 
-// A checkpoint stores the search between two candidates.  Decoded into a
-// fresh RankSearch, the search must finish exactly as the uninterrupted
-// one does, whichever boundaries it crossed.
+/// `search` written into a phase blob beside a fresh scheduler and read
+/// back by decode_phase, as a resume reads it.
+RankSearch resumed(const RankSearch& search, const RankEstimatorConfig& cfg) {
+  eval::World& w = testing::shared_world();
+  const MetroContext ctx = testing::shared_focus_context();
+  ProbabilityMatrix pm(ctx, *w.ms, nullptr);
+  MeasurementScheduler sched(ctx, *w.ms, pm, {});
+  util::checkpoint::Encoder enc;
+  enc(search, sched);
+  RankSearch out;
+  decode_phase(enc.data(), cfg, out, sched);
+  return out;
+}
+
+// A checkpoint stores the search between two candidates: its RNG and its
+// (rank, MSE) history.  Decoded into a fresh RankSearch, the search must
+// finish exactly as the uninterrupted one does, whichever boundaries it
+// crossed.
 TEST(RankEstimator, ResumedSearchMatchesAnUninterruptedOne) {
   util::Rng rng(45);
   const EstimatedMatrix e = planted_sample(40, 3, 0.7, rng);
@@ -186,13 +201,12 @@ TEST(RankEstimator, ResumedSearchMatchesAnUninterruptedOne) {
     while (!search.finished) {
       for (std::size_t s = 0; s < k && !search.finished; ++s)
         est.step(search, e);
-      const std::string bytes = encoded(search);
-      RankSearch resumed;
-      util::checkpoint::Decoder dec(bytes);
-      dec(resumed);
-      ASSERT_TRUE(dec.done());
-      ASSERT_EQ(encoded(resumed), bytes);
-      search = std::move(resumed);
+      RankSearch loaded = resumed(search, cfg);
+      ASSERT_EQ(encoded(loaded), encoded(search));
+      ASSERT_EQ(loaded.next_rank, search.next_rank);
+      ASSERT_EQ(loaded.no_improve, search.no_improve);
+      ASSERT_EQ(loaded.finished, search.finished);
+      search = std::move(loaded);
     }
     EXPECT_EQ(encoded(search), encoded(uninterrupted));
     const RankEstimateResult& got = search.result;

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "checkpoint_shapes.hpp"
 #include "test_world.hpp"
 #include "traceroute/faults.hpp"
 #include "util/checkpoint.hpp"
@@ -467,17 +466,17 @@ class ReferenceScheduler {
     rec.i = pick.i;
     rec.j = pick.j;
     rec.estimated_prob = choice.probability;
+    rec.swapped = choice.swapped;
     rec.exploration = pick.exploration;
     if (choice.vp_cat < 0) {
       history.push_back(rec);
       return 0;
     }
+    rec.strategy = traceroute::strategy_index(choice.vp_cat, choice.tgt_cat);
     MeasurementOutcome out = ms_.run_targeted(
         ctx_.as_at(static_cast<std::size_t>(pick.i)),
         ctx_.as_at(static_cast<std::size_t>(pick.j)), ctx_.metro(),
         choice.vp_cat, choice.tgt_cat, choice.swapped);
-    rec.ran = out.ran;
-    rec.informative = out.informative;
     rec.found_existence = out.revealed_direct;
     rec.found_nonexistence = out.revealed_transit;
     rec.infra_failure = out.infra_failure;
@@ -597,13 +596,18 @@ struct TwinWorlds {
   eval::World ref;
 };
 
-/// Ten informative outcomes for every strategy, recorded outside any
-/// campaign: a P_m rise that no measurement made.
-void raise_every_strategy(ProbabilityMatrix& pm) {
-  for (int k = 0; k < 10; ++k)
-    for (int v = 0; v < traceroute::kVpCategories; ++v)
-      for (int t = 0; t < traceroute::kTargetCategories; ++t)
-        pm.record(0, 1, StrategyChoice{v, t, false, 0.5}, true);
+/// Informative outcomes recorded outside any campaign, ten for every
+/// strategy and then more until its success rate reaches `rate`: a P_m
+/// rise that no measurement made.
+void raise_every_strategy(ProbabilityMatrix& pm, double rate = 0.0) {
+  for (int v = 0; v < traceroute::kVpCategories; ++v) {
+    for (int t = 0; t < traceroute::kTargetCategories; ++t) {
+      const StrategyChoice c{v, t, false, 0.5};
+      for (int k = 0; k < 10; ++k) pm.record(0, 1, c, true);
+      while (pm.strategy_prob(traceroute::strategy_index(v, t)) < rate)
+        pm.record(0, 1, c, true);
+    }
+  }
 }
 
 /// Loads a measurement plane without evidence into both twins: the next
@@ -709,17 +713,14 @@ TEST(SchedulerReferenceTest, EveryOtherPolicyMatches) {
 }
 
 
-/// Loads into both P_m copies a penalty of `factor` on every available
-/// strategy of every entry `e` leaves unfilled, in both orientations.
+/// Records into both P_m copies, for every available strategy of every
+/// entry `e` leaves unfilled, in both orientations, two uninformative
+/// outcomes and one informative one: each such penalty falls to
+/// kPenaltyFactor^2 = 0.36, and every success rate stays at
+/// (1 + m) / (3 + 3m) = 1/3 exactly.
 void penalize_unfilled(ProbabilityMatrix& pm, ProbabilityMatrix& rpm,
                        const MetroContext& ctx, const MeasurementSystem& ms,
-                       const EstimatedMatrix& e, double factor) {
-  using PmShape = std::tuple_element_t<2, testing::PhaseShape>;
-  util::checkpoint::Encoder enc;
-  pm.save(enc);
-  auto shape = testing::decode_shape<PmShape>(enc.data());
-  std::map<std::uint64_t, double> penalties(std::get<2>(shape).begin(),
-                                            std::get<2>(shape).end());
+                       const EstimatedMatrix& e) {
   const std::size_t n = e.size();
   std::vector<std::vector<int>> vp(n), tgt(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -729,31 +730,31 @@ void penalize_unfilled(ProbabilityMatrix& pm, ProbabilityMatrix& rpm,
   for (std::size_t near = 0; near < n; ++near) {
     for (std::size_t far = 0; far < n; ++far) {
       if (near == far || e.filled(near, far)) continue;
-      for (int v = 0; v < traceroute::kVpCategories; ++v)
-        for (int t = 0; t < traceroute::kTargetCategories; ++t)
-          if (vp[near][static_cast<std::size_t>(v)] > 0 &&
-              tgt[far][static_cast<std::size_t>(t)] > 0)
-            penalties[(near * n + far) * traceroute::kNumStrategies +
-                      static_cast<std::size_t>(
-                          traceroute::strategy_index(v, t))] = factor;
+      for (int v = 0; v < traceroute::kVpCategories; ++v) {
+        for (int t = 0; t < traceroute::kTargetCategories; ++t) {
+          if (vp[near][static_cast<std::size_t>(v)] == 0 ||
+              tgt[far][static_cast<std::size_t>(t)] == 0)
+            continue;
+          const StrategyChoice c{v, t, false, 0.5};
+          for (ProbabilityMatrix* p : {&pm, &rpm})
+            for (bool informative : {false, false, true})
+              p->record(static_cast<int>(near), static_cast<int>(far), c,
+                        informative);
+        }
+      }
     }
-  }
-  std::get<2>(shape).assign(penalties.begin(), penalties.end());
-  util::checkpoint::Encoder crafted;
-  crafted(shape);
-  for (ProbabilityMatrix* p : {&pm, &rpm}) {
-    util::checkpoint::Decoder dec(crafted.data());
-    p->load(dec);
   }
 }
 
 // A cold P_m puts every entry with an available strategy at 1/3 times a
-// pool factor of 1 to 1.24.  With each unfilled entry penalized by half, a
-// floor of 0.25 lies above every unfilled entry and below every filled one
-// that has a strategy, so a campaign to target n measures nothing and
-// finds every row hopeless.  A rebuild that
-// unfills the filled entries, a P_m rise, or a batch on a blank matrix the
-// caller built must then send such a row back to its column scan.
+// pool factor of 1 to 1.24.  With each unfilled entry penalized to 0.36
+// (1/3 * 1.24 * 0.36 < 0.15), a floor of 0.25 lies above every unfilled
+// entry and below every filled one that has a strategy, so a campaign to
+// target n measures nothing and finds every row hopeless.  A rebuild that
+// unfills the filled entries, a P_m rise (to success rates of 3/4, which
+// lifts every penalized entry to at least 0.27), or a batch on a blank
+// matrix the caller built must then send such a row back to its column
+// scan.
 TEST(SchedulerReferenceTest, HopelessRowsReopen) {
   enum class Reopen { kRebuild, kRise, kCallerMatrix };
   TwinWorlds tw(4, "none");
@@ -767,8 +768,7 @@ TEST(SchedulerReferenceTest, HopelessRowsReopen) {
     const MetroContext rctx(tw.ref.net, tw.ref.focus_metros.at(m));
     ProbabilityMatrix pm(ctx, *tw.real.ms, nullptr);
     ProbabilityMatrix rpm(rctx, *tw.ref.ms, nullptr);
-    penalize_unfilled(pm, rpm, ctx, *tw.real.ms, tw.real.ms->matrix(ctx),
-                      0.5);
+    penalize_unfilled(pm, rpm, ctx, *tw.real.ms, tw.real.ms->matrix(ctx));
     MeasurementScheduler sched(ctx, *tw.real.ms, pm, cfg);
     ReferenceScheduler ref(rctx, *tw.ref.ms, rpm, cfg);
     const int all = static_cast<int>(ctx.size());
@@ -793,8 +793,8 @@ TEST(SchedulerReferenceTest, HopelessRowsReopen) {
       if (how == Reopen::kRebuild) {
         load_empty_plane(tw);
       } else {
-        raise_every_strategy(pm);
-        raise_every_strategy(rpm);
+        raise_every_strategy(pm, 0.75);
+        raise_every_strategy(rpm, 0.75);
       }
       EXPECT_EQ(sched.fill_rows_to(all, 600), ref.fill_rows_to(all, 600));
     }

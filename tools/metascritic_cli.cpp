@@ -34,7 +34,9 @@
 // finishes, best-so-far results plus a degradation table are emitted
 // instead of a dead process, and a metro the stop cut short resumes from
 // its last rank boundary.  The resume hint is printed only when a
-// checkpoint generation exists to resume from.
+// checkpoint generation exists to resume from.  Without --checkpoint,
+// --resume P checkpoints back to P, so P may not be an older generation
+// B.k kept beside B: that run would overwrite it (exit 1).
 //
 // Tracing (DESIGN.md §13): --trace PATH arms the per-thread ring-buffer
 // flight recorder and writes a Chrome trace-event / Perfetto-compatible
@@ -48,6 +50,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <system_error>
@@ -201,10 +204,21 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       return false;
     }
   }
-  // --resume implies continued checkpointing to the same file.
-  if (!opt.run.resume_path.empty() && opt.run.checkpoint_path.empty())
-    opt.run.checkpoint_path = opt.run.resume_path;
   return true;
+}
+
+/// True when `path` is B.k for a whole number k >= 1 and B exists: an
+/// older generation kept beside B, which a run checkpointing to `path`
+/// would overwrite and then rotate into a second chain.
+bool kept_generation(const std::string& path) {
+  const std::size_t dot = path.rfind('.');
+  if (dot == std::string::npos || dot + 1 == path.size() ||
+      path[dot + 1] == '0')
+    return false;
+  for (std::size_t k = dot + 1; k < path.size(); ++k)
+    if (path[k] < '0' || path[k] > '9') return false;
+  std::error_code ec;
+  return std::filesystem::exists(path.substr(0, dot), ec);
 }
 
 }  // namespace
@@ -215,6 +229,18 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, opt)) {
     usage();
     return 2;
+  }
+  // --resume implies continued checkpointing to the same file, unless that
+  // file is a kept older generation.
+  if (!opt.run.resume_path.empty() && opt.run.checkpoint_path.empty()) {
+    if (kept_generation(opt.run.resume_path)) {
+      std::cerr << "error: '" << opt.run.resume_path
+                << "' is an older checkpoint generation, and checkpointing "
+                   "to it would overwrite it; resume with --checkpoint PATH "
+                   "naming another path\n";
+      return 1;
+    }
+    opt.run.checkpoint_path = opt.run.resume_path;
   }
   install_signal_handlers();
   util::trace::Recorder& rec = util::trace::Recorder::instance();
