@@ -10,6 +10,8 @@
 
 namespace metas::core {
 
+using traceroute::categorize_target;
+using traceroute::categorize_vp;
 using traceroute::ProbeTarget;
 using traceroute::VantagePoint;
 
@@ -135,11 +137,53 @@ std::size_t MeasurementSystem::dead_vps() const {
   return inj == nullptr ? 0 : inj->dead_vps();
 }
 
-MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
-                                                   int vp_cat, int tgt_cat,
-                                                   bool swapped) {
-  AsId near = swapped ? j : i;
-  AsId far = swapped ? i : j;
+CandidateIndex::CandidateIndex(const MetroContext& ctx,
+                               const MeasurementSystem& ms)
+    : metro_(ctx.metro()) {
+  const topology::Internet& net = *ms.net_;
+  std::vector<std::pair<std::uint32_t, int>> scanned;  // (index, category)
+  auto group = [&scanned](int categories, Groups& to) {
+    for (int c = 0; c < categories; ++c) {
+      for (const auto& [index, category] : scanned)
+        if (category == c) to.items.push_back(index);
+      to.begin.push_back(mac::checked_cast<std::uint32_t>(to.items.size()));
+    }
+    scanned.clear();
+  };
+  vps_.items.reserve(ctx.size() * ms.vps_.size());  // one category per VP
+  for (AsId as : ctx.ases()) {
+    for (std::size_t v = 0; v < ms.vps_.size(); ++v)
+      scanned.emplace_back(mac::checked_cast<std::uint32_t>(v),
+                           categorize_vp(net, ms.vps_[v], as, metro_));
+    group(traceroute::kVpCategories, vps_);
+    for (AsId member : net.cones[mac::checked_cast<std::size_t>(as)]) {
+      const auto m = mac::checked_cast<std::size_t>(member);
+      for (std::size_t t : ms.targets_by_as_[m])
+        scanned.emplace_back(
+            mac::checked_cast<std::uint32_t>(t),
+            categorize_target(net, ms.targets_[t], as, metro_));
+    }
+    group(traceroute::kTargetCategories, targets_);
+  }
+}
+
+const CandidateIndex& MeasurementSystem::candidates(const MetroContext& ctx) {
+  if (!candidates_ || candidates_->metro() != ctx.metro()) {
+    candidates_.reset();  // one metro's lists at a time
+    candidates_.emplace(ctx, *this);
+  }
+  return *candidates_;
+}
+
+MeasurementOutcome MeasurementSystem::run_targeted(const MetroContext& ctx,
+                                                   int i, int j, int vp_cat,
+                                                   int tgt_cat, bool swapped) {
+  const CandidateIndex& index = candidates(ctx);
+  const auto near_at = mac::checked_cast<std::size_t>(swapped ? j : i);
+  const auto far_at = mac::checked_cast<std::size_t>(swapped ? i : j);
+  const AsId as_i = ctx.as_at(mac::checked_cast<std::size_t>(i));
+  const AsId as_j = ctx.as_at(mac::checked_cast<std::size_t>(j));
+  const AsId near = ctx.as_at(near_at);
   MeasurementOutcome out;
   ++health_clock_;
   MAC_COUNT("measurement.targeted_runs");
@@ -148,11 +192,10 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
   // historical score for detecting links of the near-side AS.  Dead,
   // quarantined, and backing-off VPs are excluded up front (a no-op without
   // fault injection).
-  std::vector<std::size_t> cand_vps;
+  std::vector<std::uint32_t> cand_vps;
   std::vector<double> weights;
   bool any_sidelined = false;
-  for (std::size_t v = 0; v < vps_.size(); ++v) {
-    if (traceroute::categorize_vp(*net_, vps_[v], near, m) != vp_cat) continue;
+  for (std::uint32_t v : index.vps(near_at, vp_cat)) {
     if (!vp_usable(vps_[v].id)) {
       any_sidelined = true;
       continue;
@@ -169,19 +212,11 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
   }
 
   // Candidate targets: far AS itself plus its customer cone.
-  std::vector<std::size_t> cand_tgts;
-  const auto& cone = net_->cones[mac::checked_cast<std::size_t>(far)];
-  for (AsId member : cone) {
-    for (std::size_t t : targets_by_as_[mac::checked_cast<std::size_t>(member)]) {
-      if (traceroute::categorize_target(*net_, targets_[t], far, m) != tgt_cat)
-        continue;
-      cand_tgts.push_back(t);
-    }
-  }
+  const auto cand_tgts = index.targets(far_at, tgt_cat);
   if (cand_tgts.empty()) return out;
 
   std::size_t pick_idx = rng_.weighted_index(weights);
-  const ProbeTarget& tgt = targets_[rng_.pick(cand_tgts)];
+  const ProbeTarget& tgt = targets_[cand_tgts[rng_.index(cand_tgts.size())]];
   if (vps_[cand_vps[pick_idx]].as == tgt.as) return out;
 
   // Attempt loop with failover: a faulted attempt retries from the
@@ -222,7 +257,6 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
     pick_idx = next;
     MAC_COUNT("measurement.failovers");
   }
-  out.ran = out.launched > 0;
   // Spent vs blocked: launched attempts cost budget; attempts the platform
   // swallowed before launch (VP down, rate-limited at the gate) do not.
   MAC_COUNT_N("measurement.budget_spent", out.launched);
@@ -240,13 +274,14 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
   const auto obs = process_trace(trace);
 
   for (const auto& l : obs.links) {
-    if ((l.a == i && l.b == j) || (l.a == j && l.b == i)) {
+    if ((l.a == as_i && l.b == as_j) || (l.a == as_j && l.b == as_i)) {
       out.revealed_direct = true;
       break;
     }
   }
   for (const auto& t : obs.transits) {
-    if (!((t.a == i && t.b == j) || (t.a == j && t.b == i))) continue;
+    if (!((t.a == as_i && t.b == as_j) || (t.a == as_j && t.b == as_i)))
+      continue;
     MetroId tm = t.metro_b_side >= 0 ? t.metro_b_side : t.metro_a_side;
     if (tm < 0) continue;
     if (wp_.well_positioned(trace.vp_id, t.a, tm)) {
@@ -255,36 +290,15 @@ MeasurementOutcome MeasurementSystem::run_targeted(AsId i, AsId j, MetroId m,
     }
   }
   wp_.ingest(trace);
-  out.informative = out.revealed_direct || out.revealed_transit;
-  if (out.informative) MAC_COUNT("measurement.informative_results");
+  if (out.informative()) MAC_COUNT("measurement.informative_results");
 
   auto key = (mac::checked_cast<std::uint64_t>(
                   mac::checked_cast<std::uint32_t>(trace.vp_id)) << 32) |
              mac::checked_cast<std::uint32_t>(near);
   auto& st = vp_stats_[key];
   ++st.first;
-  if (out.informative) ++st.second;
+  if (out.informative()) ++st.second;
   return out;
-}
-
-std::vector<int> MeasurementSystem::vp_category_counts(AsId i, MetroId m) const {
-  std::vector<int> counts(traceroute::kVpCategories, 0);
-  for (const auto& vp : vps_)
-    ++counts[mac::checked_cast<std::size_t>(traceroute::categorize_vp(*net_, vp, i, m))];
-  return counts;
-}
-
-std::vector<int> MeasurementSystem::target_category_counts(AsId j,
-                                                           MetroId m) const {
-  std::vector<int> counts(traceroute::kTargetCategories, 0);
-  const auto& cone = net_->cones[mac::checked_cast<std::size_t>(j)];
-  for (AsId member : cone) {
-    for (std::size_t t : targets_by_as_[mac::checked_cast<std::size_t>(member)]) {
-      int c = traceroute::categorize_target(*net_, targets_[t], j, m);
-      if (c >= 0) ++counts[mac::checked_cast<std::size_t>(c)];
-    }
-  }
-  return counts;
 }
 
 EstimatedMatrix MeasurementSystem::build_matrix(const MetroContext& ctx) const {
@@ -308,7 +322,6 @@ const EstimatedMatrix& MeasurementSystem::matrix(const MetroContext& ctx) {
     view_.reset();  // free the stale view first: one n x n E_m at a time
     EstimatedMatrix e = build_estimated_matrix(ctx, evidence_, consistent);
     view_ = MatrixView{ctx.metro(), std::move(consistent), std::move(e)};
-    ++view_rebuilds_;
     MAC_COUNT("measurement.matrices_rebuilt");
   }
   observed_.clear();
@@ -319,7 +332,6 @@ EstimatedMatrix MeasurementSystem::take_matrix(const MetroContext& ctx) {
   matrix(ctx);
   EstimatedMatrix e = std::move(view_->e);
   view_.reset();
-  ++view_rebuilds_;
   return e;
 }
 
@@ -336,7 +348,6 @@ void MeasurementSystem::save(util::checkpoint::Encoder& enc) const {
 void MeasurementSystem::load(util::checkpoint::Decoder& dec) {
   view_.reset();
   observed_.clear();
-  ++view_rebuilds_;
   io(*this, dec);
   if (!evidence_.metros_valid(net_->metros.size()))
     throw util::checkpoint::CheckpointError(

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -19,10 +20,8 @@ namespace metas::core {
 
 /// Result of one targeted measurement attempt.
 struct MeasurementOutcome {
-  bool ran = false;             // at least one probe was launched
-  bool informative = false;     // revealed (non-)existence of the target link
-  bool revealed_direct = false;
-  bool revealed_transit = false;
+  bool revealed_direct = false;   // the link's existence
+  bool revealed_transit = false;  // its non-existence
   /// Infrastructure verdict of the last attempt (kOk without fault injection).
   traceroute::ProbeStatus status = traceroute::ProbeStatus::kOk;
   int attempts = 0;   // probe attempts, including failovers
@@ -32,9 +31,44 @@ struct MeasurementOutcome {
   /// the measurement says nothing about the link and must not be treated as
   /// an uninformative strategy outcome.
   bool infra_failure = false;
+  bool ran() const { return launched > 0; }
+  bool informative() const { return revealed_direct || revealed_transit; }
 };
 
 inline constexpr int kMaxProbeAttempts = 4;  // first try + failovers
+
+class MeasurementSystem;
+
+/// One metro's targeted-traceroute candidates (§3.3.2), which the world
+/// alone fixes: per local AS, its VPs of each VP category in inventory
+/// order, and the targets of each target category in its customer cone in
+/// cone order, then inventory order -- the orders run_targeted draws from.
+class CandidateIndex {
+ public:
+  CandidateIndex(const MetroContext& ctx, const MeasurementSystem& ms);
+
+  MetroId metro() const { return metro_; }
+  /// Inventory indices of local AS i's candidates in category c.
+  std::span<const std::uint32_t> vps(std::size_t i, int c) const {
+    return vps_.at(i * traceroute::kVpCategories +
+                   mac::checked_cast<std::size_t>(c));
+  }
+  std::span<const std::uint32_t> targets(std::size_t i, int c) const {
+    return targets_.at(i * traceroute::kTargetCategories +
+                       mac::checked_cast<std::size_t>(c));
+  }
+
+ private:
+  // Group g = i * categories + c spans items[begin[g], begin[g + 1]).
+  struct Groups {
+    std::vector<std::uint32_t> items, begin{0};
+    std::span<const std::uint32_t> at(std::size_t g) const {
+      return std::span(items).subspan(begin.at(g), begin.at(g + 1) - begin[g]);
+    }
+  };
+  MetroId metro_;
+  Groups vps_, targets_;
+};
 
 class MeasurementSystem {
  public:
@@ -48,17 +82,15 @@ class MeasurementSystem {
   /// random vantage points to random targets, processed like any other.
   void run_public_archives(std::size_t count);
 
-  /// Issues one targeted traceroute for link (i, j) at metro m using the
-  /// given vantage-point and target categories. `swapped` means the probe
-  /// sits near j and the target is in i.
-  MeasurementOutcome run_targeted(AsId i, AsId j, MetroId m, int vp_cat,
-                                  int tgt_cat, bool swapped);
+  /// Issues one targeted traceroute for the link of local entry (i, j) of
+  /// ctx's metro using the given vantage-point and target categories.
+  /// `swapped` means the probe sits near j and the target is in i.
+  MeasurementOutcome run_targeted(const MetroContext& ctx, int i, int j,
+                                  int vp_cat, int tgt_cat, bool swapped);
 
-  /// Number of vantage points in each VP category for (i, m) -- availability
-  /// input to the probability matrix. Returns a kVpCategories-sized array.
-  std::vector<int> vp_category_counts(AsId i, MetroId m) const;
-  /// Same for targets of (j, m); kTargetCategories-sized.
-  std::vector<int> target_category_counts(AsId j, MetroId m) const;
+  /// ctx's candidate index, derived state like the E_m view: built on the
+  /// first call and rebuilt for another metro, which ends the reference.
+  const CandidateIndex& candidates(const MetroContext& ctx);
 
   /// Derives the current estimated matrix for a metro from global evidence:
   /// one full build, every call.
@@ -76,10 +108,6 @@ class MeasurementSystem {
   /// matrix(ctx), moved out of the view, which is dropped: a metro's last
   /// read keeps no second n x n copy alive.
   EstimatedMatrix take_matrix(const MetroContext& ctx);
-  /// Counts the events after which the view may hold an entry unfilled that
-  /// it held filled: full rebuilds, take_matrix() and load().  Between two
-  /// matrix() reads with the same count, filled entries stay filled.
-  std::uint64_t view_rebuilds() const { return view_rebuilds_; }
 
   const EvidenceStore& evidence() const { return evidence_; }
   const traceroute::WellPositionedTracker& well_positioned() const { return wp_; }
@@ -110,6 +138,7 @@ class MeasurementSystem {
   void load(util::checkpoint::Decoder& dec);
 
  private:
+  friend class CandidateIndex;  // reads the inventories
   template <class Self, class Ar>
   static void io(Self& s, Ar& ar);
 
@@ -166,7 +195,7 @@ class MeasurementSystem {
   };
   std::optional<MatrixView> view_;
   std::vector<std::uint64_t> observed_;
-  std::uint64_t view_rebuilds_ = 0;
+  std::optional<CandidateIndex> candidates_;  // see candidates()
 };
 
 }  // namespace metas::core

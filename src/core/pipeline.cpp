@@ -58,6 +58,8 @@ void decode_phase(const std::string& blob, const RankEstimatorConfig& cfg,
                   RankSearch& search, MeasurementScheduler& scheduler) {
   util::checkpoint::Decoder dec(blob);
   dec(search, scheduler);
+  if (!dec.done())
+    throw util::checkpoint::CheckpointError("phase blob has trailing bytes");
   // Replay the search's history through the acceptance rule step() ran.
   // The scheduler fills rows to `next_rank` and the final completion fits
   // at `best_rank`, so a rank out of order or past max_rank would reach

@@ -81,9 +81,9 @@ class MetascriticPipeline {
 /// Decodes a phase blob into `search` and `scheduler`, both fresh and the
 /// scheduler built on a fresh P_m: the scheduler replays its records into
 /// P_m, and the search replays its (rank, MSE) history through
-/// RankSearch::accept.  Throws CheckpointError unless a run under `cfg`
-/// reaches the search: ranks 1..k in order with k <= max_rank, none after
-/// the search finished, and every MSE finite and non-negative.
+/// RankSearch::accept.  Throws CheckpointError on trailing bytes or unless
+/// a run under `cfg` reaches the search: ranks 1..k in order, k <= max_rank,
+/// none after the search finished, and every MSE finite and non-negative.
 void decode_phase(const std::string& blob, const RankEstimatorConfig& cfg,
                   RankSearch& search, MeasurementScheduler& scheduler);
 

@@ -37,21 +37,20 @@ void StrategyPriors::absorb(
 }
 
 ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
-                                     const MeasurementSystem& ms,
+                                     MeasurementSystem& ms,
                                      const StrategyPriors* priors)
     : n_(ctx.size()), vp_available_(n_), tgt_available_(n_) {
-  auto collect = [](const std::vector<int>& counts, auto& a) {
-    for (std::size_t c = 0; c < counts.size(); ++c) {
-      if (counts[c] == 0) continue;
-      a.category[a.size] = mac::checked_cast<int>(c);
-      a.count[a.size] = mac::checked_cast<std::size_t>(counts[c]);
-      ++a.size;
-    }
+  const CandidateIndex& candidates = ms.candidates(ctx);
+  auto collect = [](auto& a, int c, std::size_t count) {
+    if (count == 0) return;
+    a.category[a.size] = c;
+    a.count[a.size++] = count;
   };
   for (std::size_t i = 0; i < n_; ++i) {
-    collect(ms.vp_category_counts(ctx.as_at(i), ctx.metro()), vp_available_[i]);
-    collect(ms.target_category_counts(ctx.as_at(i), ctx.metro()),
-            tgt_available_[i]);
+    for (int c = 0; c < kVpCategories; ++c)
+      collect(vp_available_[i], c, candidates.vps(i, c).size());
+    for (int c = 0; c < kTargetCategories; ++c)
+      collect(tgt_available_[i], c, candidates.targets(i, c).size());
   }
   allowed_.fill(true);
 
@@ -79,6 +78,7 @@ ProbabilityMatrix::ProbabilityMatrix(const MetroContext& ctx,
   for (std::size_t pool = 0; pool < pool_factor_.size(); ++pool)
     pool_factor_[pool] =
         1.0 + 0.08 * std::min(3.0, std::log10(static_cast<double>(pool) + 1.0));
+  pool_max_ = *std::max_element(pool_factor_.begin(), pool_factor_.end());
 }
 
 void ProbabilityMatrix::refresh_success(std::size_t s) {
@@ -154,6 +154,40 @@ double ProbabilityMatrix::dir_prob(int near, int far, int* best_vp,
   return std::min(best, 1.0);
 }
 
+ProbabilityMatrix::RowBound ProbabilityMatrix::row_bound(int i) const {
+  MAC_REQUIRE(i >= 0 && mac::checked_cast<std::size_t>(i) < n_, "i=", i,
+              " n=", n_);
+  // dir_prob(i, j) pairs i's VP categories with j's target categories, and
+  // dir_prob(j, i) j's VP categories with i's target categories.
+  RowBound b;
+  auto raise = [&](int v, int t, double& to) {
+    const auto si = mac::checked_cast<std::size_t>(v * kTargetCategories + t);
+    if (allowed_[si]) to = std::max(to, success_[si] * pool_max_);
+  };
+  const auto at = mac::checked_cast<std::size_t>(i);
+  for (std::size_t a = 0; a < vp_available_[at].size; ++a)
+    for (int t = 0; t < kTargetCategories; ++t)
+      raise(vp_available_[at].category[a], t,
+            b.near_i[mac::checked_cast<std::size_t>(t)]);
+  for (std::size_t a = 0; a < tgt_available_[at].size; ++a)
+    for (int v = 0; v < kVpCategories; ++v)
+      raise(v, tgt_available_[at].category[a],
+            b.near_j[mac::checked_cast<std::size_t>(v)]);
+  return b;
+}
+
+double ProbabilityMatrix::bound(const RowBound& b, int j) const {
+  const auto at = mac::checked_cast<std::size_t>(j);
+  double best = 0.0;
+  for (std::size_t a = 0; a < tgt_available_[at].size; ++a)
+    best = std::max(best, b.near_i[mac::checked_cast<std::size_t>(
+                              tgt_available_[at].category[a])]);
+  for (std::size_t a = 0; a < vp_available_[at].size; ++a)
+    best = std::max(best, b.near_j[mac::checked_cast<std::size_t>(
+                              vp_available_[at].category[a])]);
+  return best;
+}
+
 StrategyChoice ProbabilityMatrix::choose(int i, int j) const {
   MAC_REQUIRE(i >= 0 && j >= 0 && mac::checked_cast<std::size_t>(i) < n_ &&
                   mac::checked_cast<std::size_t>(j) < n_ && i != j,
@@ -187,7 +221,6 @@ void ProbabilityMatrix::record(int i, int j, const StrategyChoice& choice,
   auto si = mac::checked_cast<std::size_t>(s);
   if (informative) {
     alpha_[si] += 1.0;
-    ++rises_;
   } else {
     beta_[si] += 1.0;
     int near = choice.swapped ? j : i;
@@ -220,7 +253,6 @@ void ProbabilityMatrix::restrict_to_ixp_mapped() {
               st.tgt_topo != TargetTopo::kInCone;
     allowed_[mac::checked_cast<std::size_t>(s)] = ok;
   }
-  ++rises_;
 }
 
 template <class Self, class Ar>

@@ -56,10 +56,18 @@ inline constexpr double kPriorStrength = 20.0;  // max pooled pseudo-counts
 
 class ProbabilityMatrix {
  public:
-  /// Builds availability counts for every AS in the context (both VP and
-  /// target categories) and initializes strategy counters from `priors`
-  /// (may be null for a cold start).
-  ProbabilityMatrix(const MetroContext& ctx, const MeasurementSystem& ms,
+  /// Bounds for the entries (i, j) of one row i, from P_m's state when
+  /// row_bound(i) built them: per category of j, the best success(v, t) *
+  /// the largest pool factor over the allowed strategies i can pair it with.
+  struct RowBound {
+    std::array<double, traceroute::kTargetCategories> near_i{};  // i probes
+    std::array<double, traceroute::kVpCategories> near_j{};      // j probes
+  };
+
+  /// Takes availability for every AS in the context (both VP and target
+  /// categories) from the measurement plane's candidate index, and
+  /// initializes strategy counters from `priors` (may be null).
+  ProbabilityMatrix(const MetroContext& ctx, MeasurementSystem& ms,
                     const StrategyPriors* priors);
 
   /// Current success estimate of a strategy (before link penalties).
@@ -72,6 +80,11 @@ class ProbabilityMatrix {
   /// P_ijm: the probability of the best available strategy.
   double entry_prob(int i, int j) const { return choose(i, j).probability; }
 
+  RowBound row_bound(int i) const;
+  /// At least entry_prob(i, j) while P_m is as row_bound(i) found it
+  /// (DESIGN.md §14).
+  double bound(const RowBound& b, int j) const;
+
   /// Records a measurement outcome for entry (i, j) with the used strategy;
   /// the choice must name one (a pick without a strategy measured nothing).
   void record(int i, int j, const StrategyChoice& choice, bool informative);
@@ -83,12 +96,6 @@ class ProbabilityMatrix {
   /// only VP categories with topo in {InAs, InCone} and targets in the far
   /// AS itself, at metro or country geo scope.
   void restrict_to_ixp_mapped();
-
-  /// Counts the events that may have raised some entry's probability: an
-  /// informative record (alpha grows) and restrict_to_ixp_mapped().
-  /// Between two reads with the same count no entry_prob has risen, since
-  /// beta and penalties only lower it (DESIGN.md §14).
-  std::uint64_t rises() const { return rises_; }
 
   // No checkpoint of its own: P_m is its constructor plus the records the
   // scheduler replays into it on load.
@@ -114,14 +121,14 @@ class ProbabilityMatrix {
   // else 1 + the index of its list in penalty_lists_.
   std::vector<std::uint32_t> penalty_list_;
   std::vector<std::vector<Penalty>> penalty_lists_;
-  std::uint64_t rises_ = 0;  // see rises()
 
   // alpha / (alpha + beta) per strategy, the candidate-pool factor per
-  // pool size, and, built by the constructor, per local AS its non-empty
-  // VP and target categories in ascending order with their counts -- the
-  // only categories dir_prob can score.
+  // pool size and its largest value, and, built by the constructor, per
+  // local AS its non-empty VP and target categories in ascending order
+  // with their counts -- the only categories dir_prob can score.
   std::array<double, traceroute::kNumStrategies> success_{};
   std::vector<double> pool_factor_;
+  double pool_max_ = 0.0;
   template <std::size_t N>
   struct Available {
     std::size_t size = 0;

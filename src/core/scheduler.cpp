@@ -30,8 +30,7 @@ MeasurementScheduler::MeasurementScheduler(const MetroContext& ctx,
       rng_(cfg.seed),
       fail_streak_(ctx.size(), 0),
       given_up_(ctx.size(), false),
-      picked_(ctx.size() * ctx.size(), 0),
-      hopeless_(ctx.size(), 0) {
+      picked_(ctx.size() * ctx.size(), 0) {
   MAC_REQUIRE(cfg.batch_size > 0, "batch_size=", cfg.batch_size);
   MAC_REQUIRE(cfg.epsilon >= 0.0 && cfg.epsilon <= 1.0,
               "epsilon=", cfg.epsilon);
@@ -78,7 +77,7 @@ std::size_t MeasurementScheduler::fill_rows_to(
       }
     }
     if (!any_deficient) break;
-    BatchResult got = batch(e, target, true);
+    BatchResult got = run_batch(e, target);
     issued += got.launched;
     if (got.selected == 0) break;  // nothing selectable anymore
     if (got.launched == 0) {
@@ -145,8 +144,8 @@ DegradationReport MeasurementScheduler::degradation() const {
   return d;
 }
 
-BatchResult MeasurementScheduler::batch(const EstimatedMatrix& e, int target,
-                                        bool view) {
+BatchResult MeasurementScheduler::run_batch(const EstimatedMatrix& e,
+                                            int target) {
   const std::size_t n = ctx_->size();
   // Optimistic per-batch fill counts: selected measurements are assumed
   // successful while composing the batch (§3.3.1).
@@ -154,9 +153,12 @@ BatchResult MeasurementScheduler::batch(const EstimatedMatrix& e, int target,
   for (std::size_t i = 0; i < n; ++i) sim_filled[i] = e.row_filled(i);
 
   std::vector<char> batch_explored_rows(n, 0);
-  // A row search that finds no row draws no random number, so once one
-  // fails the exploit arm is skipped for the rest of the batch.
+  // A search that finds nothing draws no random number, and finds nothing
+  // for the rest of the batch, so its arm is skipped from then on: the
+  // exploit arm once no row qualifies, the explore arm once it finds no
+  // pair while no entry waits out a backoff (DESIGN.md §14).
   bool exploit_exhausted = false;
+  bool explore_exhausted = false;
   BatchResult result;
   MAC_COUNT("scheduler.batches_run");
 
@@ -184,10 +186,14 @@ BatchResult MeasurementScheduler::batch(const EstimatedMatrix& e, int target,
       case SelectionPolicy::kOnlyExploit:
       case SelectionPolicy::kOnlyExplore:
       case SelectionPolicy::kIxpMapped:
-        if (rng_.bernoulli(cfg_.epsilon))
-          pick = pick_explore(sim_filled, e, batch_explored_rows);
-        else if (!exploit_exhausted)
-          pick = pick_exploit(sim_filled, e, target, view, exploit_exhausted);
+        if (rng_.bernoulli(cfg_.epsilon)) {
+          if (!explore_exhausted) {
+            pick = pick_explore(sim_filled, e, batch_explored_rows);
+            explore_exhausted = pick.i < 0 && requeued_.empty();
+          }
+        } else if (!exploit_exhausted) {
+          pick = pick_exploit(sim_filled, e, target, exploit_exhausted);
+        }
         break;
     }
     if (pick.i < 0) continue;
@@ -208,7 +214,7 @@ BatchResult MeasurementScheduler::batch(const EstimatedMatrix& e, int target,
 
 MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
     const std::vector<std::size_t>& sim_filled, const EstimatedMatrix& e,
-    int target, bool view, bool& no_row) {
+    int target, bool& no_row) {
   const std::size_t n = ctx_->size();
   // Deficient row with the fewest filled entries but at least one entry with
   // P above the threshold; ties broken at random.
@@ -231,51 +237,41 @@ MeasurementScheduler::Pick MeasurementScheduler::pick_exploit(
     return {};
   }
   const auto row = mac::checked_cast<std::size_t>(best_row);
-  // A row found hopeless stays hopeless while no P_m entry rose, no view
-  // rebuild unfilled an entry, and no entry waits out a backoff: the scan
-  // below would give it up again (DESIGN.md §14).
-  if (view) {
-    if (hopeless_rises_ != pm_->rises() ||
-        hopeless_rebuilds_ != ms_->view_rebuilds()) {
-      std::fill(hopeless_.begin(), hopeless_.end(), 0);
-      hopeless_rises_ = pm_->rises();
-      hopeless_rebuilds_ = ms_->view_rebuilds();
-    }
-    const bool skip = hopeless_[row] != 0 && requeued_.empty();
-    MAC_COUNT_N("scheduler.exploit_scans_skipped", skip ? 1 : 0);
-    if (skip) {
-      given_up_[row] = true;
-      return {};
-    }
-  }
   // Unfilled entry in that row with the highest P, skipping entries waiting
-  // out an infrastructure backoff.
+  // out an infrastructure backoff.  An entry whose bound cannot beat the
+  // best so far is not scored: its P could not pass `p > best_p` either
+  // (DESIGN.md §14).
+  const ProbabilityMatrix::RowBound bound = pm_->row_bound(best_row);
   int best_j = -1;
   double best_p = cfg_.exploit_min_prob;
   bool skipped_backoff = false;
+  std::size_t bounded = 0;
   for (std::size_t j = 0; j < n; ++j) {
     if (j == row) continue;
     if (e.filled(row, j)) continue;
-    if (under_backoff(best_row, mac::checked_cast<int>(j))) {
+    const int jj = mac::checked_cast<int>(j);
+    if (under_backoff(best_row, jj)) {
       skipped_backoff = true;
       continue;
     }
-    double p = pm_->entry_prob(best_row, mac::checked_cast<int>(j));
+    if (pm_->bound(bound, jj) <= best_p) {
+      ++bounded;
+      continue;
+    }
+    double p = pm_->entry_prob(best_row, jj);
     if (p > best_p) {
       best_p = p;
-      best_j = mac::checked_cast<int>(j);
+      best_j = jj;
     }
   }
+  MAC_COUNT_N("scheduler.exploit_entries_bounded", bounded);
   if (skipped_backoff) MAC_COUNT("scheduler.backoff_waits");
   if (best_j < 0) {
     // No measurable entry above the floor.  If entries were only skipped
     // because of backoff the row is not hopeless -- it becomes exploitable
     // again once the infrastructure recovers -- so only give up when the
     // row is genuinely unmeasurable.
-    if (!skipped_backoff) {
-      given_up_[row] = true;
-      if (view) hopeless_[row] = 1;
-    }
+    if (!skipped_backoff) given_up_[row] = true;
     return {};
   }
   return {best_row, best_j, false};
@@ -379,9 +375,7 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
     return 0;
   }
   rec.strategy = traceroute::strategy_index(choice.vp_cat, choice.tgt_cat);
-  AsId as_i = ctx_->as_at(mac::checked_cast<std::size_t>(pick.i));
-  AsId as_j = ctx_->as_at(mac::checked_cast<std::size_t>(pick.j));
-  MeasurementOutcome out = ms_->run_targeted(as_i, as_j, ctx_->metro(),
+  MeasurementOutcome out = ms_->run_targeted(*ctx_, pick.i, pick.j,
                                              choice.vp_cat, choice.tgt_cat,
                                              choice.swapped);
   rec.found_existence = out.revealed_direct;
@@ -396,7 +390,7 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   // the legacy one-unit accounting -- it is a scheduling outcome, not an
   // unspent pick -- so a fault-free run spends exactly what it used to.
   std::size_t spent = mac::checked_cast<std::size_t>(out.launched);
-  if (!out.ran && !out.infra_failure) spent = 1;
+  if (!out.ran() && !out.infra_failure) spent = 1;
   rec.spent = mac::checked_cast<int>(spent);
   history_.push_back(rec);
   learn(rec);
@@ -429,7 +423,7 @@ std::size_t MeasurementScheduler::execute(const Pick& pick) {
   if (!requeued_.empty()) requeued_.erase(key);
 
   auto i = mac::checked_cast<std::size_t>(pick.i);
-  if (out.informative) {
+  if (out.informative()) {
     fail_streak_[i] = 0;
   } else if (!pick.exploration) {
     if (++fail_streak_[i] >= cfg_.row_fail_limit) given_up_[i] = true;
@@ -525,7 +519,6 @@ void MeasurementScheduler::load(util::checkpoint::Decoder& dec) {
   const bool every_pick = cfg_.policy == SelectionPolicy::kRandom ||
                           cfg_.policy == SelectionPolicy::kGreedy;
   std::fill(picked_.begin(), picked_.end(), 0);
-  std::fill(hopeless_.begin(), hopeless_.end(), 0);
   for (const IssuedRecord& rec : history_) {
     learn(rec);
     if (rec.exploration || every_pick)

@@ -120,9 +120,7 @@ class MeasurementScheduler {
                            const util::RunControl* control = nullptr);
 
   /// Runs one batch against the current fill state.
-  BatchResult run_batch(const EstimatedMatrix& current, int target) {
-    return batch(current, target, false);
-  }
+  BatchResult run_batch(const EstimatedMatrix& current, int target);
 
   const std::vector<IssuedRecord>& history() const { return history_; }
 
@@ -150,14 +148,10 @@ class MeasurementScheduler {
   static void io(Self& s, Ar& ar);
 
   struct Pick { int i = -1, j = -1; bool exploration = false; };
-  /// `view`: `e` is the measurement system's E_m view, as in fill_rows_to,
-  /// so pick_exploit may skip a row it has already found hopeless.
-  BatchResult batch(const EstimatedMatrix& e, int target, bool view);
   /// Sets `no_row` when no row qualifies.  That holds for the rest of the
   /// batch: `sim_filled` only grows and rows are only ever given up.
   Pick pick_exploit(const std::vector<std::size_t>& sim_filled,
-                    const EstimatedMatrix& e, int target, bool view,
-                    bool& no_row);
+                    const EstimatedMatrix& e, int target, bool& no_row);
   Pick pick_explore(const std::vector<std::size_t>& sim_filled,
                     const EstimatedMatrix& e,
                     const std::vector<char>& batch_rows);
@@ -188,12 +182,6 @@ class MeasurementScheduler {
   std::vector<char> picked_;
   std::vector<std::pair<double, std::uint64_t>> greedy_order_;  // lazy, desc
   std::size_t greedy_cursor_ = 0;
-  // Rows pick_exploit found hopeless on the E_m view, and the P_m rise and
-  // view rebuild counts they were found under.  A change of either count
-  // clears them (DESIGN.md §14).  Derived state, never serialized.
-  std::vector<char> hopeless_;
-  std::uint64_t hopeless_rises_ = 0;
-  std::uint64_t hopeless_rebuilds_ = 0;
 
   // The last campaign's fill statistics and VP states; degradation() adds
   // the counters from history_.

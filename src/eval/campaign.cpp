@@ -109,6 +109,8 @@ ResumePoint Campaign::resume() {
     util::checkpoint::Decoder dec(*payload);
     if (!payload_io(loaded, world_, dec, cfg_, &why))
       throw CampaignError("cannot resume from '" + path + "': " + why);
+    if (!dec.done())
+      throw util::checkpoint::CheckpointError("payload has trailing bytes");
     // run() writes a generation at a rank boundary of metro `next_metro`,
     // with its phase blob, or once `next_metro` metros are complete.
     const std::size_t next = loaded.next_metro;

@@ -116,9 +116,9 @@ class Campaign {
 
   /// Restores the newest good generation at `resume_path`.  Throws
   /// CampaignError when no generation loads, when it belongs to a run with
-  /// another fingerprint, or when its payload is corrupt, down to a next
-  /// metro no run writes or a phase blob the metro's pipeline would
-  /// refuse.  The campaign must not run after a failed resume.
+  /// another fingerprint, or when its payload is corrupt, down to trailing
+  /// bytes, a next metro no run writes or a phase blob the metro's pipeline
+  /// would refuse.  The campaign must not run after a failed resume.
   ResumePoint resume();
 
   /// Creates the output and checkpoint directories, then runs every metro

@@ -589,6 +589,22 @@ TEST_F(CampaignCheckpointTest, ImpossibleFaultStateIsRefused) {
   }
 }
 
+// A resume decodes every byte it is given.  Bytes past the last field of
+// the phase blob, or of the whole payload, are nothing a run writes, so
+// both are refused even under a valid checksum.
+TEST_F(CampaignCheckpointTest, TrailingBytesAreRefused) {
+  const traceroute::FaultProfile flaky = traceroute::FaultProfile::flaky();
+  const std::string payload = payload_in_metro("trailing", 2, flaky);
+  const std::string junk(64, 'x');
+  auto shape = testing::decode_shape<FaultPayloadShape>(payload);
+  ASSERT_TRUE(std::get<8>(shape)) << "no phase blob";
+  std::get<9>(shape) += junk;
+  ck::Encoder enc;
+  enc(shape);
+  expect_corrupt("phase", enc.take(), flaky);
+  expect_corrupt("payload", payload + junk, flaky);
+}
+
 // run() writes a generation at a rank boundary of metro `next_metro`, or
 // once `next_metro` metros are complete, so a next metro other than the
 // completed count, or a phase blob with no metro left, is refused.

@@ -466,7 +466,7 @@ int choose_mismatches(const core::ProbabilityMatrix& a,
 /// outcome of every pick that had a strategy, except the infrastructure
 /// failures a resilient run requeued.
 core::ProbabilityMatrix pm_from_history(
-    const core::MetroContext& ctx, const core::MeasurementSystem& ms,
+    const core::MetroContext& ctx, core::MeasurementSystem& ms,
     core::SelectionPolicy policy,
     const std::vector<core::IssuedRecord>& history) {
   core::ProbabilityMatrix pm(ctx, ms, nullptr);

@@ -121,17 +121,22 @@ TEST_F(ProbabilityTest, IxpMappedRestrictionNarrowsChoices) {
 // ---- P_m against an independent reference --------------------------------
 
 /// The P_m formula of §3.3.2 with its own copy of the Beta counters, the
-/// strategy mask and the link penalties; availability counts come from the
-/// measurement plane.
+/// strategy mask and the link penalties; availability counts are the sizes
+/// of the measurement plane's candidate lists, which
+/// SchedulerReferenceTest.CandidateIndexMatchesAFullScan checks against a
+/// full categorization scan.
 class ReferencePm {
  public:
   using Counts = std::vector<std::vector<int>>;  // per local AS, per category
 
-  ReferencePm(const MetroContext& ctx, const MeasurementSystem& ms) {
-    Counts vp, tgt;
+  ReferencePm(const MetroContext& ctx, MeasurementSystem& ms) {
+    const CandidateIndex& index = ms.candidates(ctx);
+    Counts vp(ctx.size()), tgt(ctx.size());
     for (std::size_t i = 0; i < ctx.size(); ++i) {
-      vp.push_back(ms.vp_category_counts(ctx.as_at(i), ctx.metro()));
-      tgt.push_back(ms.target_category_counts(ctx.as_at(i), ctx.metro()));
+      for (int c = 0; c < traceroute::kVpCategories; ++c)
+        vp[i].push_back(static_cast<int>(index.vps(i, c).size()));
+      for (int c = 0; c < traceroute::kTargetCategories; ++c)
+        tgt[i].push_back(static_cast<int>(index.targets(i, c).size()));
     }
     *this = ReferencePm(std::move(vp), std::move(tgt));
   }
@@ -261,7 +266,7 @@ std::vector<Outcome> record_outcomes(ProbabilityMatrix& pm, ReferencePm& ref,
 
 TEST(ProbabilityReferenceTest, ChooseMatchesReferenceFormulaBitForBit) {
   const MetroContext ctx = testing::shared_focus_context();
-  const MeasurementSystem& ms = *testing::shared_world().ms;
+  MeasurementSystem& ms = *testing::shared_world().ms;
   const int n = static_cast<int>(ctx.size());
   ProbabilityMatrix pm(ctx, ms, nullptr);
   ReferencePm ref(ctx, ms);
@@ -282,6 +287,51 @@ TEST(ProbabilityReferenceTest, ChooseMatchesReferenceFormulaBitForBit) {
   expect_matches_reference(loaded, ref, n);
   record_outcomes(loaded, ref, n, 9, 1000);
   expect_matches_reference(loaded, ref, n);
+}
+
+// An exploit scan skips entry (i, j) when bound(row_bound(i), j) cannot beat
+// the best P so far, which is exact only while the bound is at least
+// entry_prob(i, j).  Penalties on random entries, informative records
+// raising random strategies, and the IXP-mapped mask must all keep it so.
+// The bound is also zero exactly where the entry has no usable strategy:
+// it scores the same allowed strategies entry_prob does.
+TEST(ProbabilityReferenceTest, RowBoundCoversEveryEntry) {
+  const MetroContext ctx = testing::shared_focus_context();
+  MeasurementSystem& ms = *testing::shared_world().ms;
+  const int n = static_cast<int>(ctx.size());
+  auto expect_covered = [&](const ProbabilityMatrix& pm) {
+    int uncovered = 0, mismatched_zero = 0;
+    for (int i = 0; i < n; ++i) {
+      const ProbabilityMatrix::RowBound bound = pm.row_bound(i);
+      for (int j = 0; j < n; ++j) {
+        if (i == j) continue;
+        const double p = pm.entry_prob(i, j), b = pm.bound(bound, j);
+        if (!(b >= p) && uncovered++ == 0)
+          ADD_FAILURE() << "bound(" << j << ") = " << b << " under entry_prob("
+                        << i << ", " << j << ") = " << p;
+        if ((b > 0.0) != (p > 0.0) && mismatched_zero++ == 0)
+          ADD_FAILURE() << "bound(" << j << ") = " << b
+                        << " against entry_prob(" << i << ", " << j
+                        << ") = " << p;
+      }
+    }
+    EXPECT_EQ(uncovered, 0);
+    EXPECT_EQ(mismatched_zero, 0);
+  };
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ProbabilityMatrix pm(ctx, ms, nullptr);
+    ReferencePm ref(ctx, ms);
+    expect_covered(pm);
+    record_outcomes(pm, ref, n, seed, 3000);
+    expect_covered(pm);
+    if (seed == 5) {
+      pm.restrict_to_ixp_mapped();
+      expect_covered(pm);
+      record_outcomes(pm, ref, n, seed + 100, 1000);
+      expect_covered(pm);
+    }
+  }
 }
 
 // The candidate-pool factor is memoized per pool size; every size up to
@@ -313,7 +363,7 @@ TEST(ProbabilityReferenceTest, EveryPoolSizeMatchesTheFormula) {
         targets.push_back(tgt);
       }
     }
-    const MeasurementSystem ms(w.net, *w.engine, {vp}, std::move(targets), 0);
+    MeasurementSystem ms(w.net, *w.engine, {vp}, std::move(targets), 0);
     ProbabilityMatrix pm(ctx, ms, nullptr);
     SCOPED_TRACE("target counts from " + std::to_string(base));
     expect_matches_reference(pm, ReferencePm(ctx, ms),

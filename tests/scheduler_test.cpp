@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -17,6 +18,7 @@
 
 #include "test_world.hpp"
 #include "traceroute/faults.hpp"
+#include "traceroute/strategy.hpp"
 #include "util/checkpoint.hpp"
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
@@ -473,10 +475,9 @@ class ReferenceScheduler {
       return 0;
     }
     rec.strategy = traceroute::strategy_index(choice.vp_cat, choice.tgt_cat);
-    MeasurementOutcome out = ms_.run_targeted(
-        ctx_.as_at(static_cast<std::size_t>(pick.i)),
-        ctx_.as_at(static_cast<std::size_t>(pick.j)), ctx_.metro(),
-        choice.vp_cat, choice.tgt_cat, choice.swapped);
+    MeasurementOutcome out =
+        ms_.run_targeted(ctx_, pick.i, pick.j, choice.vp_cat, choice.tgt_cat,
+                         choice.swapped);
     rec.found_existence = out.revealed_direct;
     rec.found_nonexistence = out.revealed_transit;
     rec.infra_failure = out.infra_failure;
@@ -484,7 +485,7 @@ class ReferenceScheduler {
     rec.launched = out.launched;
     rec.faulted = out.faulted;
     std::size_t spent = static_cast<std::size_t>(out.launched);
-    if (!out.ran && !out.infra_failure) spent = 1;
+    if (!out.ran() && !out.infra_failure) spent = 1;
     rec.spent = static_cast<int>(spent);
     history.push_back(rec);
 
@@ -500,9 +501,9 @@ class ReferenceScheduler {
       return spent;
     }
     requeued_.erase(key(pick.i, pick.j));
-    pm_.record(pick.i, pick.j, choice, out.informative);
+    pm_.record(pick.i, pick.j, choice, out.informative());
     const auto i = static_cast<std::size_t>(pick.i);
-    if (out.informative) {
+    if (out.informative()) {
       fail_streak_[i] = 0;
     } else if (!pick.exploration &&
                ++fail_streak_[i] >= cfg_.row_fail_limit) {
@@ -676,14 +677,14 @@ SchedulerConfig reference_config(SelectionPolicy policy, std::uint64_t seed) {
   return cfg;
 }
 
-std::uint64_t skipped_scans() {
+std::uint64_t bounded_entries() {
   return util::telemetry::Registry::instance()
-      .counter("scheduler.exploit_scans_skipped")
+      .counter("scheduler.exploit_entries_bounded")
       .value();
 }
 
 TEST(SchedulerReferenceTest, MetascriticMatchesUnderEveryFaultProfile) {
-  const std::uint64_t skipped_before = skipped_scans();
+  const std::uint64_t bounded_before = bounded_entries();
   for (std::uint64_t seed : {3, 8, 21}) {
     for (const char* profile : {"none", "flaky", "storm"}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + ", " + profile);
@@ -692,9 +693,10 @@ TEST(SchedulerReferenceTest, MetascriticMatchesUnderEveryFaultProfile) {
           tw, 0, reference_config(SelectionPolicy::kMetascritic, seed + 100));
     }
   }
-  // The skip of a hopeless row's column scan ran: the matches above cover it.
+  // Exploit scans skipped entries by their bound: the matches above cover
+  // the skip.
   if (util::telemetry::compiled()) {
-    EXPECT_GT(skipped_scans(), skipped_before);
+    EXPECT_GT(bounded_entries(), bounded_before);
   }
 }
 
@@ -713,27 +715,80 @@ TEST(SchedulerReferenceTest, EveryOtherPolicyMatches) {
 }
 
 
+// run_targeted draws its VP and target from the measurement plane's
+// candidate lists, and P_m counts availability from their sizes.  Each
+// list must be what a full categorization scan finds, in the scan's order:
+// VPs in inventory order, targets in cone order and then inventory order.
+// Every focus metro is visited, then the first again, so an index kept
+// from another metro shows.
+TEST(SchedulerReferenceTest, CandidateIndexMatchesAFullScan) {
+  auto wc = eval::small_world_config(6);
+  wc.compute_public_view = false;
+  eval::World w = eval::build_world(wc);
+  std::vector<MetroId> visits = w.focus_metros;
+  ASSERT_GE(visits.size(), 2u);
+  visits.push_back(w.focus_metros.front());
+  for (const MetroId m : visits) {
+    SCOPED_TRACE("metro " + std::to_string(m));
+    const MetroContext ctx(w.net, m);
+    const CandidateIndex& index = w.ms->candidates(ctx);
+    EXPECT_EQ(index.metro(), m);
+    int mismatches = 0;
+    auto expect_list = [&](std::span<const std::uint32_t> got,
+                           const std::vector<std::uint32_t>& want,
+                           const std::string& what) {
+      if (std::equal(got.begin(), got.end(), want.begin(), want.end())) return;
+      if (mismatches++ == 0)
+        ADD_FAILURE() << what << ": " << got.size() << " candidates, the scan "
+                      << want.size();
+    };
+    for (std::size_t i = 0; i < ctx.size(); ++i) {
+      const AsId as = ctx.as_at(i);
+      std::vector<std::pair<std::uint32_t, int>> vps, targets;
+      for (std::size_t v = 0; v < w.vps.size(); ++v)
+        vps.emplace_back(static_cast<std::uint32_t>(v),
+                         traceroute::categorize_vp(w.net, w.vps[v], as, m));
+      for (AsId member : w.net.cones[static_cast<std::size_t>(as)])
+        for (std::size_t t = 0; t < w.targets.size(); ++t)
+          if (w.targets[t].as == member)
+            targets.emplace_back(
+                static_cast<std::uint32_t>(t),
+                traceroute::categorize_target(w.net, w.targets[t], as, m));
+      auto of = [](const auto& scanned, int c) {
+        std::vector<std::uint32_t> want;
+        for (const auto& [index, category] : scanned)
+          if (category == c) want.push_back(index);
+        return want;
+      };
+      for (int c = 0; c < traceroute::kVpCategories; ++c)
+        expect_list(index.vps(i, c), of(vps, c),
+                    "AS " + std::to_string(as) + " VP category " +
+                        std::to_string(c));
+      for (int c = 0; c < traceroute::kTargetCategories; ++c)
+        expect_list(index.targets(i, c), of(targets, c),
+                    "AS " + std::to_string(as) + " target category " +
+                        std::to_string(c));
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+}
+
 /// Records into both P_m copies, for every available strategy of every
 /// entry `e` leaves unfilled, in both orientations, two uninformative
 /// outcomes and one informative one: each such penalty falls to
 /// kPenaltyFactor^2 = 0.36, and every success rate stays at
 /// (1 + m) / (3 + 3m) = 1/3 exactly.
 void penalize_unfilled(ProbabilityMatrix& pm, ProbabilityMatrix& rpm,
-                       const MetroContext& ctx, const MeasurementSystem& ms,
+                       const MetroContext& ctx, MeasurementSystem& ms,
                        const EstimatedMatrix& e) {
   const std::size_t n = e.size();
-  std::vector<std::vector<int>> vp(n), tgt(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    vp[i] = ms.vp_category_counts(ctx.as_at(i), ctx.metro());
-    tgt[i] = ms.target_category_counts(ctx.as_at(i), ctx.metro());
-  }
+  const CandidateIndex& index = ms.candidates(ctx);
   for (std::size_t near = 0; near < n; ++near) {
     for (std::size_t far = 0; far < n; ++far) {
       if (near == far || e.filled(near, far)) continue;
       for (int v = 0; v < traceroute::kVpCategories; ++v) {
         for (int t = 0; t < traceroute::kTargetCategories; ++t) {
-          if (vp[near][static_cast<std::size_t>(v)] == 0 ||
-              tgt[far][static_cast<std::size_t>(t)] == 0)
+          if (index.vps(near, v).empty() || index.targets(far, t).empty())
             continue;
           const StrategyChoice c{v, t, false, 0.5};
           for (ProbabilityMatrix* p : {&pm, &rpm})

@@ -288,7 +288,7 @@ TEST(TelemetryPipelineCoverage, NamespacesAndPhaseSpans) {
   // The scheduler counts the work its explore and exploit picks do, once
   // per call.
   for (const char* counter :
-       {"scheduler.explore_pairs_visited", "scheduler.exploit_scans_skipped"})
+       {"scheduler.explore_pairs_visited", "scheduler.exploit_entries_bounded"})
     EXPECT_TRUE(std::find(names.begin(), names.end(), counter) != names.end())
         << "missing counter " << counter;
   const std::vector<std::string> kNamespaces = {
