@@ -106,6 +106,10 @@ class AlsCompleter {
   // .. obs_start_[i + 1]) in input order.  Feature entries stay in place.
   std::vector<std::size_t> obs_start_;
   std::vector<Observation> obs_;
+  // Every AS row's feature weights fw v, built at fit() in the lane order
+  // solve_side reads them: for each block of rows solved together, feature
+  // by feature, a weight per lane, zero past n (DESIGN.md §15).
+  std::vector<double> feature_w_;
   const FeatureMatrix* features_;  // lint: allow(view-member) -- caller-owned matrix bound at fit() time; solvers are transient helpers
   int iterations_run_ = 0;
   bool fitted_ = false;

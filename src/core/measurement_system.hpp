@@ -110,9 +110,7 @@ class MeasurementSystem {
   EstimatedMatrix take_matrix(const MetroContext& ctx);
 
   const EvidenceStore& evidence() const { return evidence_; }
-  const traceroute::WellPositionedTracker& well_positioned() const { return wp_; }
   std::size_t traceroutes_issued() const { return engine_->issued(); }
-  const std::vector<traceroute::VantagePoint>& vps() const { return vps_; }
 
   /// Resilience off: no failover, backoff or quarantine, and the scheduler
   /// treats infrastructure failures like uninformative results.

@@ -77,6 +77,20 @@ TEST(Als, BadEntriesRejected) {
   AlsCompleter c(3, f, AlsConfig{});
   EXPECT_THROW(c.fit({{1, 1, 1.0}}), std::invalid_argument);
   EXPECT_THROW(c.fit({{0, 5, 1.0}}), std::invalid_argument);
+  // A NaN rating would train as a -1 at the floor weight and turn class
+  // balancing off; an infinite one would get an infinite weight.
+  AlsConfig plain;
+  plain.confidence_weighting = false;
+  plain.balance_classes = false;
+  AlsCompleter unweighted(3, f, plain);
+  for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(c.fit({{0, 1, 1.0}, {1, 2, v}}), std::invalid_argument) << v;
+    EXPECT_THROW(unweighted.fit({{1, 2, v}}), std::invalid_argument) << v;
+  }
+  c.fit({{0, 1, 1.0}, {1, 2, -1.0}});  // a refused call leaves it usable
+  EXPECT_TRUE(std::isfinite(c.predict(0, 2)));
 }
 
 TEST(Als, RecoverBlockMatrix) {
@@ -249,8 +263,10 @@ INSTANTIATE_TEST_SUITE_P(Fractions, AlsCoverageTest,
 // Reference: the per-record algorithm.  Each row's record list includes its
 // feature records, its Gram is accumulated record by record (upper triangle,
 // mirrored), and the row is solved by a plain dense Cholesky on fresh
-// buffers.  It shares no code with the completer's shared Gram blocks or
-// its in-place solve.
+// buffers.  It shares no code with the completer's shared Gram blocks, its
+// tiles and lanes or its in-place solve.  It sums in the completer's order
+// (DESIGN.md §15): an AS row's Gram takes its feature records first, its
+// right-hand side takes them last.
 
 struct Record {
   std::size_t col;
@@ -352,11 +368,16 @@ Factors reference_fit(std::size_t n, const FeatureMatrix& feats,
       linalg::Matrix gram(r, r);
       linalg::Vector rhs(r, 0.0);
       for (const Record& rec : records[row])
-        for (std::size_t a = 0; a < r; ++a) {
-          const double fa = fixed(rec.col, a);
-          rhs[a] += rec.weight * rec.value * fa;
-          for (std::size_t b = a; b < r; ++b)
-            gram(a, b) += rec.weight * fa * fixed(rec.col, b);
+        for (std::size_t a = 0; a < r; ++a)
+          rhs[a] += rec.weight * rec.value * fixed(rec.col, a);
+      for (bool feature_records : {true, false})
+        for (const Record& rec : records[row]) {
+          if ((rec.col >= n) != feature_records) continue;
+          for (std::size_t a = 0; a < r; ++a) {
+            const double fa = fixed(rec.col, a);
+            for (std::size_t b = a; b < r; ++b)
+              gram(a, b) += rec.weight * fa * fixed(rec.col, b);
+          }
         }
       for (std::size_t a = 0; a < r; ++a)
         for (std::size_t b = 0; b < a; ++b) gram(a, b) = gram(b, a);
@@ -510,9 +531,8 @@ TEST(AlsReference, BitEqualWithoutFeatures) {
   }
 }
 
-// With features only an AS row's Gram changes summation order (the shared
-// feature block first, then the observations), so the fits agree to
-// rounding.
+// With features the fits agree to rounding; BitEqualWithFeatures below
+// requires the bits.
 TEST(AlsReference, MatchesWithFeatures) {
   for (ReferenceCase& rc : cases_with_features()) {
     SCOPED_TRACE(rc.name);
@@ -529,9 +549,39 @@ TEST(AlsReference, MatchesWithFeatures) {
   }
 }
 
+// With features too, the reference sums every entry in the completer's
+// order, so the factors are the same bits: at the cases' compile-time and
+// run-time ranks, at ranks 7 and 9 (at 9 the right-hand side's group of
+// rows first spans two tiles), and at n = 61, whose last block of AS rows
+// fills one lane of four.
+TEST(AlsReference, BitEqualWithFeatures) {
+  AlsConfig unweighted;
+  unweighted.confidence_weighting = false;
+  unweighted.balance_classes = false;
+  std::vector<ReferenceCase> cases = cases_with_features();
+  cases.push_back({"random rank 7", random_problem(90, 11, 0.2, 41), 7});
+  cases.push_back({"planted rank 9", planted_problem(130, 3, 21, 0.15, 42), 9});
+  cases.push_back({"random n = 61", random_problem(61, 33, 0.2, 43), 5});
+  cases.push_back(
+      {"random n = 61 unweighted", random_problem(61, 7, 0.25, 44), 10,
+       unweighted});
+  for (ReferenceCase& rc : cases) {
+    SCOPED_TRACE(rc.name);
+    rc.cfg.rank = rc.rank;
+    AlsCompleter c(rc.problem.n, rc.problem.feats, rc.cfg);
+    c.fit(rc.problem.observed);
+    const Factors ref =
+        reference_fit(rc.problem.n, rc.problem.feats, rc.cfg,
+                      rc.problem.observed);
+    EXPECT_TRUE(c.p().data() == ref.p.data()) << "P differs";
+    EXPECT_TRUE(c.q().data() == ref.q.data()) << "Q differs";
+    EXPECT_GT(max_abs(ref.p), 0.0);
+  }
+}
+
 // A feature row sums its Gram in the order the reference does, so where
 // both sides start from the same factors -- the first half-sweep -- the
-// feature rows of P are bit-equal.  Only the AS rows move by rounding.
+// feature rows of P are bit-equal.
 TEST(AlsReference, FirstHalfSweepFeatureRowsBitEqual) {
   const Problem pr = random_problem(190, 33, 0.15, 31);
   AlsConfig cfg;

@@ -2,7 +2,9 @@
 // and run-time dimensions on both sides of ALS's fixed-rank bound (32).
 #include "linalg/solve.hpp"
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -117,6 +119,75 @@ TEST(Cholesky, MatchesDotFormBitwiseAtEveryDimension) {
   [&]<std::size_t... Ns>(std::index_sequence<Ns...>) {
     (expect_dot_form_bits<Ns>(rng), ...);
   }(std::index_sequence<1, 2, 3, 7, 16, 24, 31, 32, 33, 40, 56>());
+}
+
+// L systems factored and solved as lanes give each lane the bits the
+// one-system kernel gives that lane's system alone, and leave the strict
+// lower triangles as they were.  `bad` lanes are spoiled (a NaN first entry,
+// or a last diagonal entry that makes the last pivot negative): they are
+// reported degenerate and must not touch their neighbours' bits.
+template <std::size_t N, std::size_t L>
+void expect_lanes_match(util::Rng& rng, std::size_t n, LaneMask bad) {
+  std::array<Matrix, L> a;
+  std::array<Vector, L> b;
+  std::array<double, L> lambda;
+  Vector packed(n * n * L), rhs(n * L);
+  for (std::size_t l = 0; l < L; ++l) {
+    a[l] = random_spd(n, rng);
+    if (bad >> l & 1u) {
+      if (l % 2 == 0)
+        a[l](0, 0) = std::numeric_limits<double>::quiet_NaN();
+      else
+        a[l](n - 1, n - 1) = -1e6;
+    }
+    b[l] = Vector(n);
+    for (double& v : b[l]) v = rng.normal();
+    lambda[l] = 0.125 * static_cast<double>(l);
+    for (std::size_t i = 0; i < n; ++i) {
+      rhs[i * L + l] = b[l][i];
+      for (std::size_t j = 0; j < n; ++j)
+        packed[(i * n + j) * L + l] = a[l](i, j);
+    }
+  }
+  const LaneMask ok = cholesky_in_place<N, L>(packed, n, lambda);
+  ASSERT_EQ(ok, all_lanes<L>() & ~bad) << "n = " << n << ", L = " << L;
+  if (ok == 0) return;
+  cholesky_solve_in_place<N, L>(packed, rhs, ok);
+  for (std::size_t l = 0; l < L; ++l) {
+    if (bad >> l & 1u) continue;
+    Matrix u = a[l];
+    ASSERT_TRUE(cholesky_in_place<N>(u.data(), n, lambda[l]));
+    Vector x = b[l];
+    cholesky_solve_in_place<N>(u.data(), x);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(rhs[i * L + l], x[i]) << "n = " << n << ", lane " << l;
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_EQ(packed[(i * n + j) * L + l], u(i, j))
+            << "n = " << n << ", lane " << l << ", (" << i << ", " << j
+            << ")";
+    }
+  }
+}
+
+template <std::size_t N, std::size_t L>
+void expect_lanes_match(util::Rng& rng) {
+  // Every lane good, then each lane spoiled beside good ones.
+  expect_lanes_match<N, L>(rng, N, 0);
+  expect_lanes_match<kDynamic, L>(rng, N, 0);
+  for (std::size_t l = 0; l < L && L > 1; ++l) {
+    expect_lanes_match<N, L>(rng, N, LaneMask{1} << l);
+    expect_lanes_match<kDynamic, L>(rng, N, LaneMask{1} << l);
+  }
+  expect_lanes_match<N, L>(rng, N, all_lanes<L>());  // none left
+}
+
+TEST(Cholesky, LanesMatchOneSystemBitwise) {
+  util::Rng rng(9);
+  [&]<std::size_t... Ns>(std::index_sequence<Ns...>) {
+    ((expect_lanes_match<Ns + 1, 1>(rng), expect_lanes_match<Ns + 1, 2>(rng),
+      expect_lanes_match<Ns + 1, 4>(rng)),
+     ...);
+  }(std::make_index_sequence<33>());
 }
 
 TEST(SolveSpd, RecoversKnownSolution) {
